@@ -70,6 +70,7 @@ from .operators import (
     MarginError,
     OperatorError,
     Ordinal,
+    ProductBasis,
     SparseBlockOperator,
     Window,
     adjoint,

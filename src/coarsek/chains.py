@@ -462,6 +462,13 @@ def chain_to_json(chain: Chain) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """value itself when it is a JSON integer; never truncates or coerces."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ChainError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
     if "coeffs" in data:
         if graph is None:
@@ -477,16 +484,23 @@ def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
             raise ChainError(f"bad degree: {degree!r}")
         if len(lookup) != len(graph.vertices if degree == 0 else graph.edges):
             raise ChainError("graph labels are ambiguous under string keys")
+        if not isinstance(data["coeffs"], dict):
+            raise ChainError("coeffs must be an object")
         coeffs = {}
         for key, val in data["coeffs"].items():
             if key not in lookup:
                 raise ChainError(f"unknown {what} {key!r} in chain file")
-            coeffs[lookup[key]] = int(val)
+            coeffs[lookup[key]] = _json_int(val, f"coeffs[{key!r}]")
         return Chain0(graph, coeffs) if degree == 0 else Chain1(graph, coeffs)
+    values = data.get("window_values", [])
+    if not isinstance(values, list):
+        raise ChainError(f"window_values must be a list, got {values!r}")
     return BandedZChain(
         degree=data["degree"],
-        tail_left=data.get("tail_left", 0),
-        tail_right=data.get("tail_right", 0),
-        window_start=data.get("window_start", 0),
-        window_values=tuple(data.get("window_values", [])),
+        tail_left=_json_int(data.get("tail_left", 0), "tail_left"),
+        tail_right=_json_int(data.get("tail_right", 0), "tail_right"),
+        window_start=_json_int(data.get("window_start", 0), "window_start"),
+        window_values=tuple(
+            _json_int(v, f"window_values[{i}]") for i, v in enumerate(values)
+        ),
     )

@@ -289,13 +289,12 @@ def cmd_k1(args) -> int:
         report.checks.append(
             CheckResult("cycle unitary is exactly unitary", is_unitary_on(cu.u))
         )
-        defect = cu.u.defect()
         report.checks.append(
             CheckResult(
                 "entries join adjacent vertices only",
                 all(
                     r.vertex == c.vertex or ex.adjacent(r.vertex, c.vertex)
-                    for (r, c) in defect.entries
+                    for (r, c) in cu.u.delta
                 ),
             )
         )
@@ -391,6 +390,16 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coarsek",
@@ -407,13 +416,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} construction and checks")
         p.add_argument("--graph", required=True)
         p.add_argument("--chain", required=True)
-        p.add_argument("--window", type=int, default=16, help="central radius")
-        p.add_argument("--margin", type=int, default=8)
+        p.add_argument(
+            "--window", type=_nonnegative, default=16, help="central radius"
+        )
+        p.add_argument("--margin", type=_nonnegative, default=8)
         p.add_argument("--dump", metavar="DIR", help="write operator dumps")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--strict-matching", action="store_true")
         if name == "k1-map":
             p.add_argument("--matching", help="matching override file")
+            p.add_argument(
+                "--strict-matching",
+                action="store_true",
+                help="count the two-conjugation route as a hard failure",
+            )
         p.set_defaults(fn=fn)
 
     p_ver = sub.add_parser("verify", help="run the built-in scenario suite")

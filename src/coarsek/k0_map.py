@@ -24,6 +24,7 @@ from .operators import (
     BlockIndex,
     CopyEdge,
     Ordinal,
+    ProductBasis,
     SparseBlockOperator,
     Window,
     slot_key,
@@ -112,11 +113,7 @@ class ProjectionPair:
 
 def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
     ceiling = max((abs(v) for v in values.values()), default=0)
-    domain = [
-        BlockIndex(x, Ordinal(i))
-        for x in values
-        for i in range(1, ceiling + 1)
-    ]
+    dom = ProductBasis(values, [Ordinal(i) for i in range(1, ceiling + 1)])
     f_entries = {}
     g_entries = {}
     for x, cx in values.items():
@@ -126,7 +123,6 @@ def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
                 f_entries[(b, b)] = 1
             else:
                 g_entries[(b, b)] = 1
-    dom = frozenset(domain)
     return ProjectionPair(
         f=SparseBlockOperator(dom, f_entries),
         g=SparseBlockOperator(dom, g_entries),
@@ -198,12 +194,14 @@ def block_diagonal_slot_permutation(
     domain, per_vertex: dict
 ) -> SparseBlockOperator:
     """Unitary permuting slots within each vertex block; slots not mentioned
-    stay fixed."""
-    mapping = {}
-    for b in domain:
-        target = per_vertex.get(b.vertex, {}).get(b.slot, b.slot)
-        mapping[b] = BlockIndex(b.vertex, target)
-    return SparseBlockOperator.from_basis_map(domain, mapping)
+    stay fixed, and only the moved ones are stored."""
+    moves = {}
+    for x, targets in per_vertex.items():
+        for slot, target in targets.items():
+            b = BlockIndex(x, slot)
+            if b in domain:
+                moves[b] = BlockIndex(x, target)
+    return SparseBlockOperator.from_moves(domain, moves)
 
 
 @dataclass

@@ -46,6 +46,7 @@ from .operators import (
     CopyEdge,
     Ordinal,
     OperatorError,
+    ProductBasis,
     SparseBlockOperator,
     Window,
     block_key,
@@ -128,26 +129,18 @@ class CycleUnitary:
     window: Optional[Window] = None
 
 
-def _full_domain(g: ExpandedGraph) -> frozenset:
-    return frozenset(
-        BlockIndex(x, e.slot) for x in g.vertices for e in g.edges
-    )
+def _full_domain(g: ExpandedGraph) -> ProductBasis:
+    return ProductBasis(g.vertices, [e.slot for e in g.edges])
 
 
 def _track_map(g: ExpandedGraph, matching: EdgeMatching) -> dict:
-    """The basis bijection: ingoing vectors advance along the matching,
-    everything else stays put."""
-    mapping = {}
+    """The moved vectors of the basis bijection: ingoing vectors advance
+    along the matching, everything else stays put."""
+    moves = {}
     for x in g.vertices:
-        route = matching.at(x)
-        for e in g.edges:
-            b = BlockIndex(x, e.slot)
-            if e.target == x:
-                out = route[e]
-                mapping[b] = BlockIndex(out.target, out.slot)
-            else:
-                mapping[b] = b
-    return mapping
+        for e, out in matching.at(x).items():
+            moves[BlockIndex(x, e.slot)] = BlockIndex(out.target, out.slot)
+    return moves
 
 
 def cycle_unitary(
@@ -166,24 +159,33 @@ def cycle_unitary(
     g = expand_graph(gamma.graph, gamma)
     if matching is None:
         matching = canonical_matching(g)
-    domain = _full_domain(g)
-    u = SparseBlockOperator.from_basis_map(domain, _track_map(g, matching))
+    u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(g, matching))
     return CycleUnitary(expanded=g, matching=matching, u=u)
 
 
 def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]:
     """Sorted nontrivial cycle lengths when op is a permutation matrix of its
-    ambient basis, else None."""
+    ambient basis, else None.
+
+    Columns the defect leaves alone are fixed points when the scalar is 1
+    and rule a permutation out otherwise, so only touched columns are read."""
+    columns: dict = {}
+    for (r, c), v in op.delta.items():
+        columns.setdefault(c, {})[r] = v
+    if op.scalar != 1 and len(columns) != len(op.domain):
+        return None
     mapping = {}
-    for (r, c), v in op.entries.items():
-        if v != 1 or c in mapping:
+    for c, col in columns.items():
+        col[c] = col.get(c, 0) + op.scalar
+        nonzero = [(r, v) for r, v in col.items() if v]
+        if len(nonzero) != 1 or nonzero[0][1] != 1:
             return None
-        mapping[c] = r
-    if set(mapping) != op.domain or set(mapping.values()) != op.domain:
+        mapping[c] = nonzero[0][0]
+    if set(mapping.values()) != set(mapping):
         return None
     lengths = []
     seen = set()
-    for start in op.domain:
+    for start in mapping:
         if start in seen:
             continue
         n = 0
@@ -227,26 +229,25 @@ def _hybrid_intermediate(
     """The classical intermediate: ingoing vectors go to the alpha target
     vertex but the beta slot.  Returns the matrix and, when it is not a
     basis bijection, a colliding pair of columns as certificate."""
-    domain = _full_domain(g)
-    mapping = {}
+    moves = {}
     for x in g.vertices:
-        for e in g.edges:
-            b = BlockIndex(x, e.slot)
-            if e.target == x:
-                a_out = alpha.at(x)[e]
-                b_out = beta.at(x)[e]
-                mapping[b] = BlockIndex(a_out.target, b_out.slot)
-            else:
-                mapping[b] = b
+        for e in g.in_edges(x):
+            a_out = alpha.at(x)[e]
+            b_out = beta.at(x)[e]
+            moves[BlockIndex(x, e.slot)] = BlockIndex(a_out.target, b_out.slot)
+    # a collision needs a moved vector: among the fixed ones only those a
+    # moved vector lands on can take part, so the first collision in block
+    # order over these candidates is the first over the whole basis
+    candidates = set(moves) | {img for img in moves.values() if img not in moves}
     collision = None
     seen: dict[BlockIndex, BlockIndex] = {}
-    for b in sorted(mapping, key=block_key):
-        img = mapping[b]
+    for b in sorted(candidates, key=block_key):
+        img = moves.get(b, b)
         if img in seen:
             collision = (seen[img], b, img)
             break
         seen[img] = b
-    op = SparseBlockOperator.from_basis_map(domain, mapping, injective=False)
+    op = SparseBlockOperator.from_moves(_full_domain(g), moves, injective=False)
     return op, collision
 
 
@@ -412,12 +413,11 @@ def verify_matching_independence(
         == SparseBlockOperator.identity(correction.domain)
     )
     defect = correction.defect()
+    touched = {r.vertex for (r, _) in defect.delta}
     block_ranks = {
-        x: op_block_rank(defect, x, x)
-        for x in g.vertices
-        if any(r.vertex == x for (r, _) in defect.entries)
+        x: op_block_rank(defect, x, x) for x in g.vertices if x in touched
     }
-    prop_zero = all(r.vertex == c.vertex for (r, c) in defect.entries)
+    prop_zero = all(r.vertex == c.vertex for (r, c) in defect.delta)
 
     hybrid, collision = _hybrid_intermediate(g, alpha, beta)
     unitary = collision is None
@@ -535,16 +535,17 @@ def compress_to_uniform(
     conjugated = t.adjoint().compose(cu.u).compose(t)
     round_trip_ok = t.compose(conjugated).compose(t.adjoint()) == cu.u
 
-    relabel = {
-        b: BlockIndex(b.vertex, Ordinal(number[b.slot])) for b in cu.u.domain
-    }
+    def relabel(b: BlockIndex) -> BlockIndex:
+        return BlockIndex(b.vertex, Ordinal(number[b.slot]))
+
     u_tilde = SparseBlockOperator(
-        frozenset(relabel.values()),
-        {(relabel[r], relabel[c]): v for (r, c), v in conjugated.entries.items()},
+        ProductBasis(g.vertices, [Ordinal(number[e.slot]) for e in g.edges]),
+        {(relabel(r), relabel(c)): v for (r, c), v in conjugated.delta.items()},
+        conjugated.scalar,
     )
     confinement_ok = all(
         r.slot.index <= n and c.slot.index <= n
-        for (r, c) in u_tilde.defect().entries
+        for (r, c) in u_tilde.defect().delta
     )
     return CompressionResult(
         u_tilde=u_tilde,
@@ -583,46 +584,21 @@ def line_cycle_unitary(
     leaves the window are zero, so the operator is unitary on the interior
     and exactly equals the infinite operator there.
     """
-    lo, hi = window.lo, window.hi
-    g = line_expansion(k, lo, hi) if k != 0 else line_expansion(0, lo, hi)
+    g = line_expansion(k, window.lo, window.hi)
     domain = _full_domain(g)
-    if k == 0:
-        return CycleUnitary(
-            expanded=g,
-            matching=None,
-            u=SparseBlockOperator.identity(domain),
-            window=window,
-        )
     copy_permutations = copy_permutations or {}
-    slots = {e.slot for e in g.edges}
     step = 1 if k > 0 else -1
-    mapping = {}
-    for x in range(lo, hi + 1):
-        ins = [e for e in g.edges if e.target == x]
-        for j, e in enumerate(sorted(ins, key=lambda e: e.copy)):
-            perm = copy_permutations.get(x)
+    moves = {}
+    for x in g.vertices:
+        perm = copy_permutations.get(x)
+        # the ingoing edges at x are the copies of one cell, in copy order
+        for j, e in enumerate(g.in_edges(x)):
             out_copy = (perm[j] + 1) if perm is not None else e.copy
-            out_slot = CopyEdge(e.parent + step, out_copy)
-            b = BlockIndex(x, e.slot)
-            if out_slot in slots and lo <= x + step <= hi:
-                mapping[b] = BlockIndex(x + step, out_slot)
-            # otherwise the image leaves the window: zero column
-    full = {}
-    for b in domain:
-        if b in mapping:
-            full[b] = mapping[b]
-        elif not _is_track(b, k):
-            full[b] = b
-        # track vectors without an in-window image keep a zero column
-    u = SparseBlockOperator.from_basis_map(domain, full)
+            out = BlockIndex(x + step, CopyEdge(e.parent + step, out_copy))
+            # an image leaving the window leaves a zero column
+            moves[BlockIndex(x, e.slot)] = out if out in domain else None
+    u = SparseBlockOperator.from_moves(domain, moves)
     return CycleUnitary(expanded=g, matching=None, u=u, window=window)
-
-
-def _is_track(b: BlockIndex, k: int) -> bool:
-    # for the constant-k line cycle, (x, copy of cell n) is a track vector
-    # iff the expanded edge targets x: n = x-1 for k > 0, n = x for k < 0
-    cell = b.slot.edge
-    return cell == (b.vertex - 1 if k > 0 else b.vertex)
 
 
 def constant_cycle_index(k: int, window: Window) -> int:

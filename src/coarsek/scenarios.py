@@ -162,10 +162,10 @@ def check_propagation_corpus(seed: int = DEFAULT_SEED, count: int = 200) -> dict
             cu = cycle_unitary(gamma)
             ex = cu.expanded
             defect = cu.u.defect()
-            for (r, c) in defect.entries:
+            for (r, c) in defect.delta:
                 if r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
                     adjacency_failures.append({"graph": i, "row": r, "col": c})
-            blocks = {(r.vertex, c.vertex) for (r, c) in defect.entries}
+            blocks = {(r.vertex, c.vertex) for (r, c) in defect.delta}
             for (x, y) in blocks:
                 if block_rank(defect, x, y) > ex.valence(x):
                     rank_failures.append({"graph": i, "block": (x, y)})

@@ -178,6 +178,61 @@ def test_k1_matching_override_figure_eight(tmp_path, capsys):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "coeffs, field",
+    [
+        ({"e01": 1.9, "e12": 1, "e02": -1}, "e01"),
+        ({"e01": True, "e12": 1, "e02": -1}, "e01"),
+        ({"e01": 1, "e12": "1", "e02": -1}, "e12"),
+    ],
+)
+def test_finite_chain_rejects_non_integer_coefficients(
+    triangle_file, tmp_path, capsys, coeffs, field
+):
+    chain = write(tmp_path, "g.json", {"degree": 1, "coeffs": coeffs})
+    assert main(["k1-map", "--graph", triangle_file, "--chain", chain]) == 2
+    err = capsys.readouterr().err
+    assert f"coeffs[{field!r}] must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"tail_left": 1.5, "tail_right": 1.5}, "tail_left"),
+        ({"tail_left": 1, "tail_right": True}, "tail_right"),
+        ({"tail_left": 0, "tail_right": 0, "window_start": 0.5, "window_values": [1]}, "window_start"),
+        ({"tail_left": 0, "tail_right": 0, "window_values": [1, 2.0]}, "window_values[1]"),
+        ({"tail_left": 0, "tail_right": 0, "window_values": "12"}, "window_values"),
+    ],
+)
+def test_banded_chain_rejects_non_integer_fields(
+    line_file, tmp_path, capsys, payload, field
+):
+    chain = write(tmp_path, "g.json", {"degree": 1, **payload})
+    assert main(["k1-map", "--graph", line_file, "--chain", chain, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["k0-map", "k1-map"])
+@pytest.mark.parametrize("flag", ["--window", "--margin"])
+def test_negative_window_is_input_error(line_file, tmp_path, capsys, command, flag):
+    chain = write(tmp_path, "g.json", {"degree": 0 if command == "k0-map" else 1,
+                                       "tail_left": 1, "tail_right": 1})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", line_file, "--chain", chain, flag, "-1"])
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_strict_matching_belongs_to_k1_map_only(triangle_file, tmp_path):
+    chain = write(tmp_path, "c.json", {"degree": 0, "coeffs": {"0": 1}})
+    with pytest.raises(SystemExit) as exc:
+        main(["k0-map", "--graph", triangle_file, "--chain", chain, "--strict-matching"])
+    assert exc.value.code == 2
+
+
 def test_k1_dump_is_deterministic(line_file, tmp_path):
     chain = write(tmp_path, "g.json", {"degree": 1, "tail_left": 1, "tail_right": 1})
     d1, d2 = tmp_path / "d1", tmp_path / "d2"
