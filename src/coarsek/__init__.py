@@ -59,7 +59,6 @@ from .k1_map import (
     compress_to_uniform,
     constant_cycle_index,
     cycle_unitary,
-    edge_numbering,
     line_cycle_unitary,
     permuted_matching,
     verify_matching_independence,
@@ -73,10 +72,8 @@ from .operators import (
     ProductBasis,
     SparseBlockOperator,
     Window,
-    adjoint,
     bilateral_shift,
     block_rank,
-    compose,
     dump_lines,
     index_pairing,
     is_unitary_on,

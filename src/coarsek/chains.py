@@ -23,21 +23,23 @@ def _clean(coeffs: Mapping) -> dict:
     return {k: int(v) for k, v in coeffs.items() if int(v) != 0}
 
 
-class Chain0:
-    """Finitely supported integer 0-chain over a host graph."""
+class FiniteChain:
+    """Finitely supported integer chain over a host graph: coefficients on
+    vertices (degree 0) or on edge ids (degree 1)."""
 
-    degree = 0
+    degree: int
+    cell: str
 
     def __init__(self, graph: OrientedGraph, coeffs: Mapping[Label, int]):
         self.graph = graph
         self.coeffs = _clean(coeffs)
-        vset = set(graph.vertices)
-        for v in self.coeffs:
-            if v not in vset:
-                raise ChainError(f"coefficient on unknown vertex {v!r}")
+        known = graph.has_vertex if self.degree == 0 else graph.has_edge_id
+        for key in self.coeffs:
+            if not known(key):
+                raise ChainError(f"coefficient on unknown {self.cell} {key!r}")
 
-    def coeff(self, v: Label) -> int:
-        return self.coeffs.get(v, 0)
+    def coeff(self, key: Label) -> int:
+        return self.coeffs.get(key, 0)
 
     @property
     def support(self):
@@ -45,83 +47,50 @@ class Chain0:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __add__(self, other):
+        if self.graph != other.graph:
+            raise ChainError("chains live over different graphs")
+        merged = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            merged[k] = merged.get(k, 0) + v
+        return type(self)(self.graph, merged)
+
+    def __neg__(self):
+        return type(self)(self.graph, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.graph == other.graph
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.coeffs!r})"
+
+
+class Chain0(FiniteChain):
+    """Finitely supported integer 0-chain over a host graph."""
+
+    degree = 0
+    cell = "vertex"
 
     def total(self) -> int:
         return sum(self.coeffs.values())
 
-    def __add__(self, other: "Chain0") -> "Chain0":
-        if self.graph != other.graph:
-            raise ChainError("chains live over different graphs")
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            merged[k] = merged.get(k, 0) + v
-        return Chain0(self.graph, merged)
 
-    def __neg__(self) -> "Chain0":
-        return Chain0(self.graph, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Chain0") -> "Chain0":
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain0)
-            and self.graph == other.graph
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"Chain0({self.coeffs!r})"
-
-
-class Chain1:
+class Chain1(FiniteChain):
     """Finitely supported integer 1-chain (coefficients on edge ids)."""
 
     degree = 1
-
-    def __init__(self, graph: OrientedGraph, coeffs: Mapping[Label, int]):
-        self.graph = graph
-        self.coeffs = _clean(coeffs)
-        for e in self.coeffs:
-            if not graph.has_edge_id(e):
-                raise ChainError(f"coefficient on unknown edge {e!r}")
-
-    def coeff(self, e: Label) -> int:
-        return self.coeffs.get(e, 0)
-
-    @property
-    def support(self):
-        return set(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Chain1") -> "Chain1":
-        if self.graph != other.graph:
-            raise ChainError("chains live over different graphs")
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            merged[k] = merged.get(k, 0) + v
-        return Chain1(self.graph, merged)
-
-    def __neg__(self) -> "Chain1":
-        return Chain1(self.graph, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Chain1") -> "Chain1":
-        return self + (-other)
+    cell = "edge"
 
     def scaled(self, n: int) -> "Chain1":
         return Chain1(self.graph, {k: n * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain1)
-            and self.graph == other.graph
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"Chain1({self.coeffs!r})"
 
 
 @dataclass(frozen=True)
@@ -150,6 +119,8 @@ class BandedZChain:
             start += 1
         while vals and vals[-1] == self.tail_right:
             vals.pop()
+        if not vals and self.tail_left == self.tail_right:
+            start = 0  # a constant chain has no position of its own
         object.__setattr__(self, "window_values", tuple(int(v) for v in vals))
         object.__setattr__(self, "window_start", start)
 
@@ -462,7 +433,7 @@ def chain_to_json(chain: Chain) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
+def json_int(value, field: str) -> int:
     """value itself when it is a JSON integer; never truncates or coerces."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ChainError(f"{field} must be an integer, got {value!r}")
@@ -490,17 +461,17 @@ def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
         for key, val in data["coeffs"].items():
             if key not in lookup:
                 raise ChainError(f"unknown {what} {key!r} in chain file")
-            coeffs[lookup[key]] = _json_int(val, f"coeffs[{key!r}]")
+            coeffs[lookup[key]] = json_int(val, f"coeffs[{key!r}]")
         return Chain0(graph, coeffs) if degree == 0 else Chain1(graph, coeffs)
     values = data.get("window_values", [])
     if not isinstance(values, list):
         raise ChainError(f"window_values must be a list, got {values!r}")
     return BandedZChain(
         degree=data["degree"],
-        tail_left=_json_int(data.get("tail_left", 0), "tail_left"),
-        tail_right=_json_int(data.get("tail_right", 0), "tail_right"),
-        window_start=_json_int(data.get("window_start", 0), "window_start"),
+        tail_left=json_int(data.get("tail_left", 0), "tail_left"),
+        tail_right=json_int(data.get("tail_right", 0), "tail_right"),
+        window_start=json_int(data.get("window_start", 0), "window_start"),
         window_values=tuple(
-            _json_int(v, f"window_values[{i}]") for i, v in enumerate(values)
+            json_int(v, f"window_values[{i}]") for i, v in enumerate(values)
         ),
     )

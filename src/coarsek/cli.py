@@ -25,6 +25,7 @@ from .chains import (
     boundary,
     chain_from_json,
     homology_finite,
+    json_int,
     solve_boundary_finite,
     solve_boundary_on_z,
     uf_class_on_z,
@@ -43,6 +44,7 @@ from .k1_map import (
     NonCycleError,
     canonical_matching,
     compress_to_uniform,
+    constant_cycle_index,
     cycle_unitary,
     line_cycle_unitary,
     permuted_matching,
@@ -57,7 +59,7 @@ from .operators import (
     is_unitary_on,
     operator_to_json,
 )
-from .scenarios import SCENARIOS, CheckResult, Report, run_all
+from .scenarios import DEFAULT_SEED, SCENARIOS, CheckResult, Report, run_all
 
 log = logging.getLogger("coarsek")
 
@@ -73,11 +75,14 @@ class InputError(Exception):
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _load_graph(path: str):
@@ -309,15 +314,20 @@ def cmd_k1(args) -> int:
             )
             dumps["u_tilde"] = comp.u_tilde
         if args.matching:
-            data = _load_json_file(args.matching)
+            data = _load_json_file(args.matching).get("positions", {})
             lookup = {str(v): v for v in g.vertices}
             try:
-                positions = {
-                    lookup[key]: tuple(val)
-                    for key, val in data.get("positions", {}).items()
-                }
+                if not isinstance(data, dict):
+                    raise ValueError(f"positions must be an object, got {data!r}")
+                positions = {}
+                for key, val in data.items():
+                    if not isinstance(val, list):
+                        raise ValueError(f"positions[{key!r}] must be a list, got {val!r}")
+                    positions[lookup[key]] = tuple(
+                        json_int(p, f"positions[{key!r}][{j}]") for j, p in enumerate(val)
+                    )
                 beta = permuted_matching(ex, positions)
-            except (KeyError, ValueError, NonCycleError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise InputError(f"{args.matching}: bad matching override: {exc}")
             rep = verify_matching_independence(chain, canonical_matching(ex), beta)
             report.checks.append(
@@ -350,8 +360,10 @@ def cmd_k1(args) -> int:
         window = Window(radius=args.window, margin=args.margin)
         cu = line_cycle_unitary(k, window)
         idx = index_pairing(cu.u, window)
-        double = Window(radius=2 * args.window, margin=args.margin)
-        idx2 = index_pairing(line_cycle_unitary(k, double).u, double)
+        # constant_cycle_index also checks the margin against the infinite
+        # operator's propagation; doubling the radius keeps the check's
+        # outcome, since radius >= 1 iff 2 * radius >= 1
+        idx2 = constant_cycle_index(k, Window(radius=2 * args.window, margin=args.margin))
         report.checks.append(
             CheckResult(
                 "index pairing stable under window doubling",
@@ -371,10 +383,6 @@ def cmd_k1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.scenario is not None and args.scenario not in SCENARIOS:
-        raise InputError(
-            f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}"
-        )
     reports = run_all(
         seed=args.seed, scenario=args.scenario, strict_matching=args.strict_matching
     )
@@ -432,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p_ver = sub.add_parser("verify", help="run the built-in scenario suite")
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
     p_ver.add_argument(
         "--strict-matching",
@@ -449,16 +457,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        from .scenarios import DEFAULT_SEED
-
-        args.seed = DEFAULT_SEED
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GraphError, ChainError, MarginError) as exc:
+    except (InputError, GraphError, ChainError, MarginError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OperatorError as exc:

@@ -82,6 +82,9 @@ class OrientedGraph:
     def edge(self, edge_id: Label) -> Edge:
         return self._by_id[edge_id]
 
+    def has_vertex(self, v: Label) -> bool:
+        return v in self._out
+
     def has_edge_id(self, edge_id: Label) -> bool:
         return edge_id in self._by_id
 
@@ -305,8 +308,11 @@ def graph_from_json(data: dict) -> Graph:
                 for e in pert.get("add", [])
             ]
             dropped = frozenset(pert.get("drop", []))
+        per_cell = data.get("edges_per_cell", 1)
+        if isinstance(per_cell, bool) or not isinstance(per_cell, int):
+            raise GraphError(f"edges_per_cell must be an integer, got {per_cell!r}")
         return BandedZGraph(
-            edges_per_cell=data.get("edges_per_cell", 1),
+            edges_per_cell=per_cell,
             extra_edges=tuple(extra),
             dropped_cells=dropped,
         )

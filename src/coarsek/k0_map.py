@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .chains import BandedZChain, Chain0, Chain1, ChainError, uniform_bound
+from .chains import BandedZChain, Chain0, Chain1, ChainError, boundary, uniform_bound
 from .graphs import Label, OrientedGraph, idkey
 from .operators import (
     BlockIndex,
@@ -243,7 +243,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
     if not isinstance(gamma, Chain1):
         raise ChainError("the witness needs a finitely supported 1-chain")
     g = expand_graph(gamma.graph, gamma)
-    c = _boundary_of_expansion(g)
+    c = boundary(gamma)
     ordinal_ceiling = max(
         (max(g.in_count(x), g.out_count(x)) for x in g.vertices), default=0
     )
@@ -337,15 +337,6 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         exchange_out=exchange_out,
         checks=checks,
     )
-
-
-def _boundary_of_expansion(g: ExpandedGraph) -> Chain0:
-    coeffs: dict[Label, int] = {}
-    for x in g.vertices:
-        val = g.in_count(x) - g.out_count(x)
-        if val:
-            coeffs[x] = val
-    return Chain0(g.base, coeffs)
 
 
 def _diag_rank_at(projection: SparseBlockOperator, x) -> int:

@@ -6,7 +6,9 @@ with the outgoing ones.  The matching routes every (vertex, ingoing-edge)
 basis vector one step along the cycle; all other basis vectors stay fixed.
 The resulting operator is an exact permutation matrix, differs from the
 identity only between adjacent vertices, and on the integer line its index
-pairing recovers the cycle's integer class.
+pairing recovers the cycle's integer class.  The line uses the same route
+construction on a window of the constant cycle; the only difference is the
+window cut, where a route with no outgoing edge leaves a zero column.
 
 Two matchings of the same cycle differ by the exact product identity
 
@@ -35,7 +37,6 @@ from typing import Optional
 from .chains import Chain1, is_cycle
 from .graphs import BandedZGraph
 from .k0_map import (
-    ExpandedEdge,
     ExpandedGraph,
     block_diagonal_slot_permutation,
     expand_graph,
@@ -43,7 +44,6 @@ from .k0_map import (
 )
 from .operators import (
     BlockIndex,
-    CopyEdge,
     Ordinal,
     OperatorError,
     ProductBasis,
@@ -87,34 +87,35 @@ class EdgeMatching:
 def canonical_matching(g: ExpandedGraph) -> EdgeMatching:
     """Sort ingoing and outgoing edges by (parent id, copy) and match in
     order; fails naming the first vertex where the flows disagree."""
-    per_vertex = {}
-    for x in g.vertices:
-        ins = g.in_edges(x)
-        outs = g.out_edges(x)
-        if len(ins) != len(outs):
-            raise NonCycleError(x, len(ins), len(outs))
-        per_vertex[x] = dict(zip(ins, outs))
-    return EdgeMatching(g, per_vertex)
+    return permuted_matching(g, {})
 
 
 def permuted_matching(g: ExpandedGraph, positions: dict) -> EdgeMatching:
     """Canonical matching with the outgoing side reordered: positions[x][j]
     is the index into the sorted outgoing list that the j-th sorted ingoing
     edge should map to."""
-    per_vertex = {}
     for x in g.vertices:
-        ins = g.in_edges(x)
-        outs = g.out_edges(x)
-        if len(ins) != len(outs):
-            raise NonCycleError(x, len(ins), len(outs))
+        if g.in_count(x) != g.out_count(x):
+            raise NonCycleError(x, g.in_count(x), g.out_count(x))
         perm = positions.get(x)
-        if perm is None:
-            per_vertex[x] = dict(zip(ins, outs))
-        else:
-            if sorted(perm) != list(range(len(outs))):
-                raise ValueError(f"bad permutation at vertex {x!r}")
-            per_vertex[x] = {e: outs[perm[j]] for j, e in enumerate(ins)}
-    return EdgeMatching(g, per_vertex)
+        if perm is not None and sorted(perm) != list(range(g.out_count(x))):
+            raise ValueError(f"bad permutation at vertex {x!r}")
+    return EdgeMatching(g, _routes(g, positions))
+
+
+def _routes(g: ExpandedGraph, positions: dict) -> dict:
+    """Per-vertex routes {x: {ingoing edge: outgoing edge or None}}: the j-th
+    sorted ingoing edge at x goes to the positions[x][j]-th sorted outgoing
+    edge (the j-th when x has no entry), and to None when x has no outgoing
+    edge, as at the far end of a line window."""
+    routes = {}
+    for x in g.vertices:
+        outs = g.out_edges(x)
+        perm = positions.get(x, range(g.in_count(x)))
+        routes[x] = {
+            e: outs[perm[j]] if outs else None for j, e in enumerate(g.in_edges(x))
+        }
+    return routes
 
 
 @dataclass
@@ -133,33 +134,26 @@ def _full_domain(g: ExpandedGraph) -> ProductBasis:
     return ProductBasis(g.vertices, [e.slot for e in g.edges])
 
 
-def _track_map(g: ExpandedGraph, matching: EdgeMatching) -> dict:
-    """The moved vectors of the basis bijection: ingoing vectors advance
-    along the matching, everything else stays put."""
-    moves = {}
-    for x in g.vertices:
-        for e, out in matching.at(x).items():
-            moves[BlockIndex(x, e.slot)] = BlockIndex(out.target, out.slot)
-    return moves
+def _track_map(routes: dict) -> dict:
+    """The moved vectors of the basis bijection: the ingoing vector of e at x
+    advances along its route, or leaves a zero column when the route is
+    None; everything else stays put."""
+    return {
+        BlockIndex(x, e.slot): None if out is None else BlockIndex(out.target, out.slot)
+        for x, route in routes.items()
+        for e, out in route.items()
+    }
 
 
 def cycle_unitary(
     gamma: Chain1, matching: Optional[EdgeMatching] = None
 ) -> CycleUnitary:
     """Build the permutation unitary of a finite-support cycle."""
-    if not is_cycle(gamma):
-        bad = next(
-            x
-            for x in gamma.graph.vertices
-            if sum(gamma.coeff(e.id) for e in gamma.graph.in_edges(x))
-            != sum(gamma.coeff(e.id) for e in gamma.graph.out_edges(x))
-        )
-        g = expand_graph(gamma.graph, gamma)
-        raise NonCycleError(bad, g.in_count(bad), g.out_count(bad))
     g = expand_graph(gamma.graph, gamma)
-    if matching is None:
+    if not is_cycle(gamma) or matching is None:
+        # on a non-cycle this raises, naming the first unbalanced vertex
         matching = canonical_matching(g)
-    u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(g, matching))
+    u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(matching.per_vertex))
     return CycleUnitary(expanded=g, matching=matching, u=u)
 
 
@@ -208,17 +202,23 @@ def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]
 def matching_correction(
     g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching
 ) -> SparseBlockOperator:
-    """Block-diagonal slot permutation R with U_beta = U_alpha * R.
+    """Block-diagonal slot permutation R with U_beta = U_alpha * R."""
+    return _route_correction(g, alpha.per_vertex, beta.per_vertex)
+
+
+def _route_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockOperator:
+    """R with U_beta = U_alpha * R for the unitaries of two route maps.
 
     At each vertex R reroutes ingoing slots by alpha_x^{-1} o beta_x, so the
     alpha-route of the rerouted slot is exactly the beta-route of the
-    original one.
+    original one.  A vector whose route leaves the window stays fixed: both
+    unitaries send it to zero.
     """
     per_vertex = {}
     for x in g.vertices:
-        inv = alpha.inverse_at(x)
+        inv = {out: e for e, out in alpha[x].items()}
         per_vertex[x] = {
-            e.slot: inv[beta.at(x)[e]].slot for e in g.in_edges(x)
+            e.slot: inv[out].slot for e, out in beta[x].items() if out is not None
         }
     return block_diagonal_slot_permutation(_full_domain(g), per_vertex)
 
@@ -251,9 +251,10 @@ def _hybrid_intermediate(
     return op, collision
 
 
-def _solve_block_conjugator(
-    g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching, budget: int = 200_000
-):
+CONJUGATOR_BUDGET = 200_000  # propagation steps before the search gives up
+
+
+def _solve_block_conjugator(g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching):
     """Search for per-vertex permutations pi_x of the ingoing edges with
 
         alpha_x(pi_x(e)) = pi_y(beta_x(e)),   y = target(beta_x(e)),
@@ -278,7 +279,7 @@ def _solve_block_conjugator(
         stack = [(x, e, p)]
         while stack:
             steps += 1
-            if steps > budget:
+            if steps > CONJUGATOR_BUDGET:
                 raise TimeoutError
             x, e, p = stack.pop()
             cur = pi[x].get(e)
@@ -488,36 +489,25 @@ def verify_matching_independence(
 @dataclass
 class CompressionResult:
     """Conjugation of a cycle unitary into the corner spanned by the first n
-    ordinal slots.  u_tilde carries ordinal slots via the edge numbering;
-    conjugating back with t recovers the original operator exactly."""
+    ordinal slots.  u_tilde carries ordinal slots numbered by the expanded
+    edges in (parent id, copy) order; conjugating back with t recovers the
+    original operator exactly."""
 
     u_tilde: SparseBlockOperator
     t: SparseBlockOperator = field(repr=False)
-    numbering: tuple
     n: int
     max_valence: int
     confinement_ok: bool
     round_trip_ok: bool
 
 
-def edge_numbering(g: ExpandedGraph) -> tuple[ExpandedEdge, ...]:
-    """Deterministic global numbering: edges sorted by (parent id, copy)."""
-    return g.edges
-
-
-def compress_to_uniform(
-    cu: CycleUnitary,
-    numbering: Optional[tuple] = None,
-    n: Optional[int] = None,
-) -> CompressionResult:
+def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> CompressionResult:
     """Conjugate by the block-diagonal permutation that at each vertex swaps
-    the first in-count(x) edges of the numbering with the ingoing edges.
+    the first in-count(x) expanded edges with the ingoing edges.
     The conjugated operator differs from the identity only in ordinal slots
     up to n, for any n at least the maximal valence."""
     g = cu.expanded
-    if numbering is None:
-        numbering = edge_numbering(g)
-    number = {e.slot: i for i, e in enumerate(numbering, start=1)}
+    number = {e.slot: i for i, e in enumerate(g.edges, start=1)}
     max_valence = max((g.valence(x) for x in g.vertices), default=0)
     if n is None:
         n = max_valence
@@ -528,7 +518,7 @@ def compress_to_uniform(
     per_vertex = {}
     for x in g.vertices:
         i_x = g.in_count(x)
-        first = [numbering[i].slot for i in range(i_x)]
+        first = [g.edges[i].slot for i in range(i_x)]
         ins = [e.slot for e in g.in_edges(x)]
         per_vertex[x] = order_matched_involution(first, ins)
     t = block_diagonal_slot_permutation(cu.u.domain, per_vertex)
@@ -550,7 +540,6 @@ def compress_to_uniform(
     return CompressionResult(
         u_tilde=u_tilde,
         t=t,
-        numbering=tuple(numbering),
         n=n,
         max_valence=max_valence,
         confinement_ok=confinement_ok,
@@ -578,32 +567,27 @@ def line_cycle_unitary(
     """Restriction to the window of the cycle unitary of the constant-k
     banded cycle.
 
-    The canonical matching routes copy c of the cell arriving at x to copy c
-    of the cell leaving x; copy_permutations[x] (a tuple permuting
-    0..|k|-1) reroutes the copies at selected vertices.  Columns whose image
-    leaves the window are zero, so the operator is unitary on the interior
-    and exactly equals the infinite operator there.
+    This is the construction of cycle_unitary on the window's expanded
+    graph, with the window cuts as the only difference.  The routes follow
+    the rule of permuted_matching: copy c of the cell arriving at x goes to
+    copy c of the cell leaving x, and copy_permutations[x] (a tuple
+    permuting 0..|k|-1) reroutes the copies at selected vertices.  At the
+    window's far end no cell leaves, so those columns are zero; the operator
+    is unitary on the interior and exactly equals the infinite operator
+    there.
     """
     g = line_expansion(k, window.lo, window.hi)
-    domain = _full_domain(g)
-    copy_permutations = copy_permutations or {}
-    step = 1 if k > 0 else -1
-    moves = {}
-    for x in g.vertices:
-        perm = copy_permutations.get(x)
-        # the ingoing edges at x are the copies of one cell, in copy order
-        for j, e in enumerate(g.in_edges(x)):
-            out_copy = (perm[j] + 1) if perm is not None else e.copy
-            out = BlockIndex(x + step, CopyEdge(e.parent + step, out_copy))
-            # an image leaving the window leaves a zero column
-            moves[BlockIndex(x, e.slot)] = out if out in domain else None
-    u = SparseBlockOperator.from_moves(domain, moves)
+    routes = _routes(g, copy_permutations or {})
+    u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(routes))
     return CycleUnitary(expanded=g, matching=None, u=u, window=window)
 
 
 def constant_cycle_index(k: int, window: Window) -> int:
     """Index pairing of the constant-k cycle's unitary on the given window;
     the whole degree-1 pipeline for the line."""
+    # the infinite operator has propagation 1 when k != 0, but a window
+    # without cells truncates it to nothing, which index_pairing cannot see
+    window.require_margin(1 if k else 0)
     cu = line_cycle_unitary(k, window)
     return index_pairing(cu.u, window)
 
@@ -619,20 +603,7 @@ def line_matching_independence(
     cu_a = line_cycle_unitary(k, window)
     cu_b = line_cycle_unitary(k, window, copy_permutations)
     g = cu_a.expanded
-    step = 1 if k > 0 else -1
-    per_vertex = {}
-    for x, perm in copy_permutations.items():
-        if not (window.lo <= x <= window.hi):
-            continue
-        cell = x - 1 if k > 0 else x
-        if not (window.lo <= cell <= window.hi - 1):
-            continue
-        # alpha^{-1} o beta on the ingoing slots: copy j+1 goes to perm[j]+1
-        per_vertex[x] = {
-            CopyEdge(cell, j + 1): CopyEdge(cell, perm[j] + 1)
-            for j in range(abs(k))
-        }
-    correction = block_diagonal_slot_permutation(cu_a.u.domain, per_vertex)
+    correction = _route_correction(g, _routes(g, {}), _routes(g, copy_permutations))
     identity_holds = cu_a.u.compose(correction) == cu_b.u
     idx_a = index_pairing(cu_a.u, window)
     idx_b = index_pairing(cu_b.u, window)

@@ -308,14 +308,6 @@ class SparseBlockOperator:
         )
 
 
-def compose(a: SparseBlockOperator, b: SparseBlockOperator) -> SparseBlockOperator:
-    return a.compose(b)
-
-
-def adjoint(a: SparseBlockOperator) -> SparseBlockOperator:
-    return a.adjoint()
-
-
 DistFn = Callable[[object, object], Optional[int]]
 
 
@@ -447,19 +439,22 @@ class Window:
     def interior(self, domain: Iterable[BlockIndex]) -> Basis:
         return _restrict(_as_basis(domain), self.is_central)
 
+    def require_margin(self, propagation: int) -> None:
+        """Raise MarginError unless the window is wide enough for an exact
+        index pairing of an operator with the given propagation."""
+        if self.margin < 2 * propagation or self.radius < propagation:
+            raise MarginError(
+                f"window (radius {self.radius}, margin {self.margin}) too small "
+                f"for propagation {propagation}; need margin >= {2 * propagation} "
+                f"and radius >= {propagation}"
+            )
+
 
 def line_dist(u, v) -> int:
     return abs(u - v)
 
 
-def half_line_projection(domain: Iterable[BlockIndex]) -> SparseBlockOperator:
-    dom = frozenset(domain)
-    return SparseBlockOperator(dom, {(b, b): 1 for b in dom if b.vertex >= 0})
-
-
-def index_pairing(
-    u: SparseBlockOperator, window: Window, check_unitary: bool = True
-) -> int:
+def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     """Integer trace of P - u*Pu against the half-line projection P, summed
     over the central region of the window.
 
@@ -467,14 +462,9 @@ def index_pairing(
     propagation distance of the cut at 0, so once the margin dominates the
     propagation the central sum is exact and independent of the window.
     """
-    p = propagation(u, line_dist)
-    if window.margin < 2 * p or window.radius < p:
-        raise MarginError(
-            f"window (radius {window.radius}, margin {window.margin}) too small "
-            f"for propagation {p}; need margin >= {2 * p} and radius >= {p}"
-        )
+    window.require_margin(propagation(u, line_dist))
     interior = window.interior(u.domain)
-    if check_unitary and not is_unitary_on(u, interior):
+    if not is_unitary_on(u, interior):
         raise OperatorError("operator is not unitary on the window interior")
     # the diagonal of u*Pu at b is the sum of squares of the entries of
     # column b on the nonnegative half line.  A column the defect leaves

@@ -35,6 +35,7 @@ from .k0_map import (
 from .k1_map import (
     canonical_matching,
     compress_to_uniform,
+    constant_cycle_index,
     cycle_unitary,
     line_cycle_unitary,
     line_matching_independence,
@@ -319,20 +320,17 @@ def check_compression(
                 "index_compressed": idx_t,
                 "index_equal": idx_u == idx_t,
             }
+        line_ok = all(
+            v["confinement"] and v["round_trip"] and v["index_equal"]
+            for v in line.values()
+        )
         return {
             "count": count,
             "failures": failures,
             "finite_ok": not failures,
             "line": line,
-            "line_ok": all(
-                v["confinement"] and v["round_trip"] and v["index_equal"]
-                for v in line.values()
-            ),
-            "ok": not failures
-            and all(
-                v["confinement"] and v["round_trip"] and v["index_equal"]
-                for v in line.values()
-            ),
+            "line_ok": line_ok,
+            "ok": not failures and line_ok,
         }
 
     return _timed(run)
@@ -349,8 +347,8 @@ def check_line_isomorphism() -> dict:
         values = {}
         agree = True
         for k in range(-3, 4):
-            a = constant_index(k, Window(radius=16, margin=4))
-            b = constant_index(k, Window(radius=32, margin=4))
+            a = constant_cycle_index(k, Window(radius=16, margin=4))
+            b = constant_cycle_index(k, Window(radius=32, margin=4))
             values[k] = a
             if a != b:
                 agree = False
@@ -375,11 +373,6 @@ def check_line_isomorphism() -> dict:
         }
 
     return _timed(run)
-
-
-def constant_index(k: int, window: Window) -> int:
-    cu = line_cycle_unitary(k, window)
-    return index_pairing(cu.u, window)
 
 
 def check_line_h0_quotient(seed: int = DEFAULT_SEED, count: int = 50) -> dict:
@@ -600,7 +593,7 @@ def run_random_finite(
     return report
 
 
-def run_z_line(seed: int = DEFAULT_SEED) -> Report:
+def run_z_line(seed: int = DEFAULT_SEED, strict_matching: bool = False) -> Report:
     report = Report(name="z-line")
     report.checks.append(
         _as_check("banded 1-cycles are the constants", check_line_homology())
@@ -614,7 +607,7 @@ def run_z_line(seed: int = DEFAULT_SEED) -> Report:
     return report
 
 
-def run_z_edgeless(seed: int = DEFAULT_SEED) -> Report:
+def run_z_edgeless(seed: int = DEFAULT_SEED, strict_matching: bool = False) -> Report:
     report = Report(name="z-edgeless")
     report.checks.append(_as_check("edgeless line scenario", check_edgeless_line()))
     return report
@@ -630,14 +623,8 @@ SCENARIOS = {
 def run_all(
     seed: int = DEFAULT_SEED, scenario: str | None = None, strict_matching: bool = False
 ) -> list[Report]:
-    if scenario is not None:
-        if scenario not in SCENARIOS:
-            raise KeyError(scenario)
-        if scenario == "random-finite":
-            return [run_random_finite(seed, strict_matching=strict_matching)]
-        return [SCENARIOS[scenario](seed)]
-    return [
-        run_random_finite(seed, strict_matching=strict_matching),
-        run_z_line(seed),
-        run_z_edgeless(seed),
-    ]
+    """Run one named scenario, or all of them in order.  Every scenario takes
+    the seed and the strict-matching flag; only random-finite has a
+    matching check for the flag to act on."""
+    names = list(SCENARIOS) if scenario is None else [scenario]
+    return [SCENARIOS[name](seed, strict_matching=strict_matching) for name in names]

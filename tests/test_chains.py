@@ -238,6 +238,13 @@ def test_banded_json_round_trip():
     assert chain_from_json(chain_to_json(c)) == c
 
 
+def test_banded_constant_chains_compare_equal_whatever_the_window_start():
+    assert BandedZChain(0, 0, 0, -1, ()) == BandedZChain(0, 0, 0)
+    assert BandedZChain(1, 2, 2, 5, (2, 2)) == BandedZChain(1, 2, 2)
+    # a step chain keeps the position of its step
+    assert BandedZChain(0, 0, 1, 3, ()) != BandedZChain(0, 0, 1)
+
+
 def test_banded_normalization():
     c = BandedZChain(0, 1, 2, 0, (1, 1, 5, 2, 2))
     assert c.window_start == 2

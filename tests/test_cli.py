@@ -267,3 +267,83 @@ def test_verify_deterministic_per_seed(capsys):
         return data
 
     assert run() == run()
+
+
+def test_k0_zero_banded_chain_with_empty_window(line_file, tmp_path, capsys):
+    chain = write(
+        tmp_path,
+        "c.json",
+        {"degree": 0, "tail_left": 0, "tail_right": 0, "window_start": -1,
+         "window_values": []},
+    )
+    assert main(["k0-map", "--graph", line_file, "--chain", chain, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
+@pytest.mark.parametrize("k", [1, 2, -3])
+def test_k1_one_vertex_window_is_too_small(line_file, tmp_path, capsys, k):
+    # the window has no cells, so the truncated operator hides the
+    # propagation 1 of the infinite one
+    chain = write(tmp_path, "g.json", {"degree": 1, "tail_left": k, "tail_right": k})
+    assert main(
+        ["k1-map", "--graph", line_file, "--chain", chain, "--window", "0",
+         "--margin", "0"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert "too small for propagation 1" in captured.err
+    assert captured.out == ""
+
+
+def test_k1_zero_class_on_one_vertex_window(line_file, tmp_path, capsys):
+    chain = write(tmp_path, "g.json", {"degree": 1, "tail_left": 0, "tail_right": 0})
+    assert main(
+        ["k1-map", "--graph", line_file, "--chain", chain, "--window", "0",
+         "--margin", "0", "--json"]
+    ) == 0
+    details = json.loads(capsys.readouterr().out)["checks"][0]["details"]
+    assert details["index"] == 0 and details["index_doubled_window"] == 0
+
+
+FIGURE_EIGHT_GRAPH = {
+    "kind": "finite",
+    "vertices": ["z", "a", "b"],
+    "edges": [
+        {"id": "f1", "source": "z", "target": "a"},
+        {"id": "g1", "source": "a", "target": "z"},
+        {"id": "f2", "source": "z", "target": "b"},
+        {"id": "g2", "source": "b", "target": "z"},
+    ],
+}
+FIGURE_EIGHT_CHAIN = {"degree": 1, "coeffs": {"f1": 1, "g1": 1, "f2": 1, "g2": 1}}
+
+
+@pytest.mark.parametrize(
+    "graph, chain, matching, message",
+    [
+        ([], FIGURE_EIGHT_CHAIN, None, "top level must be a JSON object"),
+        (FIGURE_EIGHT_GRAPH, [], None, "top level must be a JSON object"),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, [], "top level must be a JSON object"),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": []}, "positions must be an object"),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": 5}}, "positions['z'] must be a list"),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [0.0, 1]}}, "positions['z'][0] must be an integer"),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"a": [False]}}, "positions['a'][0] must be an integer"),
+        ({"kind": "banded_z", "edges_per_cell": True}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer"),
+        ({"kind": "banded_z", "edges_per_cell": 1.0}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer"),
+    ],
+    ids=[
+        "graph-list", "chain-list", "matching-list", "positions-list",
+        "permutation-int", "permutation-float", "permutation-bool",
+        "edges-per-cell-bool", "edges-per-cell-float",
+    ],
+)
+def test_malformed_input_files_are_input_errors(
+    tmp_path, capsys, graph, chain, matching, message
+):
+    argv = ["k1-map", "--graph", write(tmp_path, "g.json", graph),
+            "--chain", write(tmp_path, "c.json", chain)]
+    if matching is not None:
+        argv += ["--matching", write(tmp_path, "m.json", matching)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
