@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .graphs import Label, OrientedGraph
-from .intlinalg import diagonal_of, kernel_basis, smith_normal_form
+from .intlinalg import diagonal_of, smith_normal_form
 
 
 class ChainError(ValueError):
@@ -109,7 +109,7 @@ class BandedZChain:
     window_values: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.degree not in (0, 1):
+        if json_int(self.degree, "degree") not in (0, 1):
             raise ChainError("degree must be 0 or 1")
         # normalize: shrink the window so representation is canonical
         vals = list(self.window_values)
@@ -301,18 +301,18 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
     ne = len(g.edges)
     if ne == 0:
         return HomologyResult(AbelianGroup(free_rank=nv), 0, ())
-    _, d, _ = smith_normal_form(mat)
+    _, d, v = smith_normal_form(mat)
     diag = [x for x in diagonal_of(d) if x != 0]
     h0 = AbelianGroup(
         torsion=tuple(x for x in diag if x > 1),
         free_rank=nv - len(diag),
     )
-    basis = []
-    for vec in kernel_basis(mat):
-        coeffs = {e.id: vec[j] for j, e in enumerate(g.edges) if vec[j]}
-        basis.append(Chain1(g, coeffs))
-    if len(basis) != ne - len(diag):
-        raise AssertionError("kernel dimension disagrees with rank")
+    # D's nonzero entries come first, so the columns of V past them are an
+    # integer basis of the kernel of d
+    basis = [
+        Chain1(g, {e.id: v[i][j] for i, e in enumerate(g.edges) if v[i][j]})
+        for j in range(len(diag), ne)
+    ]
     return HomologyResult(h0, len(basis), tuple(basis))
 
 
@@ -441,10 +441,10 @@ def json_int(value, field: str) -> int:
 
 
 def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
+    degree = json_int(data.get("degree"), "degree")
     if "coeffs" in data:
         if graph is None:
             raise ChainError("a host graph is required for finite-support chains")
-        degree = data.get("degree")
         if degree == 0:
             lookup = {str(v): v for v in graph.vertices}
             what = "vertex"
@@ -467,7 +467,7 @@ def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
     if not isinstance(values, list):
         raise ChainError(f"window_values must be a list, got {values!r}")
     return BandedZChain(
-        degree=data["degree"],
+        degree=degree,
         tail_left=json_int(data.get("tail_left", 0), "tail_left"),
         tail_right=json_int(data.get("tail_right", 0), "tail_right"),
         window_start=json_int(data.get("window_start", 0), "window_start"),

@@ -150,18 +150,13 @@ def cmd_homology(args) -> int:
             "h0_bounded": "the group of bounded chains; nothing bounds",
             "note": "the degree-0 map into operator classes is a proper quotient",
         }
-    elif g.is_pure_line:
+    else:
         payload = {
             "graph": "line",
             "h1": "Z (a banded 1-cycle is constant; its value is the class)",
             "h0_unbounded": "0 (every banded 0-chain bounds, witness may be unbounded)",
             "h0_bounded": "classified by the tail pair of the chain",
         }
-    else:
-        raise InputError(
-            "homology for banded graphs is implemented for the plain line "
-            "and the edgeless line only"
-        )
     if args.json:
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
@@ -227,8 +222,6 @@ def cmd_k0(args) -> int:
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 0:
             raise InputError("banded graphs need a banded degree-0 chain")
-        if not g.is_pure_line and not g.is_edgeless:
-            raise InputError("banded degree-0 map: plain or edgeless line only")
         window = Window(radius=args.window, margin=args.margin)
         pair = build_projection_pair(chain, window)
         report.checks.append(
@@ -246,7 +239,7 @@ def cmd_k0(args) -> int:
                 verbose=True,
             )
         )
-        if g.is_pure_line:
+        if not g.is_edgeless:
             sol = solve_boundary_on_z(chain)
             details = {
                 "bounded": sol.bounded,
@@ -349,7 +342,7 @@ def cmd_k1(args) -> int:
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 1:
             raise InputError("banded graphs need a banded degree-1 chain")
-        if not g.is_pure_line:
+        if g.is_edgeless:
             raise InputError("banded degree-1 map: plain line only")
         k = banded_cycle_value(chain)
         if k is None:

@@ -62,20 +62,6 @@ def complete_graph(n: int) -> OrientedGraph:
     return OrientedGraph(range(n), edges)
 
 
-def is_connected(g: OrientedGraph) -> bool:
-    if not g.vertices:
-        return True
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        cur = queue.popleft()
-        for nxt in g.neighbors(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(g.vertices)
-
-
 # ---------------------------------------------------------------------------
 # random corpora
 
@@ -112,6 +98,12 @@ def _spanning_forest(g: OrientedGraph) -> set:
             parent[ru] = rv
             tree.add(e.id)
     return tree
+
+
+def is_connected(g: OrientedGraph) -> bool:
+    """A spanning forest of a connected graph is a tree: one edge fewer than
+    vertices."""
+    return len(_spanning_forest(g)) == max(len(g.vertices) - 1, 0)
 
 
 def fundamental_cycle(g: OrientedGraph, tree: set, extra: Edge) -> Chain1:

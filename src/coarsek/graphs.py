@@ -2,7 +2,7 @@
 
 Two shapes of graph are supported: arbitrary finite oriented graphs, and the
 banded description of the integer line (vertex set Z with the standard metric,
-periodic cell edges [n, n+1] plus an optional finite perturbation).  These are
+with the cell edge [n, n+1] for every n or with no edges at all).  These are
 exactly the shapes needed by the homology-to-K-theory constructions; distances
 are exact integers throughout and nothing here uses floating point.
 """
@@ -184,56 +184,33 @@ def rips_graph(space: FiniteMetricSpace, alpha) -> OrientedGraph:
 class BandedZGraph:
     """Vertex set Z with the standard line metric |i - j|.
 
-    ``edges_per_cell`` parallel edges run from n to n+1 for every n, except
-    in dropped cells; finitely many extra edges may be added.  The metric is
-    always the ambient line metric, also when there are no edges at all.
+    With ``edges_per_cell`` 1 this is the Cayley graph of Z: one edge, with
+    id n, from n to n+1 for every n.  With 0 it is the edgeless line.  The
+    metric is always the ambient line metric, also when there are no edges.
     """
 
     edges_per_cell: int = 1
-    extra_edges: tuple[Edge, ...] = ()
-    dropped_cells: frozenset[int] = frozenset()
 
     kind = "banded_z"
 
     def __post_init__(self):
-        if self.edges_per_cell < 0:
-            raise GraphError("edges_per_cell must be >= 0")
-        for e in self.extra_edges:
-            if not isinstance(e.source, int) or not isinstance(e.target, int):
-                raise GraphError("extra edges must join integer vertices")
-            if e.source == e.target:
-                raise GraphError(f"extra edge {e.id!r} is a loop")
-
-    @property
-    def is_pure_line(self) -> bool:
-        return self.edges_per_cell == 1 and not self.extra_edges and not self.dropped_cells
+        if self.edges_per_cell not in (0, 1):
+            raise GraphError(
+                f"edges_per_cell must be 0 or 1, got {self.edges_per_cell!r}"
+            )
 
     @property
     def is_edgeless(self) -> bool:
-        return self.edges_per_cell == 0 and not self.extra_edges and not self.dropped_cells
-
-    def cell_edges(self, n: int) -> list[Edge]:
-        if n in self.dropped_cells:
-            return []
-        if self.edges_per_cell == 1:
-            return [Edge(id=n, source=n, target=n + 1)]
-        return [
-            Edge(id=(n, c), source=n, target=n + 1)
-            for c in range(1, self.edges_per_cell + 1)
-        ]
+        return self.edges_per_cell == 0
 
     def window(self, lo: int, hi: int) -> OrientedGraph:
         """Materialize the subgraph on vertices lo..hi as a finite graph."""
         if lo > hi:
             raise GraphError("empty window")
-        vertices = list(range(lo, hi + 1))
-        edges: list[Edge] = []
-        for n in range(lo, hi):
-            edges.extend(self.cell_edges(n))
-        for e in self.extra_edges:
-            if lo <= e.source <= hi and lo <= e.target <= hi:
-                edges.append(e)
-        return OrientedGraph(vertices, edges)
+        cells = range(lo, hi) if self.edges_per_cell else ()
+        return OrientedGraph(
+            range(lo, hi + 1), [Edge(id=n, source=n, target=n + 1) for n in cells]
+        )
 
     def dist(self, u: int, v: int) -> int:
         return abs(u - v)
@@ -261,19 +238,10 @@ def check_bounded_geometry(g: Graph, r: int) -> int:
 
 def graph_to_json(g: Graph) -> dict:
     if isinstance(g, BandedZGraph):
-        perturbation = None
-        if g.extra_edges or g.dropped_cells:
-            perturbation = {
-                "add": [
-                    {"id": e.id, "source": e.source, "target": e.target}
-                    for e in g.extra_edges
-                ],
-                "drop": sorted(g.dropped_cells),
-            }
         return {
             "kind": "banded_z",
             "edges_per_cell": g.edges_per_cell,
-            "perturbation": perturbation,
+            "perturbation": None,
         }
     for v in g.vertices:
         if not isinstance(v, (int, str)):
@@ -299,21 +267,12 @@ def graph_from_json(data: dict) -> Graph:
         ]
         return OrientedGraph(data.get("vertices", []), edges)
     if kind == "banded_z":
-        pert = data.get("perturbation")
-        extra: list[Edge] = []
-        dropped: frozenset[int] = frozenset()
-        if pert:
-            extra = [
-                Edge(id=e["id"], source=e["source"], target=e["target"])
-                for e in pert.get("add", [])
-            ]
-            dropped = frozenset(pert.get("drop", []))
+        if data.get("perturbation") is not None:
+            raise GraphError(
+                f"perturbation must be null or absent, got {data['perturbation']!r}"
+            )
         per_cell = data.get("edges_per_cell", 1)
         if isinstance(per_cell, bool) or not isinstance(per_cell, int):
             raise GraphError(f"edges_per_cell must be an integer, got {per_cell!r}")
-        return BandedZGraph(
-            edges_per_cell=per_cell,
-            extra_edges=tuple(extra),
-            dropped_cells=dropped,
-        )
+        return BandedZGraph(edges_per_cell=per_cell)
     raise GraphError(f"unknown graph kind: {kind!r}")

@@ -16,10 +16,10 @@ explicit slot-exchange permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .chains import BandedZChain, Chain0, Chain1, ChainError, boundary, uniform_bound
-from .graphs import Label, OrientedGraph, idkey
+from .graphs import Edge, Label, OrientedGraph
 from .operators import (
     BlockIndex,
     CopyEdge,
@@ -31,55 +31,19 @@ from .operators import (
 )
 
 
-class ExpandedEdge(NamedTuple):
-    parent: Label
-    copy: int
-    source: Label
-    target: Label
-
-    @property
-    def slot(self) -> CopyEdge:
-        return CopyEdge(self.parent, self.copy)
-
-
-class ExpandedGraph:
-    """Multigraph with |gamma_e| parallel copies of each edge; copies of
-    edges with negative coefficient run backwards."""
-
-    def __init__(self, base: OrientedGraph, gamma: Chain1, edges):
-        self.base = base
-        self.gamma = gamma
-        self.edges = tuple(
-            sorted(edges, key=lambda e: (idkey(e.parent), e.copy))
-        )
-        self.vertices = base.vertices
-        self._in: dict[Label, list[ExpandedEdge]] = {v: [] for v in self.vertices}
-        self._out: dict[Label, list[ExpandedEdge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            self._out[e.source].append(e)
-            self._in[e.target].append(e)
-
-    def in_edges(self, x: Label) -> list[ExpandedEdge]:
-        return self._in[x]
-
-    def out_edges(self, x: Label) -> list[ExpandedEdge]:
-        return self._out[x]
+class ExpandedGraph(OrientedGraph):
+    """Multigraph with |gamma_e| parallel copies of each edge e; copy c has
+    id CopyEdge(e, c), which is also its basis slot, and copies of edges
+    with negative coefficient run backwards."""
 
     def in_count(self, x: Label) -> int:
-        return len(self._in[x])
+        return len(self.in_edges(x))
 
     def out_count(self, x: Label) -> int:
-        return len(self._out[x])
-
-    def valence(self, x: Label) -> int:
-        return self.in_count(x) + self.out_count(x)
+        return len(self.out_edges(x))
 
     def adjacent(self, x: Label, y: Label) -> bool:
-        if x == y:
-            return False
-        return any(e.target == y for e in self._out[x]) or any(
-            e.source == y for e in self._in[x]
-        )
+        return y in self.neighbors(x)
 
 
 def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
@@ -92,8 +56,8 @@ def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
         e = g.edge(eid)
         src, tgt = (e.source, e.target) if coeff > 0 else (e.target, e.source)
         for c in range(1, abs(coeff) + 1):
-            edges.append(ExpandedEdge(eid, c, src, tgt))
-    return ExpandedGraph(g, gamma, edges)
+            edges.append(Edge(CopyEdge(eid, c), src, tgt))
+    return ExpandedGraph(g.vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +213,8 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
     )
     domain = set()
     for e in g.edges:
-        domain.add(BlockIndex(e.source, e.slot))
-        domain.add(BlockIndex(e.target, e.slot))
+        domain.add(BlockIndex(e.source, e.id))
+        domain.add(BlockIndex(e.target, e.id))
     for x in g.vertices:
         for i in range(1, ordinal_ceiling + 1):
             domain.add(BlockIndex(x, Ordinal(i)))
@@ -258,14 +222,14 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
 
     v_entries = {}
     for e in g.edges:
-        v_entries[(BlockIndex(e.target, e.slot), BlockIndex(e.source, e.slot))] = 1
+        v_entries[(BlockIndex(e.target, e.id), BlockIndex(e.source, e.id))] = 1
     v = SparseBlockOperator(dom, v_entries)
 
     def diag(blocks):
         return SparseBlockOperator(dom, {(b, b): 1 for b in blocks})
 
-    source_projection = diag(BlockIndex(e.source, e.slot) for e in g.edges)
-    target_projection = diag(BlockIndex(e.target, e.slot) for e in g.edges)
+    source_projection = diag(BlockIndex(e.source, e.id) for e in g.edges)
+    target_projection = diag(BlockIndex(e.target, e.id) for e in g.edges)
     in_rank_projection = diag(
         BlockIndex(x, Ordinal(i))
         for x in g.vertices
@@ -282,7 +246,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         {
             x: order_matched_involution(
                 [Ordinal(i) for i in range(1, g.in_count(x) + 1)],
-                [e.slot for e in g.in_edges(x)],
+                [e.id for e in g.in_edges(x)],
             )
             for x in g.vertices
         },
@@ -292,7 +256,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         {
             x: order_matched_involution(
                 [Ordinal(i) for i in range(1, g.out_count(x) + 1)],
-                [e.slot for e in g.out_edges(x)],
+                [e.id for e in g.out_edges(x)],
             )
             for x in g.vertices
         },

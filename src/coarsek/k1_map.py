@@ -131,7 +131,7 @@ class CycleUnitary:
 
 
 def _full_domain(g: ExpandedGraph) -> ProductBasis:
-    return ProductBasis(g.vertices, [e.slot for e in g.edges])
+    return ProductBasis(g.vertices, [e.id for e in g.edges])
 
 
 def _track_map(routes: dict) -> dict:
@@ -139,7 +139,7 @@ def _track_map(routes: dict) -> dict:
     advances along its route, or leaves a zero column when the route is
     None; everything else stays put."""
     return {
-        BlockIndex(x, e.slot): None if out is None else BlockIndex(out.target, out.slot)
+        BlockIndex(x, e.id): None if out is None else BlockIndex(out.target, out.id)
         for x, route in routes.items()
         for e, out in route.items()
     }
@@ -218,7 +218,7 @@ def _route_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockO
     for x in g.vertices:
         inv = {out: e for e, out in alpha[x].items()}
         per_vertex[x] = {
-            e.slot: inv[out].slot for e, out in beta[x].items() if out is not None
+            e.id: inv[out].id for e, out in beta[x].items() if out is not None
         }
     return block_diagonal_slot_permutation(_full_domain(g), per_vertex)
 
@@ -234,7 +234,7 @@ def _hybrid_intermediate(
         for e in g.in_edges(x):
             a_out = alpha.at(x)[e]
             b_out = beta.at(x)[e]
-            moves[BlockIndex(x, e.slot)] = BlockIndex(a_out.target, b_out.slot)
+            moves[BlockIndex(x, e.id)] = BlockIndex(a_out.target, b_out.id)
     # a collision needs a moved vector: among the fixed ones only those a
     # moved vector lands on can take part, so the first collision in block
     # order over these candidates is the first over the whole basis
@@ -328,7 +328,7 @@ def _solve_block_conjugator(g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMat
 
     try:
         if solve(0):
-            return {x: {e.slot: p.slot for e, p in m.items()} for x, m in pi.items()}, None
+            return {x: {e.id: p.id for e, p in m.items()} for x, m in pi.items()}, None
         return None, "search exhausted: no slot-permutation conjugator exists"
     except TimeoutError:
         return None, "search budget exceeded"
@@ -507,8 +507,8 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
     The conjugated operator differs from the identity only in ordinal slots
     up to n, for any n at least the maximal valence."""
     g = cu.expanded
-    number = {e.slot: i for i, e in enumerate(g.edges, start=1)}
-    max_valence = max((g.valence(x) for x in g.vertices), default=0)
+    number = {e.id: i for i, e in enumerate(g.edges, start=1)}
+    max_valence = max((g.degree(x) for x in g.vertices), default=0)
     if n is None:
         n = max_valence
     if n < max_valence:
@@ -518,8 +518,8 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
     per_vertex = {}
     for x in g.vertices:
         i_x = g.in_count(x)
-        first = [g.edges[i].slot for i in range(i_x)]
-        ins = [e.slot for e in g.in_edges(x)]
+        first = [g.edges[i].id for i in range(i_x)]
+        ins = [e.id for e in g.in_edges(x)]
         per_vertex[x] = order_matched_involution(first, ins)
     t = block_diagonal_slot_permutation(cu.u.domain, per_vertex)
     conjugated = t.adjoint().compose(cu.u).compose(t)
@@ -529,7 +529,7 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
         return BlockIndex(b.vertex, Ordinal(number[b.slot]))
 
     u_tilde = SparseBlockOperator(
-        ProductBasis(g.vertices, [Ordinal(number[e.slot]) for e in g.edges]),
+        ProductBasis(g.vertices, [Ordinal(number[e.id]) for e in g.edges]),
         {(relabel(r), relabel(c)): v for (r, c), v in conjugated.delta.items()},
         conjugated.scalar,
     )

@@ -43,9 +43,6 @@ from .k1_map import (
     verify_matching_independence,
 )
 from .operators import (
-    BlockIndex,
-    Ordinal,
-    SparseBlockOperator,
     Window,
     bilateral_shift,
     block_rank,
@@ -168,7 +165,7 @@ def check_propagation_corpus(seed: int = DEFAULT_SEED, count: int = 200) -> dict
                     adjacency_failures.append({"graph": i, "row": r, "col": c})
             blocks = {(r.vertex, c.vertex) for (r, c) in defect.delta}
             for (x, y) in blocks:
-                if block_rank(defect, x, y) > ex.valence(x):
+                if block_rank(defect, x, y) > ex.degree(x):
                     rank_failures.append({"graph": i, "block": (x, y)})
         return {
             "count": count,
@@ -455,23 +452,13 @@ def check_edgeless_line() -> dict:
         # the projection pair by the shift matches the translated pair on the
         # interior of any window
         window = Window(radius=6, margin=2)
-        pair = build_projection_pair(c, window)
-        ceiling = max(slot_ceiling(pair), 1)
-        dom = frozenset(
-            BlockIndex(x, Ordinal(i))
-            for x in range(window.lo, window.hi + 1)
-            for i in range(1, ceiling + 1)
-        )
-        f = SparseBlockOperator(dom, {key: v for key, v in pair.f.entries.items()})
-        shift = bilateral_shift(window, tuple(Ordinal(i) for i in range(1, ceiling + 1)))
+        f = build_projection_pair(c, window).f
+        t_f = build_projection_pair(c.shifted(-1), window).f
+        shift = bilateral_shift(window, f.domain.slots)
         conj = shift.compose(f).compose(shift.adjoint())
-        translated = build_projection_pair(c.shifted(-1), window)
-        t_f = SparseBlockOperator(
-            dom, {key: v for key, v in translated.f.entries.items()}
-        )
         interior_ok = all(
             conj.entry(b, b) == t_f.entry(b, b)
-            for b in dom
+            for b in f.domain
             if window.lo < b.vertex <= window.hi
         )
         return {

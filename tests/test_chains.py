@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsek import chains, intlinalg
 from coarsek.chains import (
     BandedZChain,
     Chain0,
@@ -11,6 +12,7 @@ from coarsek.chains import (
     ChainError,
     banded_cycle_value,
     boundary,
+    boundary_matrix,
     chain_from_json,
     chain_to_json,
     homology_finite,
@@ -162,6 +164,29 @@ def test_homology_cycle_graph():
     assert res.h0.is_free_of_rank(1)
     assert res.h1_rank == 1
     assert is_cycle(res.h1_basis[0])
+
+
+def test_homology_factorises_once_and_keeps_the_kernel_basis(monkeypatch):
+    real = intlinalg.smith_normal_form
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    monkeypatch.setattr(chains, "smith_normal_form", counting)
+    rng = random.Random(11)
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=9, max_edges=14)
+        calls.clear()
+        res = homology_finite(g)
+        assert len(calls) == 1
+        expected = [
+            {e.id: vec[j] for j, e in enumerate(g.edges) if vec[j]}
+            for vec in intlinalg.kernel_basis(boundary_matrix(g))
+        ]
+        assert [b.coeffs for b in res.h1_basis] == expected
 
 
 def test_solve_boundary_finite():

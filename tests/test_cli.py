@@ -329,11 +329,14 @@ FIGURE_EIGHT_CHAIN = {"degree": 1, "coeffs": {"f1": 1, "g1": 1, "f2": 1, "g2": 1
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"a": [False]}}, "positions['a'][0] must be an integer"),
         ({"kind": "banded_z", "edges_per_cell": True}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer"),
         ({"kind": "banded_z", "edges_per_cell": 1.0}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer"),
+        ({"kind": "banded_z"}, {"degree": True, "tail_left": 1, "tail_right": 1}, None, "degree must be an integer, got True"),
+        (FIGURE_EIGHT_GRAPH, dict(FIGURE_EIGHT_CHAIN, degree=True), None, "degree must be an integer, got True"),
     ],
     ids=[
         "graph-list", "chain-list", "matching-list", "positions-list",
         "permutation-int", "permutation-float", "permutation-bool",
         "edges-per-cell-bool", "edges-per-cell-float",
+        "degree-bool-banded", "degree-bool-coeffs",
     ],
 )
 def test_malformed_input_files_are_input_errors(
@@ -343,6 +346,29 @@ def test_malformed_input_files_are_input_errors(
             "--chain", write(tmp_path, "c.json", chain)]
     if matching is not None:
         argv += ["--matching", write(tmp_path, "m.json", matching)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["homology", "k0-map", "k1-map"])
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({"kind": "banded_z", "perturbation": [1]}, "perturbation must be null or absent, got [1]"),
+        ({"kind": "banded_z", "perturbation": {"drop": [0]}}, "perturbation must be null or absent"),
+        ({"kind": "banded_z", "edges_per_cell": 2}, "edges_per_cell must be 0 or 1, got 2"),
+    ],
+    ids=["perturbation-list", "perturbation-drop", "edges-per-cell-2"],
+)
+def test_removed_banded_shapes_are_input_errors(
+    tmp_path, capsys, command, graph, message
+):
+    argv = [command, "--graph", write(tmp_path, "g.json", graph)]
+    if command != "homology":
+        chain = {"degree": int(command == "k1-map"), "tail_left": 1, "tail_right": 1}
+        argv += ["--chain", write(tmp_path, "c.json", chain)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err

@@ -47,7 +47,7 @@ from coarsek.operators import (
 
 
 def reference_domain(g) -> frozenset:
-    return frozenset(BlockIndex(x, e.slot) for x in g.vertices for e in g.edges)
+    return frozenset(BlockIndex(x, e.id) for x in g.vertices for e in g.edges)
 
 
 def reference_track_map(g, matching) -> dict:
@@ -55,10 +55,10 @@ def reference_track_map(g, matching) -> dict:
     for x in g.vertices:
         route = matching.at(x)
         for e in g.edges:
-            b = BlockIndex(x, e.slot)
+            b = BlockIndex(x, e.id)
             if e.target == x:
                 out = route[e]
-                mapping[b] = BlockIndex(out.target, out.slot)
+                mapping[b] = BlockIndex(out.target, out.id)
             else:
                 mapping[b] = b
     return mapping
@@ -82,11 +82,11 @@ def reference_hybrid(g, alpha, beta):
     domain = reference_domain(g)
     mapping = {}
     for b in domain:
-        e = next((e for e in g.in_edges(b.vertex) if e.slot == b.slot), None)
+        e = next((e for e in g.in_edges(b.vertex) if e.id == b.slot), None)
         if e is None:
             mapping[b] = b
         else:
-            mapping[b] = BlockIndex(alpha.at(b.vertex)[e].target, beta.at(b.vertex)[e].slot)
+            mapping[b] = BlockIndex(alpha.at(b.vertex)[e].target, beta.at(b.vertex)[e].id)
     collision = None
     seen = {}
     for b in sorted(mapping, key=block_key):
@@ -102,17 +102,17 @@ def reference_line_unitary(k, window, copy_permutations) -> SparseBlockOperator:
     lo, hi = window.lo, window.hi
     g = line_expansion(k, lo, hi)
     domain = reference_domain(g)
-    slots = {e.slot for e in g.edges}
+    slots = {e.id for e in g.edges}
     step = 1 if k > 0 else -1
     mapping = {}
     for x in range(lo, hi + 1):
-        ins = sorted((e for e in g.edges if e.target == x), key=lambda e: e.copy)
+        ins = sorted((e for e in g.edges if e.target == x), key=lambda e: e.id.copy)
         perm = copy_permutations.get(x)
         for j, e in enumerate(ins):
-            out_copy = (perm[j] + 1) if perm is not None else e.copy
-            out_slot = CopyEdge(e.parent + step, out_copy)
+            out_copy = (perm[j] + 1) if perm is not None else e.id.copy
+            out_slot = CopyEdge(e.id.edge + step, out_copy)
             if out_slot in slots and lo <= x + step <= hi:
-                mapping[BlockIndex(x, e.slot)] = BlockIndex(x + step, out_slot)
+                mapping[BlockIndex(x, e.id)] = BlockIndex(x + step, out_slot)
     for b in domain:
         is_track = b.slot.edge == (b.vertex - 1 if k > 0 else b.vertex)
         if b not in mapping and not is_track:
@@ -237,7 +237,7 @@ def test_rerouted_matchings_and_corrections_match_full_construction(seed):
     assert_same_operator(u_beta, reference_cycle_unitary(ex, beta))
     correction = matching_correction(ex, alpha, beta)
     per_vertex = {
-        x: {e.slot: alpha.inverse_at(x)[beta.at(x)[e]].slot for e in ex.in_edges(x)}
+        x: {e.id: alpha.inverse_at(x)[beta.at(x)[e]].id for e in ex.in_edges(x)}
         for x in ex.vertices
     }
     ref_corr = reference_slot_permutation(reference_domain(ex), per_vertex)
@@ -261,7 +261,7 @@ def test_compression_matches_dense_conjugation(seed):
         return
     res = compress_to_uniform(cu)
     ex = cu.expanded
-    number = {e.slot: i for i, e in enumerate(ex.edges, start=1)}
+    number = {e.id: i for i, e in enumerate(ex.edges, start=1)}
     t = res.t.entries
     conj = dense_compose(dense_compose(dense_adjoint(t), cu.u.entries), t)
 

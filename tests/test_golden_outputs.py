@@ -44,6 +44,15 @@ FIGURE_EIGHT = {
     ],
 }
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
+EDGELESS_LINE = {"kind": "banded_z", "edges_per_cell": 0}
+
+# name -> graph payload for ``homology --json``
+HOMOLOGY_CASES = {
+    "homology-triangle": TRIANGLE,
+    "homology-figure-eight": FIGURE_EIGHT,
+    "homology-line": LINE,
+    "homology-edgeless-line": EDGELESS_LINE,
+}
 
 # name -> (subcommand, {file option: payload}, extra arguments)
 MAP_CASES = {
@@ -109,6 +118,14 @@ def _map_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def _homology_digest(name: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(json.dumps(HOMOLOGY_CASES[name]))
+        code, stdout = _run(["homology", "--graph", str(path), "--json"])
+    return hashlib.sha256(f"exit {code}\n{stdout}".encode()).hexdigest()
+
+
 def _verify_digest(seed: int) -> str:
     code, stdout = _run(["verify", "--json", "--seed", str(seed)])
     reports = json.loads(stdout)
@@ -121,6 +138,7 @@ def _verify_digest(seed: int) -> str:
 
 def _all_digests() -> dict:
     out = {name: _map_digest(name) for name in MAP_CASES}
+    out.update({name: _homology_digest(name) for name in HOMOLOGY_CASES})
     out.update({f"verify-seed-{s}": _verify_digest(s) for s in VERIFY_SEEDS})
     return out
 
@@ -133,6 +151,11 @@ def stored():
 @pytest.mark.parametrize("name", sorted(MAP_CASES))
 def test_map_report_and_dumps_match_golden(stored, name):
     assert _map_digest(name) == stored[name]
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_CASES))
+def test_homology_report_matches_golden(stored, name):
+    assert _homology_digest(name) == stored[name]
 
 
 @pytest.mark.parametrize("seed", VERIFY_SEEDS)

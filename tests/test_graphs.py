@@ -130,14 +130,11 @@ def test_graph_json_round_trip():
 
 
 def test_banded_json_round_trip():
-    g = BandedZGraph(
-        edges_per_cell=2,
-        extra_edges=(Edge("x", 0, 2),),
-        dropped_cells=frozenset({1}),
-    )
-    back = graph_from_json(graph_to_json(g))
-    assert back == g
-    assert not back.is_pure_line
+    g = BandedZGraph()
+    data = graph_to_json(g)
+    assert data == {"kind": "banded_z", "edges_per_cell": 1, "perturbation": None}
+    back = graph_from_json(data)
+    assert back == g and not back.is_edgeless
 
 
 def test_banded_window_realization():
@@ -149,10 +146,24 @@ def test_banded_window_realization():
     assert edgeless.window(0, 3).edges == ()
 
 
-def test_banded_window_with_perturbation():
-    g = BandedZGraph(
-        extra_edges=(Edge("x", -1, 1),), dropped_cells=frozenset({0})
-    )
-    w = g.window(-2, 2)
-    ids = {e.id for e in w.edges}
-    assert "x" in ids and 0 not in ids and -1 in ids
+def test_edgeless_banded_json_round_trip():
+    g = BandedZGraph(edges_per_cell=0)
+    data = graph_to_json(g)
+    assert data == {"kind": "banded_z", "edges_per_cell": 0, "perturbation": None}
+    back = graph_from_json(data)
+    assert back == g and back.is_edgeless
+    assert graph_from_json({"kind": "banded_z"}) == BandedZGraph()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "banded_z", "perturbation": {"drop": [0]}}, "perturbation must be null"),
+        ({"kind": "banded_z", "perturbation": [1]}, "perturbation must be null"),
+        ({"kind": "banded_z", "edges_per_cell": 2}, "edges_per_cell must be 0 or 1"),
+        ({"kind": "banded_z", "edges_per_cell": -1}, "edges_per_cell must be 0 or 1"),
+    ],
+)
+def test_removed_banded_shapes_are_rejected_by_field(data, message):
+    with pytest.raises(GraphError, match=message):
+        graph_from_json(data)

@@ -127,7 +127,7 @@ def test_unitary_and_block_ranks_on_random_cycles():
         for (r, c) in defect.entries:
             assert r.vertex == c.vertex or ex.adjacent(r.vertex, c.vertex)
         for (x, y) in {(r.vertex, c.vertex) for (r, c) in defect.entries}:
-            assert block_rank(defect, x, y) <= ex.valence(x)
+            assert block_rank(defect, x, y) <= ex.degree(x)
 
 
 # ---------------------------------------------------------------------------
