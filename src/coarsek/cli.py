@@ -103,10 +103,10 @@ def _dump_operators(directory: str, named_ops: dict) -> None:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     for name, op in named_ops.items():
-        (out / f"{name}.txt").write_text("\n".join(dump_lines(op)) + "\n")
-        (out / f"{name}.json").write_text(
-            json.dumps(operator_to_json(op), indent=1, sort_keys=True)
-        )
+        with open(out / f"{name}.txt", "w", encoding="utf-8", newline="\n") as fh:
+            dump_lines(op, fh)
+        with open(out / f"{name}.json", "w", encoding="utf-8", newline="\n") as fh:
+            operator_to_json(op, fh)
     log.info("dumped %d operators to %s", len(named_ops), directory)
 
 

@@ -258,6 +258,19 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _require_distinct_keys(field: str, labels) -> None:
+    """JSON reports key vertices and edges by str(label); two labels with
+    the same string, such as 1 and "1", would share a key."""
+    seen: dict[str, Label] = {}
+    for x in labels:
+        key = str(x)
+        if key in seen:
+            raise GraphError(
+                f"{field}: ids {seen[key]!r} and {x!r} collide as JSON keys"
+            )
+        seen[key] = x
+
+
 def graph_from_json(data: dict) -> Graph:
     kind = data.get("kind")
     if kind == "finite":
@@ -265,7 +278,10 @@ def graph_from_json(data: dict) -> Graph:
             Edge(id=e["id"], source=e["source"], target=e["target"])
             for e in data.get("edges", [])
         ]
-        return OrientedGraph(data.get("vertices", []), edges)
+        g = OrientedGraph(data.get("vertices", []), edges)
+        _require_distinct_keys("vertices", g.vertices)
+        _require_distinct_keys("edges", [e.id for e in g.edges])
+        return g
     if kind == "banded_z":
         if data.get("perturbation") is not None:
             raise GraphError(

@@ -15,6 +15,7 @@ explicit slot-exchange permutations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -67,7 +68,8 @@ def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
 @dataclass(frozen=True)
 class ProjectionPair:
     """Diagonal projections (f, g) over a common ambient basis; at each
-    vertex at most one of them is nonzero."""
+    vertex at most one of them is nonzero.  Both have scalar 0, so their
+    delta holds every nonzero entry."""
 
     f: SparseBlockOperator
     g: SparseBlockOperator
@@ -113,8 +115,8 @@ def build_projection_pair(
 
 def slot_ceiling(pair: ProjectionPair) -> int:
     """Largest ordinal slot index actually used by either projection."""
-    used = [r.slot.index for (r, _) in pair.f.entries] + [
-        r.slot.index for (r, _) in pair.g.entries
+    used = [r.slot.index for (r, _) in pair.f.delta] + [
+        r.slot.index for (r, _) in pair.g.delta
     ]
     return max(used, default=0)
 
@@ -130,7 +132,7 @@ def k0_signature(pair: ProjectionPair) -> int:
     invariant and equals the sum of the chain coefficients."""
     if pair.host_kind != "finite":
         raise ChainError("k0_signature is defined for finite hosts only")
-    return len(pair.f.entries) - len(pair.g.entries)
+    return len(pair.f.delta) - len(pair.g.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +266,12 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
 
     vv = v.adjoint().compose(v)
     ww = v.compose(v.adjoint())
+    in_ranks, out_ranks = _diag_ranks(ww), _diag_ranks(vv)
     checks = {
         "initial_projection": vv == source_projection,
         "final_projection": ww == target_projection,
-        "in_ranks": all(
-            _diag_rank_at(ww, x) == g.in_count(x) for x in g.vertices
-        ),
-        "out_ranks": all(
-            _diag_rank_at(vv, x) == g.out_count(x) for x in g.vertices
-        ),
+        "in_ranks": all(in_ranks[x] == g.in_count(x) for x in g.vertices),
+        "out_ranks": all(out_ranks[x] == g.out_count(x) for x in g.vertices),
         "in_exchange": exchange_in.compose(target_projection).compose(
             exchange_in.adjoint()
         )
@@ -286,7 +285,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         ),
         "adjacency": all(
             r.vertex == col.vertex or g.adjacent(r.vertex, col.vertex)
-            for (r, col) in v.entries
+            for (r, col) in v.delta
         ),
     }
     return BoundaryWitness(
@@ -303,8 +302,9 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
     )
 
 
-def _diag_rank_at(projection: SparseBlockOperator, x) -> int:
-    return sum(1 for (r, c) in projection.entries if r == c and r.vertex == x)
+def _diag_ranks(projection: SparseBlockOperator) -> Counter:
+    """Nonzero diagonal entries of a scalar-0 operator, counted per vertex."""
+    return Counter(r.vertex for (r, c) in projection.delta if r == c)
 
 
 def witness_report_json(w: BoundaryWitness) -> dict:

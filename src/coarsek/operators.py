@@ -24,7 +24,9 @@ from __future__ import annotations
 import json
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from functools import cache
+from itertools import chain, islice
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
 from .graphs import idkey
 from .intlinalg import rank as matrix_rank
@@ -62,7 +64,8 @@ def slot_key(s: Slot) -> tuple:
 
 
 def block_key(b: BlockIndex) -> tuple:
-    return (idkey(b.vertex), slot_key(b.slot))
+    vertex, slot = b
+    return (idkey(vertex), slot_key(slot))
 
 
 class ProductBasis(AbstractSet):
@@ -214,7 +217,10 @@ class SparseBlockOperator:
 
     @property
     def entries(self) -> dict[tuple[BlockIndex, BlockIndex], int]:
-        """Every nonzero entry of the matrix, materialised on each call."""
+        """Every nonzero entry of the matrix, materialised on each call.
+
+        For tests and diagnostics only: with a nonzero scalar it holds one
+        entry per basis vector.  The package itself reads delta."""
         out = {(b, b): self.scalar for b in self.domain} if self.scalar else {}
         for key, v in self.delta.items():
             total = out.get(key, 0) + v
@@ -502,6 +508,17 @@ def bilateral_shift(
 
 # ---------------------------------------------------------------------------
 # interchange formats
+#
+# Both dumps list the nonzero entries row by row in block_key order: rows by
+# (vertex idkey, slot_key) of the row, the entries of a row by the same key
+# of their column.  The writers walk the basis once in that order, merge the
+# scalar diagonal into each row's few defect entries and write in chunks, so
+# the matrix is never materialised; each vertex and slot is formatted once
+# per operator.  The JSON dump is byte for byte what
+# json.dumps(..., indent=1, sort_keys=True) writes for the same object.
+
+
+_CHUNK = 4096  # strings joined per write
 
 
 def _label_json(x):
@@ -526,18 +543,6 @@ def _fmt_slot(s: Slot) -> str:
     return f"e:{_fmt(s.edge)}:{s.copy}"
 
 
-def dump_lines(a: SparseBlockOperator) -> list[str]:
-    """Line-oriented sorted dump, bit-exact across platforms."""
-    rows = []
-    for (r, c), v in a.entries.items():
-        rows.append((block_key(r), block_key(c), r, c, v))
-    rows.sort(key=lambda item: (item[0], item[1]))
-    return [
-        f"{_fmt(r.vertex)}\t{_fmt_slot(r.slot)}\t{_fmt(c.vertex)}\t{_fmt_slot(c.slot)}\t{v}"
-        for _, _, r, c, v in rows
-    ]
-
-
 def _slot_json(s: Slot):
     if isinstance(s, Ordinal):
         return {"ordinal": s.index}
@@ -550,16 +555,103 @@ def _slot_from_json(data) -> Slot:
     return CopyEdge(_label_from_json(data["edge"]), data["copy"])
 
 
-def operator_to_json(a: SparseBlockOperator) -> dict:
-    basis = sorted(a.domain, key=block_key)
-    entries = sorted(a.entries.items(), key=lambda kv: (block_key(kv[0][0]), block_key(kv[0][1])))
-    return {
-        "basis": [[_label_json(b.vertex), _slot_json(b.slot)] for b in basis],
-        "entries": [
-            [_label_json(r.vertex), _slot_json(r.slot), _label_json(c.vertex), _slot_json(c.slot), v]
-            for (r, c), v in entries
-        ],
-    }
+def _json_at(value, depth: int) -> str:
+    """value as the indent=1 encoder writes it depth levels deep."""
+    text = json.dumps(value, indent=1, sort_keys=True)
+    return text.replace("\n", "\n" + " " * depth)
+
+
+def _sorted_basis(domain: Basis) -> Iterable[tuple]:
+    """The basis vectors as (vertex, slot) pairs in block_key order."""
+    if isinstance(domain, ProductBasis):
+        slots = sorted(domain.slots, key=slot_key)
+        return ((x, s) for x in sorted(domain.vertices, key=idkey) for s in slots)
+    return sorted(domain, key=block_key)
+
+
+def _rows(a: SparseBlockOperator) -> Iterable[tuple]:
+    """(vertex, slot, cells) for every row of a holding a nonzero entry, in
+    block_key order; cells are the row's nonzero (column, value) pairs in
+    block_key order of the column."""
+    by_row: dict[BlockIndex, list[tuple[BlockIndex, int]]] = {}
+    for (r, c), v in a.delta.items():
+        by_row.setdefault(r, []).append((c, v))
+    s = a.scalar
+    for b in _sorted_basis(a.domain):
+        cells = by_row.get(b)
+        if cells is None:
+            if s:
+                yield b[0], b[1], ((b, s),)
+            continue
+        if s:
+            merged = dict(cells)
+            merged[b] = merged.get(b, 0) + s
+            cells = [(c, v) for c, v in merged.items() if v]
+        if len(cells) > 1:
+            cells.sort(key=lambda cell: block_key(cell[0]))
+        if cells:
+            yield b[0], b[1], cells
+
+
+def _write_all(out: TextIO, pieces: Iterable[str]) -> bool:
+    """Write pieces to out a chunk at a time; False when there was none."""
+    pieces = iter(pieces)
+    wrote = False
+    while chunk := list(islice(pieces, _CHUNK)):
+        out.write("".join(chunk))
+        wrote = True
+    return wrote
+
+
+def dump_lines(a: SparseBlockOperator, out: TextIO) -> None:
+    """Write the line dump of a to out: one tab-separated line (row vertex,
+    row slot, column vertex, column slot, value) per nonzero entry, in
+    block_key order, or a lone newline when there is no entry.  Bit-exact
+    across platforms."""
+    vertex, slot = cache(_fmt), cache(_fmt_slot)
+
+    def lines():
+        for x, s, cells in _rows(a):
+            head = f"{vertex(x)}\t{slot(s)}\t"
+            for (cx, cs), v in cells:
+                yield f"{head}{vertex(cx)}\t{slot(cs)}\t{v}\n"
+
+    if not _write_all(out, lines()):
+        out.write("\n")
+
+
+def _json_list(bodies: Iterable[str]) -> Iterable[str]:
+    """The pieces of a list one level deep whose items are lists with the
+    given comma-joined bodies."""
+    opening = "["
+    for body in bodies:
+        yield f"{opening}\n  [\n   {body}\n  ]"
+        opening = ","
+    yield "[]" if opening == "[" else "\n ]"
+
+
+def operator_to_json(a: SparseBlockOperator, out: TextIO) -> None:
+    """Write a to out as {"basis": [[vertex, slot], ...], "entries": [[row
+    vertex, row slot, column vertex, column slot, value], ...]}, both lists
+    in block_key order, laid out as json.dumps(indent=1, sort_keys=True)."""
+    vertex = cache(lambda x: _json_at(_label_json(x), 3))
+    slot = cache(lambda s: _json_at(_slot_json(s), 3))
+    basis = (f"{vertex(x)},\n   {slot(s)}" for x, s in _sorted_basis(a.domain))
+    entries = (
+        f"{vertex(x)},\n   {slot(s)},\n   {vertex(cx)},\n   {slot(cs)},\n   {v}"
+        for x, s, cells in _rows(a)
+        for (cx, cs), v in cells
+    )
+    _write_all(
+        out,
+        chain(
+            ['{\n "basis": '],
+            _json_list(basis),
+            [',\n "entries": '],
+            _json_list(entries),
+            ["\n}"],
+        ),
+    )
 
 
 def operator_from_json(data: dict) -> SparseBlockOperator:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +377,46 @@ def test_removed_banded_shapes_are_input_errors(
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["homology", "k0-map", "k1-map"])
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (
+            {"kind": "finite", "vertices": [0, 1], "edges": [
+                {"id": 1, "source": 0, "target": 1},
+                {"id": "1", "source": 1, "target": 0},
+            ]},
+            "edges: ids 1 and '1' collide as JSON keys",
+        ),
+        (
+            {"kind": "finite", "vertices": [1, "1"], "edges": []},
+            "vertices: ids 1 and '1' collide as JSON keys",
+        ),
+    ],
+    ids=["edge-ids", "vertex-labels"],
+)
+def test_ids_colliding_as_json_keys_are_input_errors(
+    tmp_path, capsys, command, graph, message
+):
+    argv = [command, "--graph", write(tmp_path, "g.json", graph)]
+    if command != "homology":
+        chain = {"degree": int(command == "k1-map"), "coeffs": {}}
+        argv += ["--chain", write(tmp_path, "c.json", chain)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_python_m_coarsek_runs_the_cli(triangle_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "coarsek", "homology", "--graph", triangle_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "H1 rank = 1" in done.stdout
