@@ -26,17 +26,12 @@ from .chains import (
     uniform_bound,
 )
 from .graphs import (
-    UNREACHABLE,
     BandedZGraph,
     Edge,
-    FiniteMetricSpace,
     GraphError,
     OrientedGraph,
-    check_bounded_geometry,
     graph_from_json,
-    graph_metric,
     graph_to_json,
-    rips_graph,
 )
 from .k0_map import (
     BoundaryWitness,

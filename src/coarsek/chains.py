@@ -41,10 +41,6 @@ class FiniteChain:
     def coeff(self, key: Label) -> int:
         return self.coeffs.get(key, 0)
 
-    @property
-    def support(self):
-        return set(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -141,9 +137,6 @@ class BandedZChain:
 
     def is_constant(self) -> bool:
         return self.tail_left == self.tail_right and not self.window_values
-
-    def has_finite_support(self) -> bool:
-        return self.tail_left == 0 == self.tail_right
 
     def shifted(self, k: int) -> "BandedZChain":
         """Value at i of the result is the value of self at i + k."""

@@ -67,6 +67,13 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 
+#: Largest work estimate that k0-map and k1-map accept (see _require_work).
+#: A unit is one window vertex, ordinal slot or expanded edge copy.  Measured
+#: on a 2-vCPU Xeon, Python 3.11: requests near the limit take 13-26 s and
+#: 0.3-0.4 GB (k1-map on the line, k = 2000, radius 16, is 96k units, 18 s,
+#: 0.4 GB), against 577 units for the largest benchmark request.
+MAX_WORK = 100_000
+
 
 class InputError(Exception):
     pass
@@ -97,6 +104,34 @@ def _load_chain(path: str, graph=None):
         return chain_from_json(_load_json_file(path), graph)
     except (ChainError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: bad chain file: {exc}")
+
+
+def _require_work(estimate: int) -> None:
+    """Reject a request whose work estimate exceeds MAX_WORK, before
+    anything is built.  The estimate counts what grows with the numbers in
+    the input rather than with its length: the vertices plus the slots over
+    them.  See _finite_work; on the line it is the window's vertices plus
+    |k| copies per cell for k1-map and uniform_bound - 1 ordinals per vertex
+    for k0-map."""
+    if estimate > MAX_WORK:
+        raise InputError(
+            f"request too large: estimated work {estimate} exceeds the limit "
+            f"{MAX_WORK} (MAX_WORK in coarsek.cli)"
+        )
+
+
+def _finite_work(g: OrientedGraph, chain, spread: bool) -> int:
+    """Vertices plus expanded edge copies (the sum of |coefficients|), or
+    with spread every vertex times one plus the copies: a dump lists the
+    whole vertex-by-slot basis, and a boundary witness routes each unit of
+    its chain along a path of up to |V| - 1 edges."""
+    copies = sum(abs(v) for v in chain.coeffs.values())
+    n = len(g.vertices)
+    return n * (1 + copies) if spread else n + copies
+
+
+def _window_vertices(args) -> int:
+    return 2 * (args.window + args.margin) + 1
 
 
 def _dump_operators(directory: str, named_ops: dict) -> None:
@@ -177,6 +212,7 @@ def cmd_k0(args) -> int:
     if isinstance(g, OrientedGraph):
         if not isinstance(chain, Chain0):
             raise InputError("the degree-0 map needs a degree-0 chain")
+        _require_work(_finite_work(g, chain, spread=True))
         pair = build_projection_pair(chain)
         f, gg = pair.f, pair.g
         report.checks.append(
@@ -222,6 +258,7 @@ def cmd_k0(args) -> int:
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 0:
             raise InputError("banded graphs need a banded degree-0 chain")
+        _require_work(_window_vertices(args) * uniform_bound(chain))
         window = Window(radius=args.window, margin=args.margin)
         pair = build_projection_pair(chain, window)
         report.checks.append(
@@ -279,6 +316,7 @@ def cmd_k1(args) -> int:
     if isinstance(g, OrientedGraph):
         if not isinstance(chain, Chain1):
             raise InputError("the degree-1 map needs a degree-1 chain")
+        _require_work(_finite_work(g, chain, spread=bool(args.dump)))
         try:
             cu = cycle_unitary(chain)
         except NonCycleError as exc:
@@ -350,6 +388,8 @@ def cmd_k1(args) -> int:
                 f"not a cycle: the boundary is nonzero at vertex "
                 f"{_named_noncycle_vertex(chain)}"
             )
+        n = _window_vertices(args)
+        _require_work(n + abs(k) * (n - 1))
         window = Window(radius=args.window, margin=args.margin)
         cu = line_cycle_unitary(k, window)
         idx = index_pairing(cu.u, window)

@@ -55,13 +55,6 @@ def figure_eight() -> tuple[OrientedGraph, Chain1]:
     return g, Chain1(g, {"f1": 1, "g1": 1, "f2": 1, "g2": 1})
 
 
-def complete_graph(n: int) -> OrientedGraph:
-    edges = [
-        Edge(f"e{i}-{j}", i, j) for i, j in combinations(range(n), 2)
-    ]
-    return OrientedGraph(range(n), edges)
-
-
 # ---------------------------------------------------------------------------
 # random corpora
 

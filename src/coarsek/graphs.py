@@ -1,23 +1,21 @@
-"""Oriented graphs, their vertex path metric, Rips graphs and bounded geometry.
+"""Oriented graphs, the banded line and their JSON interchange.
 
 Two shapes of graph are supported: arbitrary finite oriented graphs, and the
-banded description of the integer line (vertex set Z with the standard metric,
-with the cell edge [n, n+1] for every n or with no edges at all).  These are
-exactly the shapes needed by the homology-to-K-theory constructions; distances
-are exact integers throughout and nothing here uses floating point.
+banded description of the integer line (vertex set Z, with the cell edge
+[n, n+1] for every n or with no edges at all).  These are exactly the shapes
+needed by the homology-to-K-theory constructions.  The vertex set is a metric
+space with unit edges, but the constructions only ever use that metric as
+adjacency in the expanded multigraph of a finite graph and as |x - y| on the
+line (operators.propagation), so no general metric is built here.  Nothing
+here uses floating point.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 Label = Union[int, str, tuple]
-
-#: sentinel for pairs with no connecting path
-UNREACHABLE = None
 
 
 class GraphError(ValueError):
@@ -114,79 +112,13 @@ class OrientedGraph:
         return f"OrientedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-class FiniteMetricSpace:
-    """Finite set of points with an exact integer metric; pairs in different
-    path components are at UNREACHABLE distance."""
-
-    def __init__(self, points: Iterable[Label], dist: dict[tuple[Label, Label], int]):
-        self.points = tuple(sorted(points, key=idkey))
-        self._d = dict(dist)
-        pset = set(self.points)
-        for (u, v), d in self._d.items():
-            if u not in pset or v not in pset:
-                raise GraphError("distance entry for unknown point")
-            if d < 0:
-                raise GraphError("negative distance")
-            if (u == v) != (d == 0):
-                raise GraphError("d(x,y)=0 iff x=y is violated")
-            if self._d.get((v, u)) != d:
-                raise GraphError("asymmetric distance")
-
-    def dist(self, u: Label, v: Label) -> Optional[int]:
-        if u == v:
-            return 0
-        return self._d.get((u, v), UNREACHABLE)
-
-    def ball(self, x: Label, r: int) -> set[Label]:
-        out = set()
-        for y in self.points:
-            d = self.dist(x, y)
-            if d is not UNREACHABLE and d <= r:
-                out.add(y)
-        return out
-
-
-def graph_metric(g: OrientedGraph) -> FiniteMetricSpace:
-    """Unweighted shortest-path distance between vertices (edges have length
-    one, orientation ignored)."""
-    dist: dict[tuple[Label, Label], int] = {}
-    for start in g.vertices:
-        seen = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in g.neighbors(cur):
-                if nxt not in seen:
-                    seen[nxt] = seen[cur] + 1
-                    queue.append(nxt)
-        for v, d in seen.items():
-            dist[(start, v)] = d
-    return FiniteMetricSpace(g.vertices, dist)
-
-
-def rips_graph(space: FiniteMetricSpace, alpha) -> OrientedGraph:
-    """One edge per unordered pair at distance in (0, alpha]; the lower point
-    in the canonical order is the source.  alpha may be an int or Fraction."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise GraphError("alpha must be positive")
-    edges = []
-    pts = space.points
-    for i, u in enumerate(pts):
-        for v in pts[i + 1 :]:
-            d = space.dist(u, v)
-            if d is not UNREACHABLE and 0 < d <= alpha:
-                edges.append(Edge(id=f"[{u},{v}]", source=u, target=v))
-    return OrientedGraph(pts, edges)
-
-
 @dataclass(frozen=True)
 class BandedZGraph:
     """Vertex set Z with the standard line metric |i - j|.
 
     With ``edges_per_cell`` 1 this is the Cayley graph of Z: one edge, with
     id n, from n to n+1 for every n.  With 0 it is the edgeless line.  The
-    metric is always the ambient line metric, also when there are no edges.
+    metric is the ambient line metric also when there are no edges.
     """
 
     edges_per_cell: int = 1
@@ -212,24 +144,8 @@ class BandedZGraph:
             range(lo, hi + 1), [Edge(id=n, source=n, target=n + 1) for n in cells]
         )
 
-    def dist(self, u: int, v: int) -> int:
-        return abs(u - v)
-
 
 Graph = Union[OrientedGraph, BandedZGraph]
-
-
-def check_bounded_geometry(g: Graph, r: int) -> int:
-    """Least K with every ball of radius r containing strictly fewer than K
-    points."""
-    if r <= 0:
-        raise GraphError("radius must be a positive integer")
-    if isinstance(g, BandedZGraph):
-        # ambient line metric: every ball of radius r is {x-r, ..., x+r}
-        return (2 * r + 1) + 1
-    space = graph_metric(g)
-    biggest = max((len(space.ball(v, r)) for v in g.vertices), default=0)
-    return biggest + 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +187,25 @@ def _require_distinct_keys(field: str, labels) -> None:
         seen[key] = x
 
 
+def _list_field(data: dict, field: str) -> list:
+    value = data.get(field, [])
+    if not isinstance(value, list):
+        raise GraphError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def graph_from_json(data: dict) -> Graph:
     kind = data.get("kind")
     if kind == "finite":
-        edges = [
-            Edge(id=e["id"], source=e["source"], target=e["target"])
-            for e in data.get("edges", [])
-        ]
-        g = OrientedGraph(data.get("vertices", []), edges)
+        edges = []
+        for i, e in enumerate(_list_field(data, "edges")):
+            if not isinstance(e, dict) or not {"id", "source", "target"} <= e.keys():
+                raise GraphError(
+                    f"edges[{i}] must be an object with id, source and target, "
+                    f"got {e!r}"
+                )
+            edges.append(Edge(id=e["id"], source=e["source"], target=e["target"]))
+        g = OrientedGraph(_list_field(data, "vertices"), edges)
         _require_distinct_keys("vertices", g.vertices)
         _require_distinct_keys("edges", [e.id for e in g.edges])
         return g

@@ -37,6 +37,10 @@ class ExpandedGraph(OrientedGraph):
     id CopyEdge(e, c), which is also its basis slot, and copies of edges
     with negative coefficient run backwards."""
 
+    def __init__(self, vertices, edges):
+        super().__init__(vertices, edges)
+        self._near: dict = {}
+
     def in_count(self, x: Label) -> int:
         return len(self.in_edges(x))
 
@@ -44,7 +48,10 @@ class ExpandedGraph(OrientedGraph):
         return len(self.out_edges(x))
 
     def adjacent(self, x: Label, y: Label) -> bool:
-        return y in self.neighbors(x)
+        # the neighbours of x are memoised: collecting them costs O(valence)
+        if x not in self._near:
+            self._near[x] = self.neighbors(x)
+        return y in self._near[x]
 
 
 def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:

@@ -170,10 +170,6 @@ class SparseBlockOperator:
         return cls(domain, scalar=1)
 
     @classmethod
-    def zero(cls, domain: Iterable[BlockIndex]) -> "SparseBlockOperator":
-        return cls(domain, {})
-
-    @classmethod
     def from_basis_map(
         cls,
         domain: Iterable[BlockIndex],
@@ -314,30 +310,13 @@ class SparseBlockOperator:
         )
 
 
-DistFn = Callable[[object, object], Optional[int]]
+def propagation(a: SparseBlockOperator) -> int:
+    """Least R with every nonzero entry of an operator over the line joining
+    vertices x and y with |x - y| <= R.
 
-
-def propagation(a: SparseBlockOperator, dist) -> int:
-    """Least R with every nonzero entry joining vertices at distance <= R.
-
-    dist may be a callable or any object with a .dist method (a finite
-    metric space, or the banded line).  The scalar part is diagonal, so only
-    defect entries between distinct vertices are measured; a and a - 1 have
-    the same propagation."""
-    if not callable(dist):
-        dist = dist.dist
-    best = 0
-    for (r, c) in a.delta:
-        if r.vertex == c.vertex:
-            continue
-        d = dist(r.vertex, c.vertex)
-        if d is None:
-            raise OperatorError(
-                f"entry joins {r.vertex!r} and {c.vertex!r} at infinite distance"
-            )
-        if d > best:
-            best = d
-    return best
+    The scalar part is diagonal, so only the defect is measured; a and a - 1
+    have the same propagation."""
+    return max((abs(r.vertex - c.vertex) for (r, c) in a.delta), default=0)
 
 
 def block_rank(a: SparseBlockOperator, x, y) -> int:
@@ -456,10 +435,6 @@ class Window:
             )
 
 
-def line_dist(u, v) -> int:
-    return abs(u - v)
-
-
 def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     """Integer trace of P - u*Pu against the half-line projection P, summed
     over the central region of the window.
@@ -468,7 +443,7 @@ def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     propagation distance of the cut at 0, so once the margin dominates the
     propagation the central sum is exact and independent of the window.
     """
-    window.require_margin(propagation(u, line_dist))
+    window.require_margin(propagation(u))
     interior = window.interior(u.domain)
     if not is_unitary_on(u, interior):
         raise OperatorError("operator is not unitary on the window interior")

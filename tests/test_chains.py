@@ -37,7 +37,7 @@ def test_boundary_of_unit_cell_on_line():
     gamma = BandedZChain(1, 0, 0, 0, (1,))
     c = boundary(gamma)
     assert c.value(1) == 1 and c.value(0) == -1
-    assert c.has_finite_support()
+    assert c.tail_left == 0 == c.tail_right
 
 
 def test_boundary_of_zero():

@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from coarsek.cli import main
+from coarsek import cli
+from coarsek.cli import MAX_WORK, main
+
+LINE = {"kind": "banded_z", "edges_per_cell": 1}
 
 
 def write(tmp_path, name, payload):
@@ -420,3 +424,93 @@ def test_python_m_coarsek_runs_the_cli(triangle_file):
     )
     assert done.returncode == 0, done.stderr
     assert "H1 rank = 1" in done.stdout
+
+
+@pytest.mark.parametrize("command", ["homology", "k0-map", "k1-map"])
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({"kind": "finite", "vertices": "abc", "edges": []}, "vertices must be a list, got 'abc'"),
+        ({"kind": "finite", "vertices": {"a": 1, "b": 2}, "edges": []}, "vertices must be a list"),
+        (
+            {"kind": "finite", "vertices": [0, 1], "edges": {"id": 0, "source": 0, "target": 1}},
+            "edges must be a list",
+        ),
+        ({"kind": "finite", "vertices": [0, 1], "edges": "e"}, "edges must be a list, got 'e'"),
+        ({"kind": "finite", "vertices": [0, 1], "edges": [[0, 0, 1]]}, "edges[0] must be an object"),
+        (
+            {"kind": "finite", "vertices": [0, 1], "edges": [{"id": 0, "source": 0}]},
+            "edges[0] must be an object with id, source and target",
+        ),
+    ],
+    ids=["vertices-str", "vertices-object", "edges-object", "edges-str", "edge-list", "edge-no-target"],
+)
+def test_graph_fields_must_be_lists_of_the_right_shape(
+    tmp_path, capsys, command, graph, message
+):
+    argv = [command, "--graph", write(tmp_path, "g.json", graph)]
+    if command != "homology":
+        chain = {"degree": int(command == "k1-map"), "coeffs": {}}
+        argv += ["--chain", write(tmp_path, "c.json", chain)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+TWO_CYCLE = {
+    "kind": "finite",
+    "vertices": [0, 1],
+    "edges": [{"id": "a", "source": 0, "target": 1}, {"id": "b", "source": 1, "target": 0}],
+}
+HUGE = 10**12
+
+
+@pytest.mark.parametrize(
+    "command, graph, chain, extra, estimate",
+    [
+        # 2 (2 + 2) + 1 = 9 window vertices times uniform_bound
+        ("k0-map", LINE, {"degree": 0, "tail_left": 3000000, "tail_right": 0},
+         ["--window", "2", "--margin", "2"], 9 * 3000001),
+        # 9 window vertices plus |k| copies of each of the 8 cells
+        ("k1-map", LINE, {"degree": 1, "tail_left": 200000, "tail_right": 200000},
+         ["--window", "2", "--margin", "2"], 9 + 200000 * 8),
+        ("k1-map", LINE, {"degree": 1, "tail_left": 0, "tail_right": 0},
+         ["--window", str(HUGE)], 2 * (HUGE + 8) + 1),
+        ("k0-map", LINE, {"degree": 0}, ["--window", str(HUGE)], 2 * (HUGE + 8) + 1),
+        ("k1-map", TWO_CYCLE, {"degree": 1, "coeffs": {"a": HUGE, "b": HUGE}}, [], 2 + 2 * HUGE),
+        # a dump lists the whole vertex-by-slot basis
+        ("k1-map", TWO_CYCLE, {"degree": 1, "coeffs": {"a": 30000, "b": 30000}},
+         ["--dump", "DUMP"], 2 * 60001),
+        ("k0-map", TWO_CYCLE, {"degree": 0, "coeffs": {"0": 50000, "1": -50000}}, [], 2 * 100001),
+    ],
+    ids=["k0-line-coefficient", "k1-line-class", "k1-line-window", "k0-line-window",
+         "k1-finite-coefficients", "k1-finite-dump", "k0-finite-witness"],
+)
+def test_oversized_requests_exit_2_before_building(
+    tmp_path, capsys, command, graph, chain, extra, estimate
+):
+    extra = [str(tmp_path / "dump") if a == "DUMP" else a for a in extra]
+    argv = [command, "--graph", write(tmp_path, "g.json", graph),
+            "--chain", write(tmp_path, "c.json", chain)] + extra
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert f"estimated work {estimate} exceeds the limit {MAX_WORK}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "dump").exists()
+
+
+def test_work_limit_admits_an_estimate_equal_to_it(monkeypatch, tmp_path, capsys):
+    # the largest benchmark request: k1-map on the line, k = 3, radius 64,
+    # margin 8, is 145 window vertices plus 3 copies of each of 144 cells
+    graph = write(tmp_path, "g.json", LINE)
+    chain = write(tmp_path, "c.json", {"degree": 1, "tail_left": 3, "tail_right": 3})
+    argv = ["k1-map", "--graph", graph, "--chain", chain, "--window", "64", "--margin", "8"]
+    assert MAX_WORK >= 145 + 3 * 144
+    monkeypatch.setattr(cli, "MAX_WORK", 145 + 3 * 144)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_WORK", 145 + 3 * 144 - 1)
+    assert main(argv) == 2
+    assert "estimated work 577 exceeds the limit 576" in capsys.readouterr().err

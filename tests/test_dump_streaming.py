@@ -143,13 +143,13 @@ def test_empty_operators_dump_like_the_reference():
     single = ProductBasis((("x", ()),), (CopyEdge((1, "é"), 0),))
     for domain in (frozenset(), ProductBasis((), ()), single):
         for a in (
-            SparseBlockOperator.zero(domain),
+            SparseBlockOperator(domain),
             # the defect cancels the whole diagonal
             SparseBlockOperator(domain, {(b, b): -2 for b in domain}, 2),
         ):
             assert streamed(dump_lines, a) == reference_text(a) == "\n"
             assert streamed(operator_to_json, a) == reference_json(a)
-    assert streamed(operator_to_json, SparseBlockOperator.zero(frozenset())) == (
+    assert streamed(operator_to_json, SparseBlockOperator(frozenset())) == (
         '{\n "basis": [],\n "entries": []\n}'
     )
 

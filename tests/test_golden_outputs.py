@@ -90,6 +90,28 @@ MAP_CASES = {
         {"--graph": TRIANGLE, "--chain": {"degree": 0, "coeffs": {"0": 1, "2": 3}}},
         [],
     ),
+    "k0-line": (
+        "k0-map",
+        {
+            "--graph": LINE,
+            "--chain": {
+                "degree": 0,
+                "tail_left": 1,
+                "tail_right": 2,
+                "window_start": -1,
+                "window_values": [3, -1],
+            },
+        },
+        ["--window", "4", "--margin", "2"],
+    ),
+    "k0-edgeless-line": (
+        "k0-map",
+        {
+            "--graph": EDGELESS_LINE,
+            "--chain": {"degree": 0, "tail_left": 2, "tail_right": 0, "window_values": [-2]},
+        },
+        ["--window", "3", "--margin", "1"],
+    ),
 }
 VERIFY_SEEDS = (1, 7, 20240801)
 

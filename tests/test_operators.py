@@ -19,7 +19,6 @@ from coarsek.operators import (
     dump_lines,
     index_pairing,
     is_unitary_on,
-    line_dist,
     operator_from_json,
     operator_to_json,
     propagation,
@@ -81,29 +80,9 @@ def test_adjoint_examples():
 
 def test_propagation_examples():
     diag = op_from({(b, b): 2 for b in DOMAIN})
-    assert propagation(diag, line_dist) == 0
+    assert propagation(diag) == 0
     w = Window(radius=3, margin=1)
-    assert propagation(bilateral_shift(w), line_dist) == 1
-
-
-def test_propagation_accepts_metric_objects():
-    from coarsek.corpus import path_graph
-    from coarsek.graphs import BandedZGraph, graph_metric
-
-    space = graph_metric(path_graph(4))
-    hop = SparseBlockOperator(
-        DOMAIN, {(BlockIndex(0, Ordinal(1)), BlockIndex(2, Ordinal(1))): 1}
-    )
-    assert propagation(hop, space) == 2
-    assert propagation(hop, BandedZGraph()) == 2
-
-
-def test_propagation_unreachable_pair_is_an_error():
-    r = BlockIndex(0, Ordinal(1))
-    c = BlockIndex(3, Ordinal(1))
-    t = op_from({(r, c): 1})
-    with pytest.raises(Exception):
-        propagation(t, lambda u, v: None if u != v else 0)
+    assert propagation(bilateral_shift(w)) == 1
 
 
 def test_block_rank():
@@ -171,9 +150,7 @@ def test_propagation_subadditive():
         ab = a.compose(b)
         if ab.is_zero():
             continue
-        assert propagation(ab, line_dist) <= propagation(a, line_dist) + propagation(
-            b, line_dist
-        )
+        assert propagation(ab) <= propagation(a) + propagation(b)
 
 
 # ---------------------------------------------------------------------------
