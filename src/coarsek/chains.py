@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .graphs import Label, OrientedGraph
+from .graphs import Edge, Label, OrientedGraph
 from .intlinalg import diagonal_of, smith_normal_form
 
 
@@ -309,33 +309,90 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
     return HomologyResult(h0, len(basis), tuple(basis))
 
 
+def spanning_forest(g: OrientedGraph) -> tuple[list[Label], dict]:
+    """Kirchhoff's spanning forest of g, rooted.
+
+    Union-find over the edges in their stored order picks the tree edges;
+    a breadth-first search from the least vertex of each component then
+    roots them.  Returns the vertices in root-first order (every vertex
+    after its parent) and the tree edge above each vertex, None at a root.
+    """
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree: dict[Label, list[Edge]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        ru, rv = find(e.source), find(e.target)
+        if ru != rv:
+            root[ru] = rv
+            tree[e.source].append(e)
+            tree[e.target].append(e)
+    order: list[Label] = []
+    up: dict = {}
+    head = 0
+    for start in g.vertices:
+        if start not in up:
+            up[start] = None
+            order.append(start)
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for e in tree[x]:
+                y = e.source if e.target == x else e.target
+                if y not in up:
+                    up[y] = e
+                    order.append(y)
+    return order, up
+
+
+def fundamental_cycle(g: OrientedGraph, up: dict, extra: Edge) -> Chain1:
+    """The non-tree edge extra plus the tree path from its target back to
+    its source: both endpoints climb to their common ancestor."""
+
+    def climb(x):
+        below_root = []
+        while up[x] is not None:
+            below_root.append(x)
+            x = up[x].source if up[x].target == x else up[x].target
+        return below_root
+
+    from_source, from_target = climb(extra.source), climb(extra.target)
+    while from_source and from_target and from_source[-1] == from_target[-1]:
+        from_source.pop()
+        from_target.pop()
+    coeffs = {extra.id: 1}
+    # down from the common ancestor to the source, then up from the target
+    for x in from_source:
+        coeffs[up[x].id] = 1 if up[x].target == x else -1
+    for x in reversed(from_target):
+        coeffs[up[x].id] = 1 if up[x].source == x else -1
+    return Chain1(g, coeffs)
+
+
 def solve_boundary_finite(g: OrientedGraph, c: Chain0) -> Optional[Chain1]:
-    """A particular integer 1-chain with boundary c, or None when c does not
-    bound (its coefficients must sum to zero on every path component)."""
+    """The integer 1-chain on the spanning forest with boundary c, or None
+    when c does not bound (it must sum to zero on every path component).
+    Peeling leaves, the tree edge above x carries the sum of c over the
+    subtree of x: at most the positive part of c on its component."""
     if c.graph != g:
         raise ChainError("chain does not live over this graph")
-    mat = boundary_matrix(g)
-    nv = len(g.vertices)
-    ne = len(g.edges)
-    cvec = [c.coeff(v) for v in g.vertices]
-    if ne == 0:
-        return Chain1(g, {}) if c.is_zero() else None
-    u, d, v = smith_normal_form(mat)
-    y = [sum(u[i][j] * cvec[j] for j in range(nv)) for i in range(nv)]
-    z = [0] * ne
-    for i in range(nv):
-        di = d[i][i] if i < min(nv, ne) else 0
-        if di:
-            if y[i] % di:
-                return None
-            z[i] = y[i] // di
-        elif y[i]:
-            return None
+    order, up = spanning_forest(g)
+    below = {x: c.coeff(x) for x in g.vertices}
     coeffs = {}
-    for row, e in zip(range(ne), g.edges):
-        val = sum(v[row][j] * z[j] for j in range(ne))
-        if val:
-            coeffs[e.id] = val
+    for x in reversed(order):
+        e = up[x]
+        if e is None:
+            if below[x]:
+                return None
+        elif below[x]:
+            parent = e.source if e.target == x else e.target
+            below[parent] += below[x]
+            coeffs[e.id] = below[x] if e.target == x else -below[x]
     gamma = Chain1(g, coeffs)
     if boundary(gamma) != c:
         raise AssertionError("solver produced a wrong boundary")

@@ -123,8 +123,8 @@ def _require_work(estimate: int) -> None:
 def _finite_work(g: OrientedGraph, chain, spread: bool) -> int:
     """Vertices plus expanded edge copies (the sum of |coefficients|), or
     with spread every vertex times one plus the copies: a dump lists the
-    whole vertex-by-slot basis, and a boundary witness routes each unit of
-    its chain along a path of up to |V| - 1 edges."""
+    whole vertex-by-slot basis, and the forest witness of a boundary
+    carries each unit of its chain along at most |V| - 1 tree edges."""
     copies = sum(abs(v) for v in chain.coeffs.values())
     n = len(g.vertices)
     return n * (1 + copies) if spread else n + copies

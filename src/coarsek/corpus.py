@@ -6,11 +6,10 @@ random.Random instance, so runs are reproducible per seed.
 from __future__ import annotations
 
 import random
-from collections import deque
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .chains import Chain0, Chain1
+from .chains import Chain0, Chain1, fundamental_cycle, spanning_forest
 from .graphs import Edge, OrientedGraph
 from .k0_map import expand_graph
 from .k1_map import EdgeMatching, canonical_matching, permuted_matching
@@ -75,55 +74,16 @@ def random_graph(
     return OrientedGraph(range(n), edges)
 
 
-def _spanning_forest(g: OrientedGraph) -> set:
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = set()
-    for e in g.edges:
-        ru, rv = find(e.source), find(e.target)
-        if ru != rv:
-            parent[ru] = rv
-            tree.add(e.id)
-    return tree
-
-
 def is_connected(g: OrientedGraph) -> bool:
-    """A spanning forest of a connected graph is a tree: one edge fewer than
-    vertices."""
-    return len(_spanning_forest(g)) == max(len(g.vertices) - 1, 0)
+    """A spanning forest of a connected graph has at most one root."""
+    _, up = spanning_forest(g)
+    return sum(e is None for e in up.values()) <= 1
 
 
-def fundamental_cycle(g: OrientedGraph, tree: set, extra: Edge) -> Chain1:
-    """The extra edge plus the tree path closing it up, as a 1-cycle."""
-    adj: dict = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if e.id in tree:
-            adj[e.source].append((e, e.target, 1))
-            adj[e.target].append((e, e.source, -1))
-    start, goal = extra.target, extra.source
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur == goal:
-            break
-        for e, nxt, sign in adj[cur]:
-            if nxt not in prev:
-                prev[nxt] = (cur, e, sign)
-                queue.append(nxt)
-    coeffs = {extra.id: 1}
-    cur = goal
-    while prev[cur] is not None:
-        back, e, sign = prev[cur]
-        coeffs[e.id] = coeffs.get(e.id, 0) + sign
-        cur = back
-    return Chain1(g, coeffs)
+def _non_tree_edges(g: OrientedGraph) -> tuple[dict, list[Edge]]:
+    _, up = spanning_forest(g)
+    tree = {e.id for e in up.values() if e is not None}
+    return up, [e for e in g.edges if e.id not in tree]
 
 
 def random_cycle(
@@ -134,12 +94,11 @@ def random_cycle(
 ) -> Chain1:
     """Random integer combination of fundamental cycles with all
     coefficients bounded by the given strict bound in magnitude."""
-    tree = _spanning_forest(g)
-    extras = [e for e in g.edges if e.id not in tree]
+    up, extras = _non_tree_edges(g)
     zero = Chain1(g, {})
     if not extras:
         return zero
-    basis = [fundamental_cycle(g, tree, e) for e in extras]
+    basis = [fundamental_cycle(g, up, e) for e in extras]
     for _ in range(30):
         chosen = rng.sample(basis, min(len(basis), rng.randint(1, 4)))
         acc = zero
@@ -155,11 +114,10 @@ def random_cycle(
 def random_multiplicity_cycle(rng: random.Random, g: OrientedGraph) -> Optional[Chain1]:
     """A cycle whose expansion has a vertex with at least two ingoing
     copies, or None when the graph is a forest."""
-    tree = _spanning_forest(g)
-    extras = [e for e in g.edges if e.id not in tree]
+    up, extras = _non_tree_edges(g)
     if not extras:
         return None
-    base = fundamental_cycle(g, tree, rng.choice(extras))
+    base = fundamental_cycle(g, up, rng.choice(extras))
     return base.scaled(rng.choice([2, -2, 3, -3]))
 
 

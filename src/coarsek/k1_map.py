@@ -32,7 +32,7 @@ identity that does hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .chains import Chain1, is_cycle
 from .graphs import BandedZGraph
@@ -50,7 +50,6 @@ from .operators import (
     SparseBlockOperator,
     Window,
     block_key,
-    block_rank as op_block_rank,
     index_pairing,
 )
 
@@ -177,22 +176,21 @@ def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]
         mapping[c] = nonzero[0][0]
     if set(mapping.values()) != set(mapping):
         return None
-    lengths = []
+    return tuple(sorted(n for _, n in _cycles(mapping) if n > 1))
+
+
+def _cycles(mapping: dict) -> Iterator[tuple[object, int]]:
+    """(first point, length) of every cycle of a permutation of the keys of
+    mapping, in the order the keys come."""
     seen = set()
     for start in mapping:
-        if start in seen:
-            continue
-        n = 0
-        cur = start
-        while True:
+        n, cur = 0, start
+        while cur not in seen:
             seen.add(cur)
-            n += 1
             cur = mapping[cur]
-            if cur == start:
-                break
-        if n > 1:
-            lengths.append(n)
-    return tuple(sorted(lengths))
+            n += 1
+        if n:
+            yield start, n
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +411,13 @@ def verify_matching_independence(
         correction.adjoint().compose(correction)
         == SparseBlockOperator.identity(correction.domain)
     )
-    defect = correction.defect()
-    touched = {r.vertex for (r, _) in defect.delta}
-    block_ranks = {
-        x: op_block_rank(defect, x, x) for x in g.vertices if x in touched
-    }
-    prop_zero = all(r.vertex == c.vertex for (r, c) in defect.delta)
+    # R - 1 on the moved slots at x is a slot permutation minus the identity:
+    # its rank is the number of those slots minus the number of their cycles
+    moves = {c: r for (r, c) in correction.delta if r != c}
+    block_ranks: dict = {}
+    for start, n in _cycles(moves):
+        block_ranks[start.vertex] = block_ranks.get(start.vertex, 0) + n - 1
+    prop_zero = all(r.vertex == c.vertex for (r, c) in correction.delta)
 
     hybrid, collision = _hybrid_intermediate(g, alpha, beta)
     unitary = collision is None

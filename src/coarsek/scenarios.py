@@ -7,6 +7,7 @@ both surfaces agree on what was actually computed.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -122,11 +123,17 @@ def _jsonable(value):
     return str(value)
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    out["seconds"] = time.perf_counter() - t0
-    return out
+def _timed(check):
+    """Record the seconds a check takes under "seconds" in its result."""
+
+    @functools.wraps(check)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = check(*args, **kwargs)
+        out["seconds"] = time.perf_counter() - t0
+        return out
+
+    return timed
 
 
 # ---------------------------------------------------------------------------
@@ -140,83 +147,76 @@ def _cycle_corpus(seed: int, count: int):
         yield g, corpus.random_cycle(rng, g)
 
 
+@_timed
 def check_unitarity_corpus(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
-    def run():
-        failures = []
-        for i, (g, gamma) in enumerate(_cycle_corpus(seed, count)):
-            cu = cycle_unitary(gamma)
-            if not is_unitary_on(cu.u):
-                failures.append({"graph": i, "coeffs": gamma.coeffs})
-        return {"count": count, "failures": failures, "ok": not failures}
-
-    return _timed(run)
+    failures = []
+    for i, (g, gamma) in enumerate(_cycle_corpus(seed, count)):
+        cu = cycle_unitary(gamma)
+        if not is_unitary_on(cu.u):
+            failures.append({"graph": i, "coeffs": gamma.coeffs})
+    return {"count": count, "failures": failures, "ok": not failures}
 
 
+@_timed
 def check_propagation_corpus(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
-    def run():
-        adjacency_failures = []
-        rank_failures = []
-        for i, (g, gamma) in enumerate(_cycle_corpus(seed, count)):
-            cu = cycle_unitary(gamma)
-            ex = cu.expanded
-            defect = cu.u.defect()
-            for (r, c) in defect.delta:
-                if r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
-                    adjacency_failures.append({"graph": i, "row": r, "col": c})
-            blocks = {(r.vertex, c.vertex) for (r, c) in defect.delta}
-            for (x, y) in blocks:
-                if block_rank(defect, x, y) > ex.degree(x):
-                    rank_failures.append({"graph": i, "block": (x, y)})
-        return {
-            "count": count,
-            "adjacency_failures": adjacency_failures,
-            "rank_failures": rank_failures,
-            "ok": not adjacency_failures and not rank_failures,
-        }
-
-    return _timed(run)
+    adjacency_failures = []
+    rank_failures = []
+    for i, (g, gamma) in enumerate(_cycle_corpus(seed, count)):
+        cu = cycle_unitary(gamma)
+        ex = cu.expanded
+        defect = cu.u.defect()
+        for (r, c) in defect.delta:
+            if r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
+                adjacency_failures.append({"graph": i, "row": r, "col": c})
+        blocks = {(r.vertex, c.vertex) for (r, c) in defect.delta}
+        for (x, y) in blocks:
+            if block_rank(defect, x, y) > ex.degree(x):
+                rank_failures.append({"graph": i, "block": (x, y)})
+    return {
+        "count": count,
+        "adjacency_failures": adjacency_failures,
+        "rank_failures": rank_failures,
+        "ok": not adjacency_failures and not rank_failures,
+    }
 
 
+@_timed
 def check_witness_corpus(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
-    def run():
-        rng = random.Random(seed)
-        failures = []
-        for i in range(count):
-            g = corpus.random_graph(rng)
-            gamma = corpus.random_chain1(rng, g)
-            w = boundary_witness(gamma)
-            if not w.ok:
-                failing = [k for k, v in w.checks.items() if not v]
-                failures.append({"case": i, "checks": failing})
-        return {"count": count, "failures": failures, "ok": not failures}
-
-    return _timed(run)
+    rng = random.Random(seed)
+    failures = []
+    for i in range(count):
+        g = corpus.random_graph(rng)
+        gamma = corpus.random_chain1(rng, g)
+        w = boundary_witness(gamma)
+        if not w.ok:
+            failing = [k for k, v in w.checks.items() if not v]
+            failures.append({"case": i, "checks": failing})
+    return {"count": count, "failures": failures, "ok": not failures}
 
 
+@_timed
 def check_k0_signatures(seed: int = DEFAULT_SEED, count: int = 100) -> dict:
-    def run():
-        rng = random.Random(seed)
-        failures = []
-        for i in range(count):
-            g = corpus.random_graph(rng)
-            gamma = corpus.random_chain1(rng, g)
-            c = boundary(gamma)
-            if k0_signature(build_projection_pair(c)) != 0:
-                failures.append({"case": i, "kind": "boundary signature nonzero"})
-            c2 = corpus.random_chain0(rng, g)
-            pair = build_projection_pair(c2)
-            if k0_signature(pair) != c2.total():
-                failures.append({"case": i, "kind": "signature != coefficient sum"})
-            swapped = build_projection_pair(-c2)
-            if swapped.f != pair.g or swapped.g != pair.f:
-                failures.append({"case": i, "kind": "negation does not swap f and g"})
-            if not pair.f.compose(pair.g).is_zero():
-                failures.append({"case": i, "kind": "f and g not orthogonal"})
-        return {"count": count, "failures": failures, "ok": not failures}
-
-    return _timed(run)
+    rng = random.Random(seed)
+    failures = []
+    for i in range(count):
+        g = corpus.random_graph(rng)
+        gamma = corpus.random_chain1(rng, g)
+        c = boundary(gamma)
+        if k0_signature(build_projection_pair(c)) != 0:
+            failures.append({"case": i, "kind": "boundary signature nonzero"})
+        c2 = corpus.random_chain0(rng, g)
+        pair = build_projection_pair(c2)
+        if k0_signature(pair) != c2.total():
+            failures.append({"case": i, "kind": "signature != coefficient sum"})
+        swapped = build_projection_pair(-c2)
+        if swapped.f != pair.g or swapped.g != pair.f:
+            failures.append({"case": i, "kind": "negation does not swap f and g"})
+        if not pair.f.compose(pair.g).is_zero():
+            failures.append({"case": i, "kind": "f and g not orthogonal"})
+    return {"count": count, "failures": failures, "ok": not failures}
 
 
+@_timed
 def check_matching_independence(
     seed: int = DEFAULT_SEED, pairs: int = 50
 ) -> dict:
@@ -224,276 +224,260 @@ def check_matching_independence(
     multiplicity at least two: the exact product identity always, and the
     classical two-conjugation route literally (which fails in general, with
     certificates)."""
-
-    def run():
-        rng = random.Random(seed)
-        content_failures = []
-        literal_failures = []
-        tested = 0
-        # the fixed wedge of two 2-gons, with the crossing matching
-        g8, gamma8 = corpus.figure_eight()
-        ex8 = expand_graph(g8, gamma8)
-        cases = [
-            (gamma8, canonical_matching(ex8), permuted_matching(ex8, {"z": (1, 0)}))
-        ]
-        while len(cases) < pairs:
-            g = corpus.random_graph(rng, max_vertices=12, max_edges=24)
-            gamma = corpus.random_multiplicity_cycle(rng, g)
-            if gamma is None:
-                continue
-            alpha, beta = corpus.random_matching_pair(rng, gamma)
-            cases.append((gamma, alpha, beta))
-        for i, (gamma, alpha, beta) in enumerate(cases):
-            rep = verify_matching_independence(gamma, alpha, beta)
-            tested += 1
-            if not rep.content_ok:
-                content_failures.append({"case": i})
-            if not rep.literal_route_ok:
-                literal_failures.append(
-                    {
-                        "case": i,
-                        "intermediate_unitary": rep.literal_intermediate_unitary,
-                        "v_obstruction": rep.literal_v_obstruction,
-                        "w_obstruction": rep.literal_w_obstruction,
-                        "cycle_types": rep.cycle_types,
-                    }
-                )
-        literal_summary = {
-            "failing_pairs": len(literal_failures),
-            "first_obstruction": literal_failures[0]["v_obstruction"]
-            if literal_failures
-            else None,
-        }
-        line = {}
-        for k in (2, 3):
-            perm = tuple(reversed(range(k)))
-            line[k] = line_matching_independence(
-                k, Window(radius=8, margin=4), {0: perm, 3: perm}
+    rng = random.Random(seed)
+    content_failures = []
+    literal_failures = []
+    tested = 0
+    # the fixed wedge of two 2-gons, with the crossing matching
+    g8, gamma8 = corpus.figure_eight()
+    ex8 = expand_graph(g8, gamma8)
+    cases = [
+        (gamma8, canonical_matching(ex8), permuted_matching(ex8, {"z": (1, 0)}))
+    ]
+    while len(cases) < pairs:
+        g = corpus.random_graph(rng, max_vertices=12, max_edges=24)
+        gamma = corpus.random_multiplicity_cycle(rng, g)
+        if gamma is None:
+            continue
+        alpha, beta = corpus.random_matching_pair(rng, gamma)
+        cases.append((gamma, alpha, beta))
+    for i, (gamma, alpha, beta) in enumerate(cases):
+        rep = verify_matching_independence(gamma, alpha, beta)
+        tested += 1
+        if not rep.content_ok:
+            content_failures.append({"case": i})
+        if not rep.literal_route_ok:
+            literal_failures.append(
+                {
+                    "case": i,
+                    "intermediate_unitary": rep.literal_intermediate_unitary,
+                    "v_obstruction": rep.literal_v_obstruction,
+                    "w_obstruction": rep.literal_w_obstruction,
+                    "cycle_types": rep.cycle_types,
+                }
             )
-        line_ok = all(
-            v["correction_identity"] and v["indexes_equal"] for v in line.values()
+    literal_summary = {
+        "failing_pairs": len(literal_failures),
+        "first_obstruction": literal_failures[0]["v_obstruction"]
+        if literal_failures
+        else None,
+    }
+    line = {}
+    for k in (2, 3):
+        perm = tuple(reversed(range(k)))
+        line[k] = line_matching_independence(
+            k, Window(radius=8, margin=4), {0: perm, 3: perm}
         )
-        return {
-            "pairs": tested,
-            "content_failures": content_failures,
-            "content_ok": not content_failures and line_ok,
-            "literal_failures": literal_failures,
-            "literal_summary": literal_summary,
-            "literal_ok": not literal_failures,
-            "line_variants": line,
-            "line_ok": line_ok,
-        }
+    line_ok = all(
+        v["correction_identity"] and v["indexes_equal"] for v in line.values()
+    )
+    return {
+        "pairs": tested,
+        "content_failures": content_failures,
+        "content_ok": not content_failures and line_ok,
+        "literal_failures": literal_failures,
+        "literal_summary": literal_summary,
+        "literal_ok": not literal_failures,
+        "line_variants": line,
+        "line_ok": line_ok,
+    }
 
-    return _timed(run)
 
-
+@_timed
 def check_compression(
     seed: int = DEFAULT_SEED, count: int = 40, line_radius: int = 16
 ) -> dict:
-    def run():
-        rng = random.Random(seed)
-        failures = []
-        for i in range(count):
-            g = corpus.random_graph(rng, max_vertices=14, max_edges=28)
-            gamma = corpus.random_cycle(rng, g)
-            cu = cycle_unitary(gamma)
-            if not cu.expanded.edges:
-                continue
-            res = compress_to_uniform(cu)
-            if not (res.round_trip_ok and res.confinement_ok):
-                failures.append({"case": i, "round_trip": res.round_trip_ok})
-        window = Window(radius=line_radius, margin=6)
-        line = {}
-        for k in (1, 2, -2):
-            cu = line_cycle_unitary(k, window)
-            res = compress_to_uniform(cu)
-            idx_u = index_pairing(cu.u, window)
-            idx_t = index_pairing(res.u_tilde, window)
-            line[k] = {
-                "confinement": res.confinement_ok,
-                "round_trip": res.round_trip_ok,
-                "n": res.n,
-                "index_original": idx_u,
-                "index_compressed": idx_t,
-                "index_equal": idx_u == idx_t,
-            }
-        line_ok = all(
-            v["confinement"] and v["round_trip"] and v["index_equal"]
-            for v in line.values()
-        )
-        return {
-            "count": count,
-            "failures": failures,
-            "finite_ok": not failures,
-            "line": line,
-            "line_ok": line_ok,
-            "ok": not failures and line_ok,
+    rng = random.Random(seed)
+    failures = []
+    for i in range(count):
+        g = corpus.random_graph(rng, max_vertices=14, max_edges=28)
+        gamma = corpus.random_cycle(rng, g)
+        cu = cycle_unitary(gamma)
+        if not cu.expanded.edges:
+            continue
+        res = compress_to_uniform(cu)
+        if not (res.round_trip_ok and res.confinement_ok):
+            failures.append({"case": i, "round_trip": res.round_trip_ok})
+    window = Window(radius=line_radius, margin=6)
+    line = {}
+    for k in (1, 2, -2):
+        cu = line_cycle_unitary(k, window)
+        res = compress_to_uniform(cu)
+        idx_u = index_pairing(cu.u, window)
+        idx_t = index_pairing(res.u_tilde, window)
+        line[k] = {
+            "confinement": res.confinement_ok,
+            "round_trip": res.round_trip_ok,
+            "n": res.n,
+            "index_original": idx_u,
+            "index_compressed": idx_t,
+            "index_equal": idx_u == idx_t,
         }
-
-    return _timed(run)
+    line_ok = all(
+        v["confinement"] and v["round_trip"] and v["index_equal"]
+        for v in line.values()
+    )
+    return {
+        "count": count,
+        "failures": failures,
+        "finite_ok": not failures,
+        "line": line,
+        "line_ok": line_ok,
+        "ok": not failures and line_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
 # the line and the edgeless line
 
 
+@_timed
 def check_line_isomorphism() -> dict:
-    def run():
-        shift_window = Window(radius=8, margin=4)
-        shift_index = index_pairing(bilateral_shift(shift_window), shift_window)
-        values = {}
-        agree = True
-        for k in range(-3, 4):
-            a = constant_cycle_index(k, Window(radius=16, margin=4))
-            b = constant_cycle_index(k, Window(radius=32, margin=4))
-            values[k] = a
-            if a != b:
-                agree = False
-        sign = shift_index  # index of the one-track forward shift
-        linear = all(values[k] == sign * k for k in values)
-        injective = len({values[k] for k in values}) == len(values)
-        additive = all(
-            values[k1] + values[k2] == values[k1 + k2]
-            for k1 in (-1, 1, 2)
-            for k2 in (-1, 1)
-            if -3 <= k1 + k2 <= 3
-        )
-        return {
-            "shift_index": shift_index,
-            "sign": sign,
-            "values": values,
-            "windows_agree": agree,
-            "linear": linear,
-            "injective": injective,
-            "additive": additive,
-            "ok": shift_index == -1 and linear and agree and injective and additive,
-        }
-
-    return _timed(run)
+    shift_window = Window(radius=8, margin=4)
+    shift_index = index_pairing(bilateral_shift(shift_window), shift_window)
+    values = {}
+    agree = True
+    for k in range(-3, 4):
+        a = constant_cycle_index(k, Window(radius=16, margin=4))
+        b = constant_cycle_index(k, Window(radius=32, margin=4))
+        values[k] = a
+        if a != b:
+            agree = False
+    sign = shift_index  # index of the one-track forward shift
+    linear = all(values[k] == sign * k for k in values)
+    injective = len({values[k] for k in values}) == len(values)
+    additive = all(
+        values[k1] + values[k2] == values[k1 + k2]
+        for k1 in (-1, 1, 2)
+        for k2 in (-1, 1)
+        if -3 <= k1 + k2 <= 3
+    )
+    return {
+        "shift_index": shift_index,
+        "sign": sign,
+        "values": values,
+        "windows_agree": agree,
+        "linear": linear,
+        "injective": injective,
+        "additive": additive,
+        "ok": shift_index == -1 and linear and agree and injective and additive,
+    }
 
 
+@_timed
 def check_line_h0_quotient(seed: int = DEFAULT_SEED, count: int = 50) -> dict:
-    def run():
-        rng = random.Random(seed)
-        failures = []
-        for i in range(count):
-            support = {
-                rng.randint(-10, 10): rng.choice([-3, -2, -1, 1, 2, 3])
-                for _ in range(rng.randint(1, 6))
-            }
-            c = BandedZChain.from_finite_values(0, support)
-            sol = solve_boundary_on_z(c)
-            if not (sol.bounded and sol.gamma is not None and boundary(sol.gamma) == c):
-                failures.append({"case": i, "kind": "no bounded witness"})
-            if uf_class_on_z(c) != (0, 0):
-                failures.append({"case": i, "kind": "finite support class nonzero"})
-        constant_one = BandedZChain(0, 1, 1)
-        sol_one = solve_boundary_on_z(constant_one)
-        step = BandedZChain(0, 0, 1)
-        sol_step = solve_boundary_on_z(step)
-        classes = {
-            uf_class_on_z(BandedZChain(0, 0, 0)),
-            uf_class_on_z(constant_one),
-            uf_class_on_z(step),
+    rng = random.Random(seed)
+    failures = []
+    for i in range(count):
+        support = {
+            rng.randint(-10, 10): rng.choice([-3, -2, -1, 1, 2, 3])
+            for _ in range(rng.randint(1, 6))
         }
-        return {
-            "count": count,
-            "failures": failures,
-            "constant_one_unbounded": not sol_one.bounded,
-            "constant_one_slopes": (sol_one.slope_left, sol_one.slope_right),
-            "step_unbounded": not sol_step.bounded,
-            "step_slopes": (sol_step.slope_left, sol_step.slope_right),
-            "classes_separated": len(classes) == 3,
-            "ok": not failures
-            and not sol_one.bounded
-            and not sol_step.bounded
-            and len(classes) == 3,
-        }
+        c = BandedZChain.from_finite_values(0, support)
+        sol = solve_boundary_on_z(c)
+        if not (sol.bounded and sol.gamma is not None and boundary(sol.gamma) == c):
+            failures.append({"case": i, "kind": "no bounded witness"})
+        if uf_class_on_z(c) != (0, 0):
+            failures.append({"case": i, "kind": "finite support class nonzero"})
+    constant_one = BandedZChain(0, 1, 1)
+    sol_one = solve_boundary_on_z(constant_one)
+    step = BandedZChain(0, 0, 1)
+    sol_step = solve_boundary_on_z(step)
+    classes = {
+        uf_class_on_z(BandedZChain(0, 0, 0)),
+        uf_class_on_z(constant_one),
+        uf_class_on_z(step),
+    }
+    return {
+        "count": count,
+        "failures": failures,
+        "constant_one_unbounded": not sol_one.bounded,
+        "constant_one_slopes": (sol_one.slope_left, sol_one.slope_right),
+        "step_unbounded": not sol_step.bounded,
+        "step_slopes": (sol_step.slope_left, sol_step.slope_right),
+        "classes_separated": len(classes) == 3,
+        "ok": not failures
+        and not sol_one.bounded
+        and not sol_step.bounded
+        and len(classes) == 3,
+    }
 
-    return _timed(run)
 
-
+@_timed
 def check_line_homology() -> dict:
-    def run():
-        constant2 = BandedZChain(1, 2, 2)
-        broken = BandedZChain(1, 2, 2, 0, (5,))
-        value = banded_cycle_value(constant2)
-        corner_window = Window(radius=8, margin=0)
-        chain = BandedZChain(0, 2, -1, 0, (3,))
-        pair = build_projection_pair(chain, corner_window)
-        corner = uniform_corner_holds(chain, pair)
-        return {
-            "constant_is_cycle": is_cycle(constant2),
-            "constant_class": value,
-            "nonconstant_is_cycle": is_cycle(broken),
-            "uniform_corner": corner,
-            "slot_ceiling": slot_ceiling(pair),
-            "strict_bound": uniform_bound(chain),
-            "ok": is_cycle(constant2)
-            and value == 2
-            and not is_cycle(broken)
-            and corner,
-        }
-
-    return _timed(run)
+    constant2 = BandedZChain(1, 2, 2)
+    broken = BandedZChain(1, 2, 2, 0, (5,))
+    value = banded_cycle_value(constant2)
+    corner_window = Window(radius=8, margin=0)
+    chain = BandedZChain(0, 2, -1, 0, (3,))
+    pair = build_projection_pair(chain, corner_window)
+    corner = uniform_corner_holds(chain, pair)
+    return {
+        "constant_is_cycle": is_cycle(constant2),
+        "constant_class": value,
+        "nonconstant_is_cycle": is_cycle(broken),
+        "uniform_corner": corner,
+        "slot_ceiling": slot_ceiling(pair),
+        "strict_bound": uniform_bound(chain),
+        "ok": is_cycle(constant2)
+        and value == 2
+        and not is_cycle(broken)
+        and corner,
+    }
 
 
+@_timed
 def check_edgeless_line() -> dict:
-    def run():
-        g = BandedZGraph(edges_per_cell=0)
-        window_graph = g.window(-6, 6)
-        no_edges = len(window_graph.edges) == 0
-        hom = homology_finite(window_graph)
-        # only the zero chain bounds; distinct banded chains stay distinct
-        c = BandedZChain(0, 0, 0, 0, (1, 2))
-        shifted = c.shifted(1)
-        distinct = c != shifted
-        # the degree-0 map identifies a chain with its translate: conjugating
-        # the projection pair by the shift matches the translated pair on the
-        # interior of any window
-        window = Window(radius=6, margin=2)
-        f = build_projection_pair(c, window).f
-        t_f = build_projection_pair(c.shifted(-1), window).f
-        shift = bilateral_shift(window, f.domain.slots)
-        conj = shift.compose(f).compose(shift.adjoint())
-        interior_ok = all(
-            conj.entry(b, b) == t_f.entry(b, b)
-            for b in f.domain
-            if window.lo < b.vertex <= window.hi
-        )
-        return {
-            "no_edges": no_edges,
-            "h1_rank": hom.h1_rank,
-            "h0": str(hom.h0),
-            "only_zero_bounds": no_edges,
-            "translate_distinct_in_homology": distinct,
-            "shift_conjugation_matches": interior_ok,
-            "ok": no_edges and hom.h1_rank == 0 and distinct and interior_ok,
-        }
-
-    return _timed(run)
+    g = BandedZGraph(edges_per_cell=0)
+    window_graph = g.window(-6, 6)
+    no_edges = len(window_graph.edges) == 0
+    hom = homology_finite(window_graph)
+    # only the zero chain bounds; distinct banded chains stay distinct
+    c = BandedZChain(0, 0, 0, 0, (1, 2))
+    shifted = c.shifted(1)
+    distinct = c != shifted
+    # the degree-0 map identifies a chain with its translate: conjugating
+    # the projection pair by the shift matches the translated pair on the
+    # interior of any window
+    window = Window(radius=6, margin=2)
+    f = build_projection_pair(c, window).f
+    t_f = build_projection_pair(c.shifted(-1), window).f
+    shift = bilateral_shift(window, f.domain.slots)
+    conj = shift.compose(f).compose(shift.adjoint())
+    interior_ok = all(
+        conj.entry(b, b) == t_f.entry(b, b)
+        for b in f.domain
+        if window.lo < b.vertex <= window.hi
+    )
+    return {
+        "no_edges": no_edges,
+        "h1_rank": hom.h1_rank,
+        "h0": str(hom.h0),
+        "only_zero_bounds": no_edges,
+        "translate_distinct_in_homology": distinct,
+        "shift_conjugation_matches": interior_ok,
+        "ok": no_edges and hom.h1_rank == 0 and distinct and interior_ok,
+    }
 
 
+@_timed
 def check_homology_engine(seed: int = DEFAULT_SEED) -> dict:
-    def run():
-        failures = []
-        examined = 0
-        for n in range(1, 6):
-            for g in corpus.all_connected_graphs(n):
+    failures = []
+    examined = 0
+    for n in range(1, 6):
+        for g in corpus.all_connected_graphs(n):
+            examined += 1
+            if not _homology_agrees(g):
+                failures.append({"n": n, "edges": [e.id for e in g.edges]})
+    rng = random.Random(seed)
+    for n in range(2, 13):
+        for extra in range(0, 9):
+            for _ in range(2):
+                g = corpus.tree_plus_edges(rng, n, extra)
                 examined += 1
-                if not _homology_agrees(g):
-                    failures.append({"n": n, "edges": [e.id for e in g.edges]})
-        rng = random.Random(seed)
-        for n in range(2, 13):
-            for extra in range(0, 9):
-                for _ in range(2):
-                    g = corpus.tree_plus_edges(rng, n, extra)
-                    examined += 1
-                    if not _homology_agrees(g, expected_rank=extra):
-                        failures.append({"n": n, "extra": extra})
-        return {"examined": examined, "failures": failures, "ok": not failures}
-
-    return _timed(run)
+                if not _homology_agrees(g, expected_rank=extra):
+                    failures.append({"n": n, "extra": extra})
+    return {"examined": examined, "failures": failures, "ok": not failures}
 
 
 def _homology_agrees(g, expected_rank=None) -> bool:

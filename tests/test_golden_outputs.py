@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from coarsek import operators
 from coarsek.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -172,6 +173,15 @@ def stored():
 
 @pytest.mark.parametrize("name", sorted(MAP_CASES))
 def test_map_report_and_dumps_match_golden(stored, name):
+    assert _map_digest(name) == stored[name]
+
+
+def test_matching_report_needs_no_rank_by_elimination(stored, monkeypatch):
+    def refuse(mat):
+        raise AssertionError("rank by elimination")
+
+    monkeypatch.setattr(operators, "matrix_rank", refuse)
+    name = "k1-figure-eight-matching"
     assert _map_digest(name) == stored[name]
 
 

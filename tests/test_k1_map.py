@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coarsek import operators, scenarios
 from coarsek.chains import Chain1
 from coarsek.corpus import (
     figure_eight,
@@ -132,6 +133,41 @@ def test_unitary_and_block_ranks_on_random_cycles():
 
 # ---------------------------------------------------------------------------
 # matching independence
+
+
+def test_correction_ranks_equal_elimination_on_the_scenario_pairs(monkeypatch):
+    reports = []
+
+    def recording(gamma, alpha, beta):
+        reports.append(verify_matching_independence(gamma, alpha, beta))
+        return reports[-1]
+
+    monkeypatch.setattr(scenarios, "verify_matching_independence", recording)
+    scenarios.check_matching_independence(scenarios.DEFAULT_SEED)
+    assert len(reports) == 50
+    for rep in reports:
+        defect = rep.correction.defect()
+        touched = {r.vertex for (r, _) in defect.delta}
+        assert rep.correction_block_ranks == {
+            x: block_rank(defect, x, x) for x in touched
+        }
+
+
+def test_correction_ranks_of_a_large_rerouting_need_no_elimination(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("rank by elimination")
+
+    monkeypatch.setattr(operators, "matrix_rank", refuse)
+    g = OrientedGraph([0, 1], [Edge("a", 0, 1), Edge("b", 1, 0)])
+    gamma = Chain1(g, {"a": 300, "b": 300})
+    ex = expand_graph(g, gamma)
+    reversal = tuple(reversed(range(300)))
+    rep = verify_matching_independence(
+        gamma, canonical_matching(ex), permuted_matching(ex, {0: reversal})
+    )
+    assert rep.content_ok
+    # reversing 300 slots makes 150 transpositions, each of rank 1
+    assert rep.correction_block_ranks == {0: 150}
 
 
 def test_identical_matchings_make_the_literal_route_trivial():
