@@ -486,18 +486,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("COARSEK_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # only int attributes are levels: COARSEK_LOG=basic_format names a string
+    level = getattr(logging, os.environ.get("COARSEK_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
     except (InputError, GraphError, ChainError, MarginError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OperatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # as the signal module docs advise for SIGPIPE: point stdout at
+        # devnull so the flush at exit cannot fail again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

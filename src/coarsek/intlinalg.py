@@ -2,7 +2,13 @@
 
 Matrices are lists of rows of Python ints, so there is no overflow and no
 floating point anywhere.  Sizes here are graph-sized (a few hundred rows at
-most), so naive pivoting is perfectly adequate.
+most).  Smith normal form pivots naively.  The incidence matrix of a graph is
+totally unimodular, so its pivots are units, and the loop skips the work a
+unit makes pointless: the pivot search stops at the first unit (the first
+strict minimum it would keep anyway), the divisor-chain scan is skipped (a
+unit divides everything), and a column operation touches only the rows where
+its source column is nonzero.  Only no-op work is skipped, so (U, D, V) is
+exactly what the plain loop returns.
 """
 
 from __future__ import annotations
@@ -54,21 +60,25 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_sub(i, j, q):
-        # col_i -= q * col_j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
+    def col_sub(i, j, q, rows):
+        # col_i -= q * col_j, on rows of d and v holding every nonzero of col_j
+        for row in rows:
             row[i] -= q * row[j]
 
     t = 0
     while t < min(m, n):
-        # global pivot search: smallest nonzero magnitude in the tail block
-        piv = None
+        # global pivot search: first smallest nonzero magnitude in the tail
+        # block, row-major; nothing beats a unit, so stop at the first one
+        piv, best = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
+                if row[j] and (piv is None or abs(row[j]) < best):
+                    piv, best = (i, j), abs(row[j])
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -86,19 +96,21 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                         # remainder is strictly smaller: promote it to pivot
                         swap_rows(i, t)
                         dirty = True
+            rows = [row for row in d + v if row[t]]
             for j in range(t + 1, n):
                 if d[t][j]:
                     q = d[t][j] // d[t][t]
-                    col_sub(j, t, q)
+                    col_sub(j, t, q, rows)
                     if d[t][j]:
                         swap_cols(j, t)
+                        rows = [row for row in d + v if row[t]]
                         dirty = True
+            # a sweep without a swap has cleared column t below the pivot and
+            # row t to its right; a unit pivot divides every remaining entry
             if dirty:
                 continue
-            if any(d[i][t] for i in range(t + 1, m)):
-                continue
-            if any(d[t][j] for j in range(t + 1, n)):
-                continue
+            if abs(d[t][t]) == 1:
+                break
             # pivot must divide every remaining entry for the divisor chain
             culprit = None
             for i in range(t + 1, m):

@@ -414,16 +414,51 @@ def test_ids_colliding_as_json_keys_are_input_errors(
     assert captured.out == ""
 
 
-def test_python_m_coarsek_runs_the_cli(triangle_file):
+def module_env(**extra):
+    """The environment for ``python -m coarsek`` run from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+
+
+def test_python_m_coarsek_runs_the_cli(triangle_file):
     done = subprocess.run(
         [sys.executable, "-m", "coarsek", "homology", "--graph", triangle_file],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=module_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert "H1 rank = 1" in done.stdout
+
+
+@pytest.mark.parametrize("value", ["basic_format", "_styles"])
+def test_log_variable_that_is_not_a_level_falls_back_to_warning(triangle_file, value):
+    # logging.BASIC_FORMAT is a string and logging._STYLES a dict
+    done = subprocess.run(
+        [sys.executable, "-m", "coarsek", "homology", "--graph", triangle_file],
+        capture_output=True, text=True, env=module_env(COARSEK_LOG=value), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "H1 rank = 1" in done.stdout
+    assert done.stderr == ""
+
+
+def test_reader_closing_early_ends_without_traceback(tmp_path):
+    # a circulant graph, V = 300 and E = 900: its ``homology --json`` report
+    # is about 350 kB, so the writer blocks on a full pipe until the reader
+    # closes it, as in ``coarsek homology --json | head -c 10``
+    n = 300
+    edges = [{"id": f"e{k}_{i}", "source": i, "target": (i + s) % n}
+             for k, s in enumerate((1, 7, 31)) for i in range(n)]
+    graph = write(tmp_path, "g.json", {"kind": "finite", "vertices": list(range(n)), "edges": edges})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coarsek", "homology", "--graph", graph, "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    assert proc.stdout.read(10).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("command", ["homology", "k0-map", "k1-map"])

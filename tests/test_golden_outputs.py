@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -47,12 +48,35 @@ FIGURE_EIGHT = {
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
 EDGELESS_LINE = {"kind": "banded_z", "edges_per_cell": 0}
 
+
+def _connected_random_graph(seed: str, n_vertices: int, n_edges: int) -> dict:
+    """A random spanning tree plus distinct extra edges, shuffled, each
+    oriented at random: many cycles, so Smith normal form takes many unit
+    pivots."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(i), i) for i in range(1, n_vertices)]
+    seen = set(pairs)
+    while len(pairs) < n_edges:
+        pair = tuple(sorted(rng.sample(range(n_vertices), 2)))
+        if pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+    rng.shuffle(pairs)
+    edges = []
+    for i, (u, v) in enumerate(pairs):
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append({"id": f"e{i}", "source": u, "target": v})
+    return {"kind": "finite", "vertices": list(range(n_vertices)), "edges": edges}
+
+
 # name -> graph payload for ``homology --json``
 HOMOLOGY_CASES = {
     "homology-triangle": TRIANGLE,
     "homology-figure-eight": FIGURE_EIGHT,
     "homology-line": LINE,
     "homology-edgeless-line": EDGELESS_LINE,
+    "homology-random-160": _connected_random_graph("golden/homology-160", 160, 320),
 }
 
 # name -> (subcommand, {file option: payload}, extra arguments)
