@@ -67,7 +67,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 
-#: Largest work estimate that k0-map and k1-map accept (see _require_work).
+#: Largest work estimate that k0-map and k1-map accept (see _admit).
 #: A unit is one window vertex, ordinal slot or expanded edge copy.  Measured
 #: on a 2-vCPU Xeon, Python 3.11: requests near the limit take 13-26 s and
 #: 0.3-0.4 GB (k1-map on the line, k = 2000, radius 16, is 96k units, 18 s,
@@ -106,18 +106,20 @@ def _load_chain(path: str, graph=None):
         raise InputError(f"{path}: bad chain file: {exc}")
 
 
-def _require_work(estimate: int) -> None:
-    """Reject a request whose work estimate exceeds MAX_WORK, before
-    anything is built.  The estimate counts what grows with the numbers in
-    the input rather than with its length: the vertices plus the slots over
-    them.  See _finite_work; on the line it is the window's vertices plus
-    |k| copies per cell for k1-map and uniform_bound - 1 ordinals per vertex
-    for k0-map."""
+def _admit(estimate: int, dump) -> None:
+    """Admit a request before anything is built: reject it if its work
+    estimate exceeds MAX_WORK, then make its dump directory.  The estimate
+    counts what grows with the numbers in the input rather than with its
+    length: the vertices plus the slots over them.  See _finite_work; on the
+    line it is the window's vertices plus |k| copies per cell for k1-map and
+    uniform_bound - 1 ordinals per vertex for k0-map."""
     if estimate > MAX_WORK:
         raise InputError(
             f"request too large: estimated work {estimate} exceeds the limit "
             f"{MAX_WORK} (MAX_WORK in coarsek.cli)"
         )
+    if dump:
+        _dump_operators(dump, {})  # makes the directory or fails
 
 
 def _finite_work(g: OrientedGraph, chain, spread: bool) -> int:
@@ -135,18 +137,22 @@ def _window_vertices(args) -> int:
 
 
 def _dump_operators(directory: str, named_ops: dict) -> None:
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, op in named_ops.items():
-        with open(out / f"{name}.txt", "w", encoding="utf-8", newline="\n") as fh:
-            dump_lines(op, fh)
-        with open(out / f"{name}.json", "w", encoding="utf-8", newline="\n") as fh:
-            operator_to_json(op, fh)
-    log.info("dumped %d operators to %s", len(named_ops), directory)
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        for name, op in named_ops.items():
+            for suffix, writer in ((".txt", dump_lines), (".json", operator_to_json)):
+                path = Path(directory, name + suffix)
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    writer(op, fh)
+    except OSError as exc:
+        raise InputError(f"cannot write dumps to {directory}: {exc}")
 
 
-def _emit(report: Report, as_json: bool) -> int:
-    if as_json:
+def _emit(report: Report, args, dumps: dict) -> int:
+    if args.dump:
+        _dump_operators(args.dump, dumps)
+        log.info("dumped %d operators to %s", len(dumps), args.dump)
+    if args.json:
         print(json.dumps(report.to_json(), indent=1, sort_keys=True))
     else:
         print("\n".join(report.render()))
@@ -212,7 +218,7 @@ def cmd_k0(args) -> int:
     if isinstance(g, OrientedGraph):
         if not isinstance(chain, Chain0):
             raise InputError("the degree-0 map needs a degree-0 chain")
-        _require_work(_finite_work(g, chain, spread=True))
+        _admit(_finite_work(g, chain, spread=True), args.dump)
         pair = build_projection_pair(chain)
         f, gg = pair.f, pair.g
         report.checks.append(
@@ -253,12 +259,10 @@ def cmd_k0(args) -> int:
                 )
             )
             dumps["witness_v"] = w.v
-        dumps["f"] = f
-        dumps["g"] = gg
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 0:
             raise InputError("banded graphs need a banded degree-0 chain")
-        _require_work(_window_vertices(args) * uniform_bound(chain))
+        _admit(_window_vertices(args) * uniform_bound(chain), args.dump)
         window = Window(radius=args.window, margin=args.margin)
         pair = build_projection_pair(chain, window)
         report.checks.append(
@@ -289,11 +293,8 @@ def cmd_k0(args) -> int:
             report.checks.append(
                 CheckResult("boundary solution on the line", ok, details, verbose=True)
             )
-        dumps["f"] = pair.f
-        dumps["g"] = pair.g
-    if args.dump:
-        _dump_operators(args.dump, dumps)
-    return _emit(report, args.json)
+    dumps.update(f=pair.f, g=pair.g)
+    return _emit(report, args, dumps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def cmd_k1(args) -> int:
     if isinstance(g, OrientedGraph):
         if not isinstance(chain, Chain1):
             raise InputError("the degree-1 map needs a degree-1 chain")
-        _require_work(_finite_work(g, chain, spread=bool(args.dump)))
+        _admit(_finite_work(g, chain, spread=bool(args.dump)), args.dump)
         try:
             cu = cycle_unitary(chain)
         except NonCycleError as exc:
@@ -376,7 +377,6 @@ def cmd_k1(args) -> int:
                     advisory=not args.strict_matching,
                 )
             )
-        dumps["u"] = cu.u
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 1:
             raise InputError("banded graphs need a banded degree-1 chain")
@@ -389,7 +389,7 @@ def cmd_k1(args) -> int:
                 f"{_named_noncycle_vertex(chain)}"
             )
         n = _window_vertices(args)
-        _require_work(n + abs(k) * (n - 1))
+        _admit(n + abs(k) * (n - 1), args.dump)
         window = Window(radius=args.window, margin=args.margin)
         cu = line_cycle_unitary(k, window)
         idx = index_pairing(cu.u, window)
@@ -405,10 +405,8 @@ def cmd_k1(args) -> int:
                 verbose=True,
             )
         )
-        dumps["u"] = cu.u
-    if args.dump:
-        _dump_operators(args.dump, dumps)
-    return _emit(report, args.json)
+    dumps["u"] = cu.u
+    return _emit(report, args, dumps)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +489,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "dump", None) == "":
+        parser.error("argument --dump: expected a directory, got an empty path")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader that closed early fails here, not at exit

@@ -25,7 +25,6 @@ import json
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
 from .graphs import idkey
@@ -486,14 +485,16 @@ def bilateral_shift(
 #
 # Both dumps list the nonzero entries row by row in block_key order: rows by
 # (vertex idkey, slot_key) of the row, the entries of a row by the same key
-# of their column.  The writers walk the basis once in that order, merge the
-# scalar diagonal into each row's few defect entries and write in chunks, so
-# the matrix is never materialised; each vertex and slot is formatted once
-# per operator.  The JSON dump is byte for byte what
-# json.dumps(..., indent=1, sort_keys=True) writes for the same object.
+# of their column.  The writers walk the basis one vertex at a time and
+# write each vertex's rows in slices of at most _CHUNK: a slice starts as the
+# scalar diagonal, built from slot texts formatted once per operator (one
+# list for all vertices of a product basis), and the few rows the defect
+# touches are rewritten in place.  The matrix is never materialised.  The
+# JSON dump is byte for byte what json.dumps(..., indent=1, sort_keys=True)
+# writes for the same object.
 
 
-_CHUNK = 4096  # strings joined per write
+_CHUNK = 4096  # rows joined per write
 
 
 def _label_json(x):
@@ -536,46 +537,73 @@ def _json_at(value, depth: int) -> str:
     return text.replace("\n", "\n" + " " * depth)
 
 
-def _sorted_basis(domain: Basis) -> Iterable[tuple]:
-    """The basis vectors as (vertex, slot) pairs in block_key order."""
+def _vertex_slots(domain: Basis, slot: Callable) -> Iterable[tuple]:
+    """(vertex, texts, places) for every vertex of domain in idkey order:
+    the texts of its slots in slot_key order and the place of each slot in
+    that list.  All vertices of a product basis share one table."""
+
+    def table(slots):
+        slots = sorted(slots, key=slot_key)
+        return [slot(s) for s in slots], {s: i for i, s in enumerate(slots)}
+
     if isinstance(domain, ProductBasis):
-        slots = sorted(domain.slots, key=slot_key)
-        return ((x, s) for x in sorted(domain.vertices, key=idkey) for s in slots)
-    return sorted(domain, key=block_key)
+        shared = table(domain.slots)
+        return ((x, *shared) for x in sorted(domain.vertices, key=idkey))
+    by_vertex: dict = {}
+    for x, s in domain:
+        by_vertex.setdefault(x, []).append(s)
+    return ((x, *table(by_vertex[x])) for x in sorted(by_vertex, key=idkey))
 
 
-def _rows(a: SparseBlockOperator) -> Iterable[tuple]:
-    """(vertex, slot, cells) for every row of a holding a nonzero entry, in
-    block_key order; cells are the row's nonzero (column, value) pairs in
-    block_key order of the column."""
-    by_row: dict[BlockIndex, list[tuple[BlockIndex, int]]] = {}
-    for (r, c), v in a.delta.items():
-        by_row.setdefault(r, []).append((c, v))
+def _basis_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
+    """The basis of a in block_key order, each vector as lead, vertex, sep,
+    slot, end; one string per slice of at most _CHUNK slots of a vertex."""
+    for x, texts, _ in _vertex_slots(a.domain, slot):
+        head = f"{lead}{vertex(x)}{sep}"
+        for i in range(0, len(texts), _CHUNK):
+            yield "".join([f"{head}{t}{end}" for t in texts[i : i + _CHUNK]])
+
+
+def _row_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
+    """The nonzero entries of a in block_key order, each as lead, row vertex,
+    row slot, column vertex, column slot and value joined by sep, then end;
+    one string per slice of at most _CHUNK rows of a vertex.  A slice starts
+    as the scalar diagonal, then the rows the defect touches are rebuilt."""
+    touched: dict = {}
+    for ((x, rs), c), v in a.delta.items():
+        touched.setdefault(x, {}).setdefault(rs, []).append((c, v))
     s = a.scalar
-    for b in _sorted_basis(a.domain):
-        cells = by_row.get(b)
-        if cells is None:
-            if s:
-                yield b[0], b[1], ((b, s),)
-            continue
-        if s:
-            merged = dict(cells)
-            merged[b] = merged.get(b, 0) + s
-            cells = [(c, v) for c, v in merged.items() if v]
-        if len(cells) > 1:
-            cells.sort(key=lambda cell: block_key(cell[0]))
-        if cells:
-            yield b[0], b[1], cells
+    for x, texts, places in _vertex_slots(a.domain, slot):
+        head, mid = f"{lead}{vertex(x)}{sep}", f"{sep}{vertex(x)}{sep}"
+        patches: dict[int, list] = {}
+        for rs, cells in touched.pop(x, {}).items():
+            i, j = divmod(places[rs], _CHUNK)
+            patches.setdefault(i, []).append((j, rs, cells))
+        for i in range(0, len(texts), _CHUNK):
+            part = texts[i : i + _CHUNK]
+            rows = [f"{head}{t}{mid}{t}{sep}{s}{end}" for t in part] if s else [""] * len(part)
+            for j, rs, cells in patches.get(i // _CHUNK, ()):
+                if s:
+                    merged = dict(cells)
+                    merged[(x, rs)] = merged.get((x, rs), 0) + s
+                    cells = [(c, v) for c, v in merged.items() if v]
+                if len(cells) > 1:
+                    cells.sort(key=lambda cell: block_key(cell[0]))
+                row = f"{head}{part[j]}{sep}"
+                rows[j] = "".join(
+                    [f"{row}{vertex(y)}{sep}{slot(t)}{sep}{v}{end}" for (y, t), v in cells]
+                )
+            yield "".join(rows)
 
 
-def _write_all(out: TextIO, pieces: Iterable[str]) -> bool:
-    """Write pieces to out a chunk at a time; False when there was none."""
-    pieces = iter(pieces)
-    wrote = False
-    while chunk := list(islice(pieces, _CHUNK)):
-        out.write("".join(chunk))
-        wrote = True
-    return wrote
+def _write_list(out: TextIO, chunks, opening: str, closing: str, empty: str) -> None:
+    """Write the nonempty chunks and then closing to out, or only empty if
+    none; opening replaces the start of the first: a JSON list's comma."""
+    first = True
+    for chunk in filter(None, chunks):
+        out.write(opening + chunk[len(opening) :] if first else chunk)
+        first = False
+    out.write(empty if first else closing)
 
 
 def dump_lines(a: SparseBlockOperator, out: TextIO) -> None:
@@ -583,26 +611,8 @@ def dump_lines(a: SparseBlockOperator, out: TextIO) -> None:
     row slot, column vertex, column slot, value) per nonzero entry, in
     block_key order, or a lone newline when there is no entry.  Bit-exact
     across platforms."""
-    vertex, slot = cache(_fmt), cache(_fmt_slot)
-
-    def lines():
-        for x, s, cells in _rows(a):
-            head = f"{vertex(x)}\t{slot(s)}\t"
-            for (cx, cs), v in cells:
-                yield f"{head}{vertex(cx)}\t{slot(cs)}\t{v}\n"
-
-    if not _write_all(out, lines()):
-        out.write("\n")
-
-
-def _json_list(bodies: Iterable[str]) -> Iterable[str]:
-    """The pieces of a list one level deep whose items are lists with the
-    given comma-joined bodies."""
-    opening = "["
-    for body in bodies:
-        yield f"{opening}\n  [\n   {body}\n  ]"
-        opening = ","
-    yield "[]" if opening == "[" else "\n ]"
+    rows = _row_chunks(a, cache(_fmt), cache(_fmt_slot), "", "\t", "\n")
+    _write_list(out, rows, "", "", "\n")
 
 
 def operator_to_json(a: SparseBlockOperator, out: TextIO) -> None:
@@ -611,22 +621,12 @@ def operator_to_json(a: SparseBlockOperator, out: TextIO) -> None:
     in block_key order, laid out as json.dumps(indent=1, sort_keys=True)."""
     vertex = cache(lambda x: _json_at(_label_json(x), 3))
     slot = cache(lambda s: _json_at(_slot_json(s), 3))
-    basis = (f"{vertex(x)},\n   {slot(s)}" for x, s in _sorted_basis(a.domain))
-    entries = (
-        f"{vertex(x)},\n   {slot(s)},\n   {vertex(cx)},\n   {slot(cs)},\n   {v}"
-        for x, s, cells in _rows(a)
-        for (cx, cs), v in cells
-    )
-    _write_all(
-        out,
-        chain(
-            ['{\n "basis": '],
-            _json_list(basis),
-            [',\n "entries": '],
-            _json_list(entries),
-            ["\n}"],
-        ),
-    )
+    item = (",\n  [\n   ", ",\n   ", "\n  ]")
+    out.write('{\n "basis": ')
+    _write_list(out, _basis_chunks(a, vertex, slot, *item), "[", "\n ]", "[]")
+    out.write(',\n "entries": ')
+    _write_list(out, _row_chunks(a, vertex, slot, *item), "[", "\n ]", "[]")
+    out.write("\n}")
 
 
 def operator_from_json(data: dict) -> SparseBlockOperator:

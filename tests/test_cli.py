@@ -253,6 +253,51 @@ def test_k1_dump_is_deterministic(line_file, tmp_path):
     assert (d1 / "u.json").read_text() == (d2 / "u.json").read_text()
 
 
+# command -> (chain, one of the files its dump writes)
+DUMP_REQUESTS = {
+    "k1-map": ({"degree": 1, "coeffs": {"e01": 1, "e12": 1, "e02": -1}}, "u.txt"),
+    "k0-map": ({"degree": 0, "coeffs": {"1": 2, "0": -2}}, "g.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DUMP_REQUESTS))
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_dump_path_blocked_by_a_file_exits_2_before_building(
+    triangle_file, tmp_path, capsys, monkeypatch, command, below
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the dump directory was made")
+
+    monkeypatch.setattr(cli, "cycle_unitary", refuse)
+    monkeypatch.setattr(cli, "build_projection_pair", refuse)
+    chain = write(tmp_path, "c.json", DUMP_REQUESTS[command][0])
+    target = Path(triangle_file) / "dump" if below else Path(triangle_file)
+    argv = [command, "--graph", triangle_file, "--chain", chain, "--dump", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write dumps to {target}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(DUMP_REQUESTS))
+def test_dump_file_blocked_by_a_directory_exits_2(triangle_file, tmp_path, capsys, command):
+    chain, name = DUMP_REQUESTS[command]
+    chain = write(tmp_path, "c.json", chain)
+    (tmp_path / "dump" / name).mkdir(parents=True)
+    argv = [command, "--graph", triangle_file, "--chain", chain, "--dump", str(tmp_path / "dump")]
+    assert main(argv) == 2
+    assert f"error: cannot write dumps to {tmp_path / 'dump'}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(DUMP_REQUESTS))
+def test_empty_dump_directory_is_an_input_error(triangle_file, tmp_path, capsys, command):
+    chain = write(tmp_path, "c.json", DUMP_REQUESTS[command][0])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", triangle_file, "--chain", chain, "--dump", ""])
+    assert exc.value.code == 2
+    assert "--dump" in capsys.readouterr().err
+
+
 def test_verify_edgeless_scenario(capsys):
     assert main(["verify", "--scenario", "z-edgeless"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -18,6 +18,7 @@ from coarsek.operators import (
     Ordinal,
     ProductBasis,
     SparseBlockOperator,
+    _CHUNK,
     block_key,
     dump_lines,
     operator_from_json,
@@ -90,6 +91,16 @@ def streamed(writer, a: SparseBlockOperator) -> str:
     return buf.getvalue()
 
 
+def assert_dumps_match_the_reference(a):
+    # compared as line lists: a failing diff of two long strings is very slow
+    for writer, reference in (
+        (dump_lines, reference_text),
+        (operator_to_json, reference_json),
+    ):
+        got = streamed(writer, a).splitlines(keepends=True)
+        assert got == reference(a).splitlines(keepends=True)
+
+
 # ---------------------------------------------------------------------------
 # operators with mixed labels
 
@@ -157,11 +168,57 @@ def test_empty_operators_dump_like_the_reference():
 def test_large_dumps_cross_chunk_boundaries():
     domain = ProductBasis(range(-70, 70), [Ordinal(i) for i in range(1, 31)])
     x, y = BlockIndex(0, Ordinal(1)), BlockIndex(1, Ordinal(2))
-    a = SparseBlockOperator.from_moves(domain, {x: y, y: x})
-    # compared as line lists: a failing diff of two long strings is very slow
-    for writer, reference in (
-        (dump_lines, reference_text),
-        (operator_to_json, reference_json),
-    ):
-        got = streamed(writer, a).splitlines(keepends=True)
-        assert got == reference(a).splitlines(keepends=True)
+    assert_dumps_match_the_reference(SparseBlockOperator.from_moves(domain, {x: y, y: x}))
+
+
+def test_a_row_cancelled_between_two_rows_of_its_vertex():
+    domain = ProductBasis([0, 1], [Ordinal(1), Ordinal(2), Ordinal(3)])
+    middle = BlockIndex(0, Ordinal(2))
+    a = SparseBlockOperator(domain, {(middle, middle): -1}, 1)
+    assert_dumps_match_the_reference(a)
+    assert "0\to:2" not in streamed(dump_lines, a)
+
+
+def test_vertices_whose_rows_all_cancel_first_middle_and_last():
+    domain = ProductBasis(range(5), [Ordinal(1), CopyEdge("e", 0)])
+    cancelled = [b for b in domain if b.vertex in (0, 2, 4)]
+    a = SparseBlockOperator(domain, {(b, b): -2 for b in cancelled}, 2)
+    assert_dumps_match_the_reference(a)
+    entries = json.loads(streamed(operator_to_json, a))["entries"]
+    assert sorted({row[0] for row in entries}) == [1, 3]
+
+
+def test_scalar_zero_without_defect_over_a_nonempty_basis():
+    domain = ProductBasis(["a", "b"], [Ordinal(0), CopyEdge(("x", 1), 2)])
+    a = SparseBlockOperator(domain)
+    assert streamed(dump_lines, a) == "\n"
+    data = json.loads(streamed(operator_to_json, a))
+    assert data["entries"] == [] and len(data["basis"]) == 4
+    assert_dumps_match_the_reference(a)
+
+
+def test_explicit_basis_with_uneven_slot_sets():
+    w, f0 = (1, "w"), CopyEdge("f", 0)
+    slots = {
+        0: [Ordinal(1), Ordinal(2), CopyEdge("e", 0)],
+        "v": [Ordinal(2)],
+        w: [CopyEdge("e", 1), f0, Ordinal(3), Ordinal(1)],
+    }
+    domain = frozenset(BlockIndex(x, s) for x, ss in slots.items() for s in ss)
+    delta = {
+        (BlockIndex(0, Ordinal(2)), BlockIndex(w, Ordinal(3))): 4,
+        (BlockIndex(w, f0), BlockIndex(w, f0)): -1,
+        (BlockIndex(w, f0), BlockIndex("v", Ordinal(2))): 2,
+        (BlockIndex("v", Ordinal(2)), BlockIndex(0, CopyEdge("e", 0))): -3,
+    }
+    for scalar in (0, 1, -2):
+        assert_dumps_match_the_reference(SparseBlockOperator(domain, delta, scalar))
+
+
+def test_one_vertex_with_more_than_a_chunk_of_rows():
+    n = _CHUNK + 50
+    domain = ProductBasis(["only", "other"], [Ordinal(i) for i in range(n)])
+    x, y = BlockIndex("only", Ordinal(3)), BlockIndex("only", Ordinal(n - 7))
+    edge = BlockIndex("only", Ordinal(_CHUNK))
+    a = SparseBlockOperator.from_moves(domain, {x: y, y: x, edge: None})
+    assert_dumps_match_the_reference(a)

@@ -45,6 +45,11 @@ FIGURE_EIGHT = {
         {"id": "g2", "source": "b", "target": "z"},
     ],
 }
+CYCLE_40 = {
+    "kind": "finite",
+    "vertices": list(range(40)),
+    "edges": [{"id": f"c{i}", "source": i, "target": (i + 1) % 40} for i in range(40)],
+}
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
 EDGELESS_LINE = {"kind": "banded_z", "edges_per_cell": 0}
 
@@ -95,6 +100,13 @@ MAP_CASES = {
         },
         [],
     ),
+    # a product basis with scalar 1: 76 of the 80 rows at each vertex hold
+    # only the diagonal 1
+    "k1-cycle-40": (
+        "k1-map",
+        {"--graph": CYCLE_40, "--chain": {"degree": 1, "coeffs": {f"c{i}": 2 for i in range(40)}}},
+        [],
+    ),
     "k1-line-k2": (
         "k1-map",
         {"--graph": LINE, "--chain": {"degree": 1, "tail_left": 2, "tail_right": 2}},
@@ -113,6 +125,15 @@ MAP_CASES = {
     "k0-nonbounding": (
         "k0-map",
         {"--graph": TRIANGLE, "--chain": {"degree": 0, "coeffs": {"0": 1, "2": 3}}},
+        [],
+    ),
+    # the witness has an explicit basis whose vertices carry different slots
+    "k0-random-20-boundary": (
+        "k0-map",
+        {
+            "--graph": _connected_random_graph("golden/k0-witness-20", 20, 40),
+            "--chain": {"degree": 0, "coeffs": {"0": 3, "7": -2, "13": 1, "19": -2}},
+        },
         [],
     ),
     "k0-line": (
