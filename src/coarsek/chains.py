@@ -9,7 +9,7 @@ values plus a finite window of exceptional values.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .graphs import Edge, Label, OrientedGraph
 from .intlinalg import diagonal_of, smith_normal_form
@@ -19,24 +19,36 @@ class ChainError(ValueError):
     pass
 
 
-def _clean(coeffs: Mapping) -> dict:
-    return {k: int(v) for k, v in coeffs.items() if int(v) != 0}
-
-
 class FiniteChain:
     """Finitely supported integer chain over a host graph: coefficients on
-    vertices (degree 0) or on edge ids (degree 1)."""
+    vertices (degree 0) or on edge ids (degree 1).
+
+    The constructor checks every coefficient: an int (never truncated) on a
+    cell of the graph.  +, -, Chain1.scaled and boundary derive their keys
+    from checked chains over the same graph and skip that, via _trusted."""
 
     degree: int
     cell: str
 
     def __init__(self, graph: OrientedGraph, coeffs: Mapping[Label, int]):
         self.graph = graph
-        self.coeffs = _clean(coeffs)
+        self.coeffs = {}
         known = graph.has_vertex if self.degree == 0 else graph.has_edge_id
-        for key in self.coeffs:
+        for key, v in coeffs.items():
+            if type(v) is not int:
+                json_int(v, f"coefficient on {self.cell} {key!r}")
+            if v == 0:
+                continue
             if not known(key):
                 raise ChainError(f"coefficient on unknown {self.cell} {key!r}")
+            self.coeffs[key] = v
+
+    @classmethod
+    def _trusted(cls, graph: OrientedGraph, items: Iterable) -> "FiniteChain":
+        """The chain of the nonzero (cell, int) items; nothing is checked."""
+        chain = cls.__new__(cls)
+        chain.graph, chain.coeffs = graph, {k: v for k, v in items if v}
+        return chain
 
     def coeff(self, key: Label) -> int:
         return self.coeffs.get(key, 0)
@@ -45,15 +57,15 @@ class FiniteChain:
         return not self.coeffs
 
     def __add__(self, other):
-        if self.graph != other.graph:
-            raise ChainError("chains live over different graphs")
+        if type(other) is not type(self) or self.graph != other.graph:
+            raise ChainError("chains live over different graphs or degrees")
         merged = dict(self.coeffs)
         for k, v in other.coeffs.items():
             merged[k] = merged.get(k, 0) + v
-        return type(self)(self.graph, merged)
+        return self._trusted(self.graph, merged.items())
 
     def __neg__(self):
-        return type(self)(self.graph, {k: -v for k, v in self.coeffs.items()})
+        return self._trusted(self.graph, ((k, -v) for k, v in self.coeffs.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -86,7 +98,8 @@ class Chain1(FiniteChain):
     cell = "edge"
 
     def scaled(self, n: int) -> "Chain1":
-        return Chain1(self.graph, {k: n * v for k, v in self.coeffs.items()})
+        json_int(n, "scale factor")
+        return Chain1._trusted(self.graph, ((k, n * v) for k, v in self.coeffs.items()))
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,7 @@ def boundary(gamma: Union[Chain1, BandedZChain]) -> Union[Chain0, BandedZChain]:
             e = gamma.graph.edge(eid)
             out[e.target] = out.get(e.target, 0) + coeff
             out[e.source] = out.get(e.source, 0) - coeff
-        return Chain0(gamma.graph, out)
+        return Chain0._trusted(gamma.graph, out.items())
     if isinstance(gamma, BandedZChain):
         if gamma.degree != 1:
             raise ChainError("boundary needs a degree-1 chain")
@@ -211,14 +224,6 @@ def boundary(gamma: Union[Chain1, BandedZChain]) -> Union[Chain0, BandedZChain]:
     raise ChainError(f"cannot take boundary of {type(gamma).__name__}")
 
 
-def in_flow(gamma: Chain1, x: Label) -> int:
-    return sum(gamma.coeff(e.id) for e in gamma.graph.in_edges(x))
-
-
-def out_flow(gamma: Chain1, x: Label) -> int:
-    return sum(gamma.coeff(e.id) for e in gamma.graph.out_edges(x))
-
-
 def is_cycle(gamma: Union[Chain1, BandedZChain]) -> bool:
     """True iff the boundary vanishes; for finite chains the in-flow/out-flow
     characterization is computed as well and cross-checked."""
@@ -227,9 +232,17 @@ def is_cycle(gamma: Union[Chain1, BandedZChain]) -> bool:
             raise ChainError("is_cycle needs a degree-1 chain")
         return gamma.is_constant()
     via_boundary = boundary(gamma).is_zero()
-    via_flows = all(
-        in_flow(gamma, x) == out_flow(gamma, x) for x in gamma.graph.vertices
-    )
+    # the flows walk the adjacency lists where boundary walks the coefficients
+    g, coeff = gamma.graph, gamma.coeffs.get
+    net = 0  # in-flow minus out-flow of a vertex, up to the first unbalanced one
+    for x in g.vertices:
+        if net:
+            break
+        for e in g.in_edges(x):
+            net += coeff(e.id, 0)
+        for e in g.out_edges(x):
+            net -= coeff(e.id, 0)
+    via_flows = not net
     if via_boundary != via_flows:
         raise AssertionError("boundary and flow characterizations disagree")
     return via_boundary

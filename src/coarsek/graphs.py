@@ -50,6 +50,9 @@ class OrientedGraph:
     an edge from a vertex to itself has zero boundary and the operator
     constructions would need an arbitrary tie-break for it, so nothing in
     this library produces or consumes one.
+
+    The constructor checks its input (distinct ids, endpoints in the graph,
+    no loop) and sorts it; _trusted does neither, for derived graphs.
     """
 
     kind = "finite"
@@ -58,7 +61,6 @@ class OrientedGraph:
         vs = list(vertices)
         if len(set(vs)) != len(vs):
             raise GraphError("duplicate vertex ids")
-        self.vertices = tuple(sorted(vs, key=idkey))
         es = list(edges)
         ids = [e.id for e in es]
         if len(set(ids)) != len(ids):
@@ -69,11 +71,22 @@ class OrientedGraph:
                 raise GraphError(f"edge {e.id!r} has endpoint outside the graph")
             if e.source == e.target:
                 raise GraphError(f"edge {e.id!r} is a loop")
-        self.edges = tuple(sorted(es, key=lambda e: idkey(e.id)))
-        self._by_id = {e.id: e for e in self.edges}
+        edges = tuple(sorted(es, key=lambda e: idkey(e.id)))
+        self._index(tuple(sorted(vs, key=idkey)), edges)
+
+    @classmethod
+    def _trusted(cls, vertices: tuple, edges: tuple) -> "OrientedGraph":
+        """The graph on valid vertices and edges, each sorted by idkey."""
+        g = cls.__new__(cls)
+        g._index(vertices, edges)
+        return g
+
+    def _index(self, vertices: tuple, edges: tuple) -> None:
+        self.vertices, self.edges = vertices, edges
+        self._by_id = {e.id: e for e in edges}
         self._out: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
         self._in: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
+        for e in edges:
             self._out[e.source].append(e)
             self._in[e.target].append(e)
 

@@ -37,8 +37,8 @@ class ExpandedGraph(OrientedGraph):
     id CopyEdge(e, c), which is also its basis slot, and copies of edges
     with negative coefficient run backwards."""
 
-    def __init__(self, vertices, edges):
-        super().__init__(vertices, edges)
+    def _index(self, vertices: tuple, edges: tuple) -> None:
+        super()._index(vertices, edges)
         self._near: dict = {}
 
     def in_count(self, x: Label) -> int:
@@ -56,16 +56,18 @@ class ExpandedGraph(OrientedGraph):
 
 def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
     """Replace each edge by |gamma_e| parallel copies, flipping orientation
-    where the coefficient is negative."""
+    where the coefficient is negative.  The copies inherit the host's
+    checks and come out in idkey order, so nothing is checked or sorted."""
     if gamma.graph != g:
         raise ChainError("chain does not live over this graph")
     edges = []
-    for eid, coeff in gamma.coeffs.items():
-        e = g.edge(eid)
-        src, tgt = (e.source, e.target) if coeff > 0 else (e.target, e.source)
-        for c in range(1, abs(coeff) + 1):
-            edges.append(Edge(CopyEdge(eid, c), src, tgt))
-    return ExpandedGraph(g.vertices, edges)
+    for e in g.edges:
+        coeff = gamma.coeffs.get(e.id)
+        if coeff:
+            src, tgt = (e.source, e.target) if coeff > 0 else (e.target, e.source)
+            for c in range(1, abs(coeff) + 1):
+                edges.append(Edge(CopyEdge(e.id, c), src, tgt))
+    return ExpandedGraph._trusted(g.vertices, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

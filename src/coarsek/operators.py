@@ -147,22 +147,36 @@ class SparseBlockOperator:
     delta holds exactly the nonzero entries of the matrix minus scalar*1:
     with scalar 0 it stores every nonzero entry, with scalar 1 only those
     where the operator differs from the identity.  Any split of the same
-    matrix compares equal."""
+    matrix compares equal.
+
+    The constructor, from_basis_map and from_moves check that every value is
+    an int (never truncated) and every entry lies in the basis.  compose,
+    adjoint, +, -, unary - and defect skip that through _trusted."""
 
     def __init__(
         self, domain: Iterable[BlockIndex], entries: Entries = (), scalar: int = 0
     ):
+        if type(scalar) is not int:
+            raise OperatorError(f"scalar must be an integer, got {scalar!r}")
         self.domain = _as_basis(domain)
-        self.scalar = int(scalar)
+        self.scalar = scalar
         self.delta: dict[tuple[BlockIndex, BlockIndex], int] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (r, c), v in items:
-            v = int(v)
+            if type(v) is not int:
+                raise OperatorError(f"entry ({r}, {c}) must be an integer, got {v!r}")
             if v == 0:
                 continue
             if r not in self.domain or c not in self.domain:
                 raise OperatorError(f"entry ({r}, {c}) outside the declared basis")
             self.delta[(r, c)] = v
+
+    @classmethod
+    def _trusted(cls, domain: Basis, items: Iterable, scalar: int) -> "SparseBlockOperator":
+        """scalar*1 plus the nonzero (cell, int) items; nothing is checked."""
+        a = cls.__new__(cls)
+        a.domain, a.scalar, a.delta = domain, scalar, {key: v for key, v in items if v}
+        return a
 
     @classmethod
     def identity(cls, domain: Iterable[BlockIndex]) -> "SparseBlockOperator":
@@ -264,11 +278,11 @@ class SparseBlockOperator:
             for c, bv in by_row.get(k, ()):
                 key = (r, c)
                 acc[key] = acc.get(key, 0) + av * bv
-        return SparseBlockOperator(self.domain, acc, s1 * s2)
+        return self._trusted(self.domain, acc.items(), s1 * s2)
 
     def adjoint(self) -> "SparseBlockOperator":
-        return SparseBlockOperator(
-            self.domain, {(c, r): v for (r, c), v in self.delta.items()}, self.scalar
+        return self._trusted(
+            self.domain, (((c, r), v) for (r, c), v in self.delta.items()), self.scalar
         )
 
     def _combine(self, other: "SparseBlockOperator", sign: int) -> "SparseBlockOperator":
@@ -276,9 +290,7 @@ class SparseBlockOperator:
         acc = dict(self.delta)
         for key, v in other.delta.items():
             acc[key] = acc.get(key, 0) + sign * v
-        return SparseBlockOperator(
-            self.domain, acc, self.scalar + sign * other.scalar
-        )
+        return self._trusted(self.domain, acc.items(), self.scalar + sign * other.scalar)
 
     def __add__(self, other: "SparseBlockOperator") -> "SparseBlockOperator":
         return self._combine(other, 1)
@@ -287,13 +299,13 @@ class SparseBlockOperator:
         return self._combine(other, -1)
 
     def __neg__(self) -> "SparseBlockOperator":
-        return SparseBlockOperator(
-            self.domain, {key: -v for key, v in self.delta.items()}, -self.scalar
+        return self._trusted(
+            self.domain, ((key, -v) for key, v in self.delta.items()), -self.scalar
         )
 
     def defect(self) -> "SparseBlockOperator":
         """self minus the identity of its ambient basis."""
-        return SparseBlockOperator(self.domain, self.delta, self.scalar - 1)
+        return self._trusted(self.domain, self.delta.items(), self.scalar - 1)
 
     def __eq__(self, other):
         if not isinstance(other, SparseBlockOperator) or not self._same_basis(other):

@@ -30,7 +30,7 @@ from coarsek.corpus import (
     random_graph,
     triangle_with_chord_orientation,
 )
-from coarsek.graphs import Edge, OrientedGraph
+from coarsek.graphs import BandedZGraph, Edge, OrientedGraph
 
 
 def test_boundary_of_unit_cell_on_line():
@@ -275,3 +275,27 @@ def test_banded_normalization():
     assert c.window_start == 2
     assert c.window_values == (5,)
     assert c.value(1) == 1 and c.value(2) == 5 and c.value(3) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Chain1(cycle_graph(3), {"e0": 1.9, "e1": 0.5}),
+        lambda: Chain1(cycle_graph(3), {"e0": 0.0}),
+        lambda: Chain0(cycle_graph(3), {0: True}),
+        lambda: Chain0(cycle_graph(3), {0: False}),
+        lambda: Chain1(cycle_graph(3), {"e0": 1}).scaled(1.5),
+        lambda: Chain1(cycle_graph(3), {"e0": 1}).scaled(True),
+    ],
+)
+def test_chains_refuse_non_integer_coefficients(make):
+    # never truncated, as the JSON readers never truncate
+    with pytest.raises(ChainError, match="must be an integer"):
+        make()
+
+
+def test_chains_of_different_degrees_do_not_add():
+    # on a line window vertex 0 and edge 0 share a label
+    g = BandedZGraph().window(0, 2)
+    with pytest.raises(ChainError):
+        Chain0(g, {0: 1}) + Chain1(g, {0: 1})

@@ -11,6 +11,7 @@ from coarsek.operators import (
     BlockIndex,
     CopyEdge,
     MarginError,
+    OperatorError,
     Ordinal,
     SparseBlockOperator,
     Window,
@@ -242,3 +243,19 @@ def test_operator_json_round_trip():
     operator_to_json(t, buf)
     back = operator_from_json(json.loads(buf.getvalue()))
     assert back == t
+
+
+@pytest.mark.parametrize(
+    "entries, scalar",
+    [
+        ({(BlockIndex(0, Ordinal(1)), BlockIndex(0, Ordinal(1))): 2.7}, 0),
+        ({(BlockIndex(0, Ordinal(1)), BlockIndex(0, Ordinal(1))): True}, 0),
+        ({(BlockIndex(0, Ordinal(1)), BlockIndex(1, Ordinal(2))): 0.0}, 0),
+        ({}, 1.0),
+        ({}, True),
+    ],
+)
+def test_operators_refuse_non_integer_values(entries, scalar):
+    # never truncated, as the JSON readers never truncate
+    with pytest.raises(OperatorError, match="must be an integer"):
+        SparseBlockOperator(DOMAIN, entries, scalar)

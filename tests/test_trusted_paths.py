@@ -1,0 +1,194 @@
+"""Differential tests: the derived objects that skip the entry checks against
+the same objects rebuilt through the checking constructors.
+
+compose, adjoint, +, -, unary - and defect build operators, chain +, -,
+scaled and boundary build chains, and expand_graph builds its multigraph
+without checking their input again.  Each result must equal, field by
+field, what the checking constructor makes of a reference computation."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarsek.chains import Chain0, Chain1, boundary, is_cycle
+from coarsek.graphs import Edge, OrientedGraph
+from coarsek.k0_map import ExpandedGraph, expand_graph
+from coarsek.operators import (
+    CopyEdge,
+    Ordinal,
+    ProductBasis,
+    SparseBlockOperator,
+    block_key,
+)
+
+LABELS = st.recursive(
+    st.integers(-3, 3) | st.text(alphabet="ab1", max_size=2),
+    lambda inner: st.lists(inner, max_size=2).map(tuple),
+    max_leaves=3,
+)
+SCALARS = st.sampled_from([-1, 0, 1, 2])
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators over one basis, a product or an explicit subset of
+    one, whose defects share cells with opposite values."""
+    vertices = draw(st.lists(LABELS, unique=True, min_size=1, max_size=3))
+    slots = draw(
+        st.lists(
+            st.integers(1, 3).map(Ordinal) | st.builds(CopyEdge, LABELS, st.integers(1, 2)),
+            unique=True,
+            min_size=1,
+            max_size=3,
+        )
+    )
+    product = ProductBasis(vertices, slots)
+    if draw(st.booleans()):
+        domain = product
+    else:
+        domain = frozenset(b for b in product if draw(st.booleans()))
+    basis = sorted(domain, key=block_key)
+    a_delta, b_delta = {}, {}
+    if basis:
+        cells = st.tuples(st.sampled_from(basis), st.sampled_from(basis))
+        a_delta = draw(st.dictionaries(cells, st.integers(-2, 2), max_size=8))
+        b_delta = draw(st.dictionaries(cells, st.integers(-2, 2), max_size=8))
+    if a_delta:
+        for key in draw(st.lists(st.sampled_from(sorted(a_delta, key=repr)), max_size=3)):
+            b_delta[key] = -a_delta[key]
+    a = SparseBlockOperator(domain, a_delta, draw(SCALARS))
+    b = SparseBlockOperator(domain, b_delta, draw(SCALARS))
+    return a, b
+
+
+def matrix(a: SparseBlockOperator) -> dict:
+    """Every entry of a, zeros included, as a dense dict."""
+    out = {(r, c): a.delta.get((r, c), 0) for r in a.domain for c in a.domain}
+    for b in a.domain:
+        out[(b, b)] += a.scalar
+    return out
+
+
+def assert_checked_rebuild(got: SparseBlockOperator, domain, dense: dict, scalar: int):
+    """got is the matrix dense split at scalar, over the shared domain."""
+    delta = {
+        (r, c): v - (scalar if r == c else 0) for (r, c), v in dense.items()
+    }
+    want = SparseBlockOperator(domain, delta, scalar)
+    assert got.domain is domain
+    assert got.scalar == want.scalar
+    assert got.delta == want.delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_pairs())
+def test_derived_operators_equal_their_checked_rebuilds(pair):
+    a, b = pair
+    d = a.domain
+    ma, mb = matrix(a), matrix(b)
+    product = {
+        (r, c): sum(ma[(r, k)] * mb[(k, c)] for k in d) for r in d for c in d
+    }
+    assert_checked_rebuild(a.compose(b), d, product, a.scalar * b.scalar)
+    assert_checked_rebuild(
+        a.adjoint(), d, {(c, r): v for (r, c), v in ma.items()}, a.scalar
+    )
+    assert_checked_rebuild(
+        a + b, d, {key: ma[key] + mb[key] for key in ma}, a.scalar + b.scalar
+    )
+    assert_checked_rebuild(
+        a - b, d, {key: ma[key] - mb[key] for key in ma}, a.scalar - b.scalar
+    )
+    assert_checked_rebuild(-a, d, {key: -v for key, v in ma.items()}, -a.scalar)
+    identity = {(r, c): int(r == c) for r in d for c in d}
+    assert_checked_rebuild(
+        a.defect(), d, {key: v - identity[key] for key, v in ma.items()}, a.scalar - 1
+    )
+    # entries that cancel completely
+    assert_checked_rebuild(a - a, d, {key: 0 for key in ma}, 0)
+
+
+# ---------------------------------------------------------------------------
+# expand_graph
+
+
+@st.composite
+def host_cycles(draw):
+    """A multigraph with mixed int/str/tuple ids and parallel edges, and a
+    1-chain on it (negative coefficients included) whose coefficients are
+    stored in a shuffled order."""
+    vertices = draw(st.lists(LABELS, unique=True, min_size=2, max_size=4))
+    ids = draw(st.lists(LABELS, unique=True, max_size=6))
+    edges = []
+    for eid in ids:
+        source, target = draw(st.permutations(vertices))[:2]
+        edges.append(Edge(eid, source, target))
+    g = OrientedGraph(vertices, edges)
+    coeffs = {eid: draw(st.integers(-3, 3)) for eid in draw(st.permutations(ids))}
+    return g, Chain1(g, coeffs)
+
+
+def reference_expansion(g: OrientedGraph, gamma: Chain1) -> OrientedGraph:
+    """The copies in coefficient order, sorted by the checking constructor."""
+    edges = []
+    for eid, coeff in gamma.coeffs.items():
+        e = g.edge(eid)
+        src, tgt = (e.source, e.target) if coeff > 0 else (e.target, e.source)
+        for c in range(1, abs(coeff) + 1):
+            edges.append(Edge(CopyEdge(eid, c), src, tgt))
+    return OrientedGraph(g.vertices, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_cycles())
+def test_expand_graph_equals_the_checked_construction(case):
+    g, gamma = case
+    ex = expand_graph(g, gamma)
+    ref = reference_expansion(g, gamma)
+    assert isinstance(ex, ExpandedGraph)
+    assert ex.vertices == ref.vertices
+    assert ex.edges == ref.edges
+    for x in ref.vertices:
+        assert ex.in_edges(x) == ref.in_edges(x)
+        assert ex.out_edges(x) == ref.out_edges(x)
+        assert {y for y in ref.vertices if ex.adjacent(x, y)} == ref.neighbors(x)
+    for e in ref.edges:
+        assert ex.edge(e.id) == e
+
+
+# ---------------------------------------------------------------------------
+# chains
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_cycles(), st.data())
+def test_derived_chains_equal_their_checked_rebuilds(case, data):
+    g, a = case
+    ids = [e.id for e in g.edges]
+    b_coeffs = {eid: data.draw(st.integers(-2, 2)) for eid in ids}
+    if ids:
+        for eid in data.draw(st.lists(st.sampled_from(ids), max_size=3)):
+            b_coeffs[eid] = -a.coeff(eid)  # cancels a on this edge
+    b = Chain1(g, b_coeffs)
+
+    def same(got, cls, coeffs):
+        want = cls(g, coeffs)
+        assert type(got) is cls and got.graph is g
+        assert got.coeffs == want.coeffs
+
+    same(a + b, Chain1, {k: a.coeff(k) + b.coeff(k) for k in ids})
+    same(a - b, Chain1, {k: a.coeff(k) - b.coeff(k) for k in ids})
+    same(a - a, Chain1, {})
+    same(-a, Chain1, {k: -a.coeff(k) for k in ids})
+    for n in (-1, 0, 1, 2):
+        same(a.scaled(n), Chain1, {k: n * a.coeff(k) for k in ids})
+    net = {x: 0 for x in g.vertices}
+    for e in g.edges:
+        net[e.target] += a.coeff(e.id)
+        net[e.source] -= a.coeff(e.id)
+    d = boundary(a)
+    same(d, Chain0, net)
+    same(d + (-d), Chain0, {})
+    assert is_cycle(a) == (not any(net.values()))
