@@ -74,12 +74,6 @@ def random_graph(
     return OrientedGraph(range(n), edges)
 
 
-def is_connected(g: OrientedGraph) -> bool:
-    """A spanning forest of a connected graph has at most one root."""
-    _, up = spanning_forest(g)
-    return sum(e is None for e in up.values()) <= 1
-
-
 def _non_tree_edges(g: OrientedGraph) -> tuple[dict, list[Edge]]:
     _, up = spanning_forest(g)
     tree = {e.id for e in up.values() if e is not None}
@@ -98,17 +92,17 @@ def random_cycle(
     zero = Chain1(g, {})
     if not extras:
         return zero
-    basis = [fundamental_cycle(g, up, e) for e in extras]
+    # drawing edges takes the same random numbers as drawing their cycles
     for _ in range(30):
-        chosen = rng.sample(basis, min(len(basis), rng.randint(1, 4)))
+        chosen = rng.sample(extras, min(len(extras), rng.randint(1, 4)))
         acc = zero
-        for b in chosen:
-            acc = acc + b.scaled(rng.choice([-2, -1, 1, 1, 2]))
+        for e in chosen:
+            acc = acc + fundamental_cycle(g, up, e).scaled(rng.choice([-2, -1, 1, 1, 2]))
         if acc.coeffs and max(abs(v) for v in acc.coeffs.values()) <= bound:
             return acc
         if not acc.coeffs and not nonzero:
             return acc
-    return rng.choice(basis)  # coefficients are +-1, always within bound
+    return fundamental_cycle(g, up, rng.choice(extras))  # coefficients +-1
 
 
 def random_multiplicity_cycle(rng: random.Random, g: OrientedGraph) -> Optional[Chain1]:
@@ -179,6 +173,18 @@ def tree_plus_edges(rng: random.Random, n: int, extra: int) -> OrientedGraph:
     return OrientedGraph(range(n), edges)
 
 
+def _connects(n: int, pairs: list) -> bool:
+    """Whether the pairs join the vertices 0..n-1 into one component: n - 1
+    rounds of spreading from vertex 0 along every pair reach its whole
+    component."""
+    reached = 1  # bit x is set once vertex x is reached
+    for _ in range(n - 1):
+        for u, v in pairs:
+            if (reached >> u | reached >> v) & 1:
+                reached |= 1 << u | 1 << v
+    return n < 2 or reached == (1 << n) - 1
+
+
 def all_connected_graphs(n: int) -> Iterator[OrientedGraph]:
     """Every simple connected graph on vertices 0..n-1 (canonical
     orientation: lower endpoint is the source).  Feasible for small n."""
@@ -187,8 +193,7 @@ def all_connected_graphs(n: int) -> Iterator[OrientedGraph]:
         chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
         if n > 1 and len(chosen) < n - 1:
             continue
-        g = OrientedGraph(
-            range(n), [Edge(f"e{u}-{v}", u, v) for u, v in chosen]
-        )
-        if is_connected(g):
-            yield g
+        if _connects(n, chosen):
+            yield OrientedGraph(
+                range(n), [Edge(f"e{u}-{v}", u, v) for u, v in chosen]
+            )

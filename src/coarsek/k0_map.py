@@ -213,84 +213,69 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
 
     V sends the source-slot vector of every expanded edge to the target-slot
     vector of the same edge, so V*V projects onto source slots (rank o(x)
-    at x) and VV* onto target slots (rank i(x) at x).
+    at x) and VV* onto target slots (rank i(x) at x).  Only the vertices an
+    expanded edge touches are walked; the basis still holds the ordinal
+    slots of every vertex, and every entry is built inside it.
     """
     if not isinstance(gamma, Chain1):
         raise ChainError("the witness needs a finitely supported 1-chain")
     g = expand_graph(gamma.graph, gamma)
     c = boundary(gamma)
-    ordinal_ceiling = max(
-        (max(g.in_count(x), g.out_count(x)) for x in g.vertices), default=0
+    ins = Counter(e.target for e in g.edges)
+    outs = Counter(e.source for e in g.edges)
+    ceiling = max([*ins.values(), *outs.values()], default=0)
+    ordinals = [Ordinal(i) for i in range(1, ceiling + 1)]
+    sources = [BlockIndex(e.source, e.id) for e in g.edges]
+    targets = [BlockIndex(e.target, e.id) for e in g.edges]
+    dom = frozenset(
+        [BlockIndex(x, o) for x in g.vertices for o in ordinals] + sources + targets
     )
-    domain = set()
-    for e in g.edges:
-        domain.add(BlockIndex(e.source, e.id))
-        domain.add(BlockIndex(e.target, e.id))
-    for x in g.vertices:
-        for i in range(1, ordinal_ceiling + 1):
-            domain.add(BlockIndex(x, Ordinal(i)))
-    dom = frozenset(domain)
 
-    v_entries = {}
-    for e in g.edges:
-        v_entries[(BlockIndex(e.target, e.id), BlockIndex(e.source, e.id))] = 1
-    v = SparseBlockOperator(dom, v_entries)
+    def op(items, scalar=0):
+        return SparseBlockOperator._trusted(dom, items, scalar)
 
     def diag(blocks):
-        return SparseBlockOperator(dom, {(b, b): 1 for b in blocks})
+        return op(((b, b), 1) for b in blocks)
 
-    source_projection = diag(BlockIndex(e.source, e.id) for e in g.edges)
-    target_projection = diag(BlockIndex(e.target, e.id) for e in g.edges)
-    in_rank_projection = diag(
-        BlockIndex(x, Ordinal(i))
-        for x in g.vertices
-        for i in range(1, g.in_count(x) + 1)
-    )
-    out_rank_projection = diag(
-        BlockIndex(x, Ordinal(i))
-        for x in g.vertices
-        for i in range(1, g.out_count(x) + 1)
-    )
+    def ranks(counts):
+        return diag(BlockIndex(x, o) for x, n in counts.items() for o in ordinals[:n])
 
-    exchange_in = block_diagonal_slot_permutation(
-        dom,
-        {
-            x: order_matched_involution(
-                [Ordinal(i) for i in range(1, g.in_count(x) + 1)],
-                [e.id for e in g.in_edges(x)],
-            )
-            for x in g.vertices
-        },
-    )
-    exchange_out = block_diagonal_slot_permutation(
-        dom,
-        {
-            x: order_matched_involution(
-                [Ordinal(i) for i in range(1, g.out_count(x) + 1)],
-                [e.id for e in g.out_edges(x)],
-            )
-            for x in g.vertices
-        },
-    )
+    def exchange(counts, edges_at):
+        # at each vertex x, ordinal slot i and the slot of the i-th edge of
+        # edges_at(x) trade places (order_matched_involution)
+        items = []
+        for x, n in counts.items():
+            swaps = order_matched_involution(ordinals[:n], [e.id for e in edges_at(x)])
+            for a, b in swaps.items():
+                src = BlockIndex(x, a)
+                items += [((src, src), -1), ((BlockIndex(x, b), src), 1)]
+        return op(items, 1)
+
+    v = op(((t, s), 1) for s, t in zip(sources, targets))
+    source_projection, target_projection = diag(sources), diag(targets)
+    in_rank_projection, out_rank_projection = ranks(ins), ranks(outs)
+    exchange_in, exchange_out = exchange(ins, g.in_edges), exchange(outs, g.out_edges)
+
+    def conjugated(t, p):
+        return t.compose(p).compose(t.adjoint())
+
+    def diag_ranks(projection):
+        return Counter(r.vertex for (r, col) in projection.delta if r == col)
 
     vv = v.adjoint().compose(v)
     ww = v.compose(v.adjoint())
-    in_ranks, out_ranks = _diag_ranks(ww), _diag_ranks(vv)
     checks = {
         "initial_projection": vv == source_projection,
         "final_projection": ww == target_projection,
-        "in_ranks": all(in_ranks[x] == g.in_count(x) for x in g.vertices),
-        "out_ranks": all(out_ranks[x] == g.out_count(x) for x in g.vertices),
-        "in_exchange": exchange_in.compose(target_projection).compose(
-            exchange_in.adjoint()
-        )
-        == in_rank_projection,
-        "out_exchange": exchange_out.compose(source_projection).compose(
-            exchange_out.adjoint()
-        )
+        # a vertex missing from a Counter counts 0, so these also hold a
+        # rank at an untouched vertex to its valence 0
+        "in_ranks": diag_ranks(ww) == ins,
+        "out_ranks": diag_ranks(vv) == outs,
+        "in_exchange": conjugated(exchange_in, target_projection) == in_rank_projection,
+        "out_exchange": conjugated(exchange_out, source_projection)
         == out_rank_projection,
         "rank_bookkeeping": all(
-            g.in_count(x) - g.out_count(x) == c.coeff(x) for x in g.vertices
+            ins[x] - outs[x] == c.coeff(x) for x in {*ins, *outs, *c.coeffs}
         ),
         "adjacency": all(
             r.vertex == col.vertex or g.adjacent(r.vertex, col.vertex)
@@ -298,22 +283,9 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         ),
     }
     return BoundaryWitness(
-        expanded=g,
-        chain=c,
-        v=v,
-        source_projection=source_projection,
-        target_projection=target_projection,
-        in_rank_projection=in_rank_projection,
-        out_rank_projection=out_rank_projection,
-        exchange_in=exchange_in,
-        exchange_out=exchange_out,
-        checks=checks,
+        g, c, v, source_projection, target_projection, in_rank_projection,
+        out_rank_projection, exchange_in, exchange_out, checks,
     )
-
-
-def _diag_ranks(projection: SparseBlockOperator) -> Counter:
-    """Nonzero diagonal entries of a scalar-0 operator, counted per vertex."""
-    return Counter(r.vertex for (r, c) in projection.delta if r == c)
 
 
 def witness_report_json(w: BoundaryWitness) -> dict:

@@ -21,10 +21,10 @@ model.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
 from .graphs import idkey
@@ -509,20 +509,24 @@ def bilateral_shift(
 _CHUNK = 4096  # rows joined per write
 
 
-def _label_json(x):
-    if isinstance(x, tuple):
-        return [_label_json(part) for part in x]
-    return x
-
-
 def _label_from_json(x):
     if isinstance(x, list):
         return tuple(_label_from_json(part) for part in x)
     return x
 
 
-def _fmt(x) -> str:
-    return json.dumps(_label_json(x), separators=(",", ":"))
+def _fmt(x, depth: Optional[int] = None) -> str:
+    """A label as json.dumps writes it, a tuple as a list: compact, or as
+    indent=1 writes it depth levels deep."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if not isinstance(x, tuple):
+        return int.__repr__(x)
+    if depth is None or not x:
+        return f"[{','.join(map(_fmt, x))}]"
+    pad = "\n" + " " * (depth + 1)
+    items = ("," + pad).join(_fmt(part, depth + 1) for part in x)
+    return f"[{pad}{items}\n{' ' * depth}]"
 
 
 def _fmt_slot(s: Slot) -> str:
@@ -531,22 +535,21 @@ def _fmt_slot(s: Slot) -> str:
     return f"e:{_fmt(s.edge)}:{s.copy}"
 
 
-def _slot_json(s: Slot):
+def _json_slot_at(s: Slot, depth: int) -> str:
+    """A slot as json.dumps(..., indent=1, sort_keys=True) writes its JSON
+    object depth levels deep."""
+    pad = "\n" + " " * (depth + 1)
     if isinstance(s, Ordinal):
-        return {"ordinal": s.index}
-    return {"edge": _label_json(s.edge), "copy": s.copy}
+        body = f'"ordinal": {s.index}'
+    else:
+        body = f'"copy": {s.copy},{pad}"edge": {_fmt(s.edge, depth + 1)}'
+    return f"{{{pad}{body}\n{' ' * depth}}}"
 
 
 def _slot_from_json(data) -> Slot:
     if "ordinal" in data:
         return Ordinal(data["ordinal"])
     return CopyEdge(_label_from_json(data["edge"]), data["copy"])
-
-
-def _json_at(value, depth: int) -> str:
-    """value as the indent=1 encoder writes it depth levels deep."""
-    text = json.dumps(value, indent=1, sort_keys=True)
-    return text.replace("\n", "\n" + " " * depth)
 
 
 def _vertex_slots(domain: Basis, slot: Callable) -> Iterable[tuple]:
@@ -631,8 +634,8 @@ def operator_to_json(a: SparseBlockOperator, out: TextIO) -> None:
     """Write a to out as {"basis": [[vertex, slot], ...], "entries": [[row
     vertex, row slot, column vertex, column slot, value], ...]}, both lists
     in block_key order, laid out as json.dumps(indent=1, sort_keys=True)."""
-    vertex = cache(lambda x: _json_at(_label_json(x), 3))
-    slot = cache(lambda s: _json_at(_slot_json(s), 3))
+    vertex = cache(lambda x: _fmt(x, 3))
+    slot = cache(lambda s: _json_slot_at(s, 3))
     item = (",\n  [\n   ", ",\n   ", "\n  ]")
     out.write('{\n "basis": ')
     _write_list(out, _basis_chunks(a, vertex, slot, *item), "[", "\n ]", "[]")

@@ -20,17 +20,23 @@ from coarsek.chains import (
     solve_boundary_finite,
     solve_boundary_on_z,
     uf_class_on_z,
+    spanning_forest,
     uniform_bound,
 )
 from coarsek.corpus import (
     cycle_graph,
-    is_connected,
     path_graph,
     random_chain1,
     random_graph,
     triangle_with_chord_orientation,
 )
 from coarsek.graphs import BandedZGraph, Edge, OrientedGraph
+
+
+def is_connected(g: OrientedGraph) -> bool:
+    """A spanning forest of a connected graph has at most one root."""
+    _, up = spanning_forest(g)
+    return sum(e is None for e in up.values()) <= 1
 
 
 def test_boundary_of_unit_cell_on_line():

@@ -4,13 +4,22 @@ Good input shows only that a check passes; a check that always passes
 would pass it too.  These tests feed one faulty object through the real
 code path and require that exactly the check aimed at the fault fails."""
 
+import dataclasses
+import json
+
 import pytest
 
-from coarsek import chains, scenarios
+from coarsek import chains, cli, scenarios
 from coarsek.chains import Chain0, Chain1, is_cycle
 from coarsek.corpus import cycle_graph, path_graph
-from coarsek.operators import BlockIndex, SparseBlockOperator
-from coarsek.k1_map import CycleUnitary
+from coarsek.operators import (
+    BlockIndex,
+    Ordinal,
+    SparseBlockOperator,
+    bilateral_shift,
+    index_pairing,
+)
+from coarsek.k1_map import CycleUnitary, line_cycle_unitary
 
 SEED = 1
 COUNT = 12
@@ -118,6 +127,45 @@ def test_a_block_above_the_valence_fails_only_the_rank_check(monkeypatch):
     assert propagation["rank_failures"]
 
 
+def _random_finite_checks(monkeypatch, fault) -> tuple[dict, dict]:
+    """The two cycle checks as verify runs them: one shared pass inside
+    run_random_finite."""
+    real = scenarios.cycle_unitary
+    monkeypatch.setattr(scenarios, "cycle_unitary", lambda gamma: fault(real(gamma)))
+    report = scenarios.run_random_finite(SEED, COUNT)
+    assert not report.passed
+    checks = {c.name: c for c in report.checks}
+    unitarity = checks["cycle unitaries are exactly unitary"]
+    propagation = checks["finite propagation and block-finite rank"]
+    return unitarity, propagation
+
+
+def test_run_random_finite_passes_its_cycle_checks_on_the_real_unitaries():
+    checks = {c.name: c for c in scenarios.run_random_finite(SEED, COUNT).checks}
+    assert checks["cycle unitaries are exactly unitary"].passed
+    assert checks["finite propagation and block-finite rank"].passed
+
+
+def test_run_random_finite_fails_only_unitarity_on_a_moved_column(monkeypatch):
+    unitarity, propagation = _random_finite_checks(monkeypatch, column_moved)
+    assert unitarity.details["failures"]
+    assert propagation.passed
+
+
+def test_run_random_finite_fails_only_adjacency_on_a_non_adjacent_move(monkeypatch):
+    unitarity, propagation = _random_finite_checks(monkeypatch, non_adjacent_move)
+    assert unitarity.passed
+    assert propagation.details["adjacency_failures"]
+    assert not propagation.details["rank_failures"]
+
+
+def test_run_random_finite_fails_only_the_rank_check_above_valence(monkeypatch):
+    unitarity, propagation = _random_finite_checks(monkeypatch, rank_over_valence)
+    assert unitarity.passed
+    assert not propagation.details["adjacency_failures"]
+    assert propagation.details["rank_failures"]
+
+
 @pytest.mark.parametrize(
     "gamma, fake_boundary",
     [
@@ -132,3 +180,134 @@ def test_is_cycle_raises_when_boundary_and_flows_disagree(monkeypatch, gamma, fa
     monkeypatch.setattr(chains, "boundary", lambda g: Chain0(g.graph, fake_boundary))
     with pytest.raises(AssertionError, match="disagree"):
         is_cycle(gamma)
+
+
+# ---------------------------------------------------------------------------
+# the checks of k0-map and k1-map, through cli.main
+
+
+def _write(tmp_path, name, payload) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _run_cli(tmp_path, capsys, command, graph, chain, *extra) -> tuple[int, dict]:
+    """Exit code and {check name: passed} of one --json report."""
+    rc = cli.main(
+        [
+            command,
+            "--graph",
+            _write(tmp_path, "graph.json", graph),
+            "--chain",
+            _write(tmp_path, "chain.json", chain),
+            "--json",
+            *extra,
+        ]
+    )
+    report = json.loads(capsys.readouterr().out)
+    return rc, {c["name"]: c["passed"] for c in report["checks"]}
+
+
+def _only_failure(rc: int, verdicts: dict, name: str) -> None:
+    assert rc == 1
+    assert [n for n, ok in verdicts.items() if not ok] == [name]
+
+
+PATH3 = {
+    "kind": "finite",
+    "vertices": [0, 1, 2],
+    "edges": [
+        {"id": "a", "source": 0, "target": 1},
+        {"id": "b", "source": 1, "target": 2},
+    ],
+}
+BOUNDARY = {"degree": 0, "coeffs": {"0": -1, "2": 1}}  # d(a + b)
+NOT_A_BOUNDARY = {"degree": 0, "coeffs": {"0": 1}}
+
+
+def _faulty_pair(monkeypatch, fault) -> None:
+    real = cli.build_projection_pair
+    monkeypatch.setattr(cli, "build_projection_pair", lambda c: fault(real(c)))
+
+
+def not_idempotent(pair):
+    """f scaled by 2: still selfadjoint, orthogonal to g and of the same
+    rank count, but f*f = 2f."""
+    f = SparseBlockOperator(pair.f.domain, {k: 2 * v for k, v in pair.f.delta.items()})
+    return dataclasses.replace(pair, f=f)
+
+
+def one_extra_rank(pair):
+    """f also projects onto slot 1 of vertex 1, where the chain is 0: still a
+    projection orthogonal to g, but the signature grows by one."""
+    b = BlockIndex(1, Ordinal(1))
+    f = SparseBlockOperator(pair.f.domain, {**pair.f.delta, (b, b): 1})
+    return dataclasses.replace(pair, f=f)
+
+
+@pytest.mark.parametrize("chain", [BOUNDARY, NOT_A_BOUNDARY])
+def test_k0_map_passes_on_the_real_pairs(tmp_path, capsys, chain):
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", PATH3, chain)
+    assert rc == 0 and all(verdicts.values()) and len(verdicts) == 3
+
+
+def test_k0_map_a_non_idempotent_projection_fails_only_the_identities(
+    tmp_path, capsys, monkeypatch
+):
+    _faulty_pair(monkeypatch, not_idempotent)
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", PATH3, BOUNDARY)
+    _only_failure(rc, verdicts, "projections are idempotent, selfadjoint and orthogonal")
+
+
+def test_k0_map_a_signature_off_by_one_fails_only_the_signature(
+    tmp_path, capsys, monkeypatch
+):
+    _faulty_pair(monkeypatch, one_extra_rank)
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", PATH3, NOT_A_BOUNDARY)
+    _only_failure(rc, verdicts, "signature equals coefficient sum")
+
+
+CYCLE5 = {
+    "kind": "finite",
+    "vertices": list(range(5)),
+    "edges": [{"id": f"e{i}", "source": i, "target": (i + 1) % 5} for i in range(5)],
+}
+AROUND5 = {"degree": 1, "coeffs": {f"e{i}": 1 for i in range(5)}}
+
+
+def test_k1_map_passes_on_the_real_unitary(tmp_path, capsys):
+    rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
+    assert rc == 0 and all(verdicts.values()) and len(verdicts) == 3
+
+
+def test_k1_map_a_move_between_non_adjacent_vertices_fails_only_adjacency(
+    tmp_path, capsys, monkeypatch
+):
+    real = cli.cycle_unitary
+    monkeypatch.setattr(cli, "cycle_unitary", lambda gamma: non_adjacent_move(real(gamma)))
+    rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
+    _only_failure(rc, verdicts, "entries join adjacent vertices only")
+
+
+LINE = {"kind": "banded_z", "edges_per_cell": 1}
+CLASS2 = {"degree": 1, "tail_left": 2, "tail_right": 2}
+WINDOW = ("--window", "4", "--margin", "8")
+
+
+def test_k1_map_on_the_line_passes_with_the_real_windows(tmp_path, capsys):
+    rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", LINE, CLASS2, *WINDOW)
+    assert rc == 0 and verdicts == {"index pairing stable under window doubling": True}
+
+
+def test_k1_map_a_doubled_window_operator_of_another_index_fails(
+    tmp_path, capsys, monkeypatch
+):
+    def shifted_index(k, window):
+        """Index of the doubled-window unitary followed by the shift."""
+        u = line_cycle_unitary(k, window).u
+        return index_pairing(u.compose(bilateral_shift(window, u.domain.slots)), window)
+
+    monkeypatch.setattr(cli, "constant_cycle_index", shifted_index)
+    rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", LINE, CLASS2, *WINDOW)
+    _only_failure(rc, verdicts, "index pairing stable under window doubling")

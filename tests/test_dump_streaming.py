@@ -19,6 +19,9 @@ from coarsek.operators import (
     ProductBasis,
     SparseBlockOperator,
     _CHUNK,
+    _fmt,
+    _fmt_slot,
+    _json_slot_at,
     block_key,
     dump_lines,
     operator_from_json,
@@ -222,3 +225,33 @@ def test_one_vertex_with_more_than_a_chunk_of_rows():
     edge = BlockIndex("only", Ordinal(_CHUNK))
     a = SparseBlockOperator.from_moves(domain, {x: y, y: x, edge: None})
     assert_dumps_match_the_reference(a)
+
+
+# ---------------------------------------------------------------------------
+# label and slot texts, written without json.dumps
+
+# quotes, backslashes, control, non-ASCII and astral characters
+WILD_TEXT = st.text(
+    alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\b\t\n\ré→\u2028\U0001f600 '),
+    max_size=4,
+) | st.text(max_size=3)
+WILD_LABELS = st.recursive(
+    st.integers(-(10**30), 10**30) | WILD_TEXT,
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def indented(value, depth: int) -> str:
+    text = json.dumps(value, indent=1, sort_keys=True)
+    return text.replace("\n", "\n" + " " * depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(WILD_LABELS, st.integers(0, 100), st.integers(0, 4))
+def test_label_and_slot_texts_equal_json_dumps(label, copy, depth):
+    assert _fmt(label) == fmt(label)
+    assert _fmt(label, depth) == indented(label_json(label), depth)
+    for s in (Ordinal(copy), CopyEdge(label, copy)):
+        assert _fmt_slot(s) == fmt_slot(s)
+        assert _json_slot_at(s, depth) == indented(slot_json(s), depth)

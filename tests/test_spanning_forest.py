@@ -8,6 +8,7 @@ them on random graphs, disconnected and edgeless ones included.
 
 import random
 from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,12 @@ from coarsek.chains import (
     solve_boundary_finite,
     spanning_forest,
 )
-from coarsek.corpus import random_chain0, random_chain1
+from coarsek.corpus import (
+    all_connected_graphs,
+    random_chain0,
+    random_chain1,
+    random_cycle,
+)
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.intlinalg import determinant, smith_normal_form
 
@@ -208,3 +214,50 @@ def test_path_witness_carries_the_chain_along_the_path(n):
     path = OrientedGraph(range(n + 1), edges)
     c = Chain0(path, {0: -3, n: 3})
     assert solve_boundary_finite(path, c).coeffs == {i: 3 for i in range(n)}
+
+
+# ---------------------------------------------------------------------------
+# corpus generators against the forms that built every cycle and graph
+
+
+def whole_basis_random_cycle(rng, g, bound=3, nonzero=False):
+    """random_cycle as it was: every fundamental cycle built, then drawn."""
+    _, up = spanning_forest(g)
+    tree = {e.id for e in up.values() if e is not None}
+    basis = [fundamental_cycle(g, up, e) for e in g.edges if e.id not in tree]
+    zero = Chain1(g, {})
+    if not basis:
+        return zero
+    for _ in range(30):
+        chosen = rng.sample(basis, min(len(basis), rng.randint(1, 4)))
+        acc = zero
+        for b in chosen:
+            acc = acc + b.scaled(rng.choice([-2, -1, 1, 1, 2]))
+        if acc.coeffs and max(abs(v) for v in acc.coeffs.values()) <= bound:
+            return acc
+        if not acc.coeffs and not nonzero:
+            return acc
+    return rng.choice(basis)
+
+
+@pytest.mark.parametrize("bound, nonzero", [(3, False), (1, True)])
+def test_random_cycle_draws_like_the_whole_basis(bound, nonzero):
+    for i, g in enumerate(CORPUS):
+        rng, ref_rng = random.Random(i), random.Random(i)
+        got = random_cycle(rng, g, bound, nonzero)
+        want = whole_basis_random_cycle(ref_rng, g, bound, nonzero)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_connected_graphs_are_the_graphs_with_one_forest_root(n):
+    pairs = list(combinations(range(n), 2))
+    want = []
+    for mask in range(1 << len(pairs)):
+        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        g = OrientedGraph(range(n), [Edge(f"e{u}-{v}", u, v) for u, v in chosen])
+        if sum(e is None for e in spanning_forest(g)[1].values()) <= 1:
+            want.append(g)
+    assert list(all_connected_graphs(n)) == want

@@ -2,17 +2,25 @@
 the same objects rebuilt through the checking constructors.
 
 compose, adjoint, +, -, unary - and defect build operators, chain +, -,
-scaled and boundary build chains, and expand_graph builds its multigraph
-without checking their input again.  Each result must equal, field by
+scaled and boundary build chains, expand_graph builds its multigraph and
+boundary_witness its seven operators without checking their input again.  Each result must equal, field by
 field, what the checking constructor makes of a reference computation."""
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek.chains import Chain0, Chain1, boundary, is_cycle
 from coarsek.graphs import Edge, OrientedGraph
-from coarsek.k0_map import ExpandedGraph, expand_graph
+from coarsek.k0_map import (
+    ExpandedGraph,
+    boundary_witness,
+    expand_graph,
+    order_matched_involution,
+)
 from coarsek.operators import (
+    BlockIndex,
     CopyEdge,
     Ordinal,
     ProductBasis,
@@ -192,3 +200,122 @@ def test_derived_chains_equal_their_checked_rebuilds(case, data):
     same(d, Chain0, net)
     same(d + (-d), Chain0, {})
     assert is_cycle(a) == (not any(net.values()))
+
+
+# ---------------------------------------------------------------------------
+# boundary_witness
+
+ISOLATED = ("isolated", 99)  # no label of LABELS
+
+
+def reference_witness(gamma: Chain1) -> tuple[dict, dict]:
+    """The witness operators through the checking constructor and
+    from_moves, and the checks walking every vertex of the host."""
+    g = expand_graph(gamma.graph, gamma)
+    c = boundary(gamma)
+    ceiling = max(
+        (max(g.in_count(x), g.out_count(x)) for x in g.vertices), default=0
+    )
+    dom = frozenset(
+        {BlockIndex(e.source, e.id) for e in g.edges}
+        | {BlockIndex(e.target, e.id) for e in g.edges}
+        | {BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, ceiling + 1)}
+    )
+
+    def diag(blocks):
+        return SparseBlockOperator(dom, {(b, b): 1 for b in blocks})
+
+    def exchange(count, edges_at):
+        moves = {}
+        for x in g.vertices:
+            ordinals = [Ordinal(i) for i in range(1, count(x) + 1)]
+            swaps = order_matched_involution(ordinals, [e.id for e in edges_at(x)])
+            moves.update({BlockIndex(x, a): BlockIndex(x, b) for a, b in swaps.items()})
+        return SparseBlockOperator.from_moves(dom, moves)
+
+    ops = {
+        "v": SparseBlockOperator(
+            dom,
+            {(BlockIndex(e.target, e.id), BlockIndex(e.source, e.id)): 1 for e in g.edges},
+        ),
+        "source_projection": diag(BlockIndex(e.source, e.id) for e in g.edges),
+        "target_projection": diag(BlockIndex(e.target, e.id) for e in g.edges),
+        "in_rank_projection": diag(
+            BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, g.in_count(x) + 1)
+        ),
+        "out_rank_projection": diag(
+            BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, g.out_count(x) + 1)
+        ),
+        "exchange_in": exchange(g.in_count, g.in_edges),
+        "exchange_out": exchange(g.out_count, g.out_edges),
+    }
+    v = ops["v"]
+    vv, ww = v.adjoint().compose(v), v.compose(v.adjoint())
+    in_ranks = Counter(r.vertex for (r, col) in ww.delta if r == col)
+    out_ranks = Counter(r.vertex for (r, col) in vv.delta if r == col)
+
+    def conjugates(t, p, q):
+        return t.compose(p).compose(t.adjoint()) == q
+
+    checks = {
+        "initial_projection": vv == ops["source_projection"],
+        "final_projection": ww == ops["target_projection"],
+        "in_ranks": all(in_ranks[x] == g.in_count(x) for x in g.vertices),
+        "out_ranks": all(out_ranks[x] == g.out_count(x) for x in g.vertices),
+        "in_exchange": conjugates(
+            ops["exchange_in"], ops["target_projection"], ops["in_rank_projection"]
+        ),
+        "out_exchange": conjugates(
+            ops["exchange_out"], ops["source_projection"], ops["out_rank_projection"]
+        ),
+        "rank_bookkeeping": all(
+            g.in_count(x) - g.out_count(x) == c.coeff(x) for x in g.vertices
+        ),
+        "adjacency": all(
+            r.vertex == col.vertex or g.adjacent(r.vertex, col.vertex)
+            for (r, col) in v.delta
+        ),
+    }
+    return ops, checks
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_cycles())
+def test_witness_operators_equal_their_checked_rebuilds(case):
+    """Parallel edges, negative coefficients and an isolated vertex."""
+    host, gamma = case
+    g = OrientedGraph([*host.vertices, ISOLATED], host.edges)
+    gamma = Chain1(g, gamma.coeffs)
+    w = boundary_witness(gamma)
+    ops, checks = reference_witness(gamma)
+    for name, want in ops.items():
+        got = getattr(w, name)
+        assert got.domain == want.domain
+        assert got.scalar == want.scalar
+        assert got.delta == want.delta
+    assert w.checks == checks
+    assert w.ok
+
+
+def test_a_witness_fault_at_an_untouched_vertex_fails_both_rank_checks(monkeypatch):
+    g = OrientedGraph(
+        [0, 1, 2, ISOLATED], [Edge("a", 0, 1), Edge("b", 1, 2), Edge("c", 2, 0)]
+    )
+    gamma = Chain1(g, {"a": 1, "b": 1, "c": 1})
+    assert boundary_witness(gamma).ok
+    far = BlockIndex(ISOLATED, Ordinal(1))
+    real = SparseBlockOperator._trusted.__func__
+    built = []
+
+    def first_gets_a_fault(cls, domain, items, scalar):
+        a = real(cls, domain, items, scalar)
+        if not built:
+            a.delta[(far, far)] = 1
+        built.append(a)
+        return a
+
+    monkeypatch.setattr(SparseBlockOperator, "_trusted", classmethod(first_gets_a_fault))
+    w = boundary_witness(gamma)
+    assert (far, far) in w.v.delta  # V is the faulty operator
+    assert not w.checks["in_ranks"]
+    assert not w.checks["out_ranks"]
