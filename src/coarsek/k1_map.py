@@ -51,6 +51,7 @@ from .operators import (
     Window,
     block_key,
     index_pairing,
+    touched_lines,
 )
 
 
@@ -162,18 +163,14 @@ def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]
 
     Columns the defect leaves alone are fixed points when the scalar is 1
     and rule a permutation out otherwise, so only touched columns are read."""
-    columns: dict = {}
-    for (r, c), v in op.delta.items():
-        columns.setdefault(c, {})[r] = v
+    _, columns = touched_lines(op)
     if op.scalar != 1 and len(columns) != len(op.domain):
         return None
     mapping = {}
     for c, col in columns.items():
-        col[c] = col.get(c, 0) + op.scalar
-        nonzero = [(r, v) for r, v in col.items() if v]
-        if len(nonzero) != 1 or nonzero[0][1] != 1:
+        if list(col.values()) != [1]:
             return None
-        mapping[c] = nonzero[0][0]
+        (mapping[c],) = col
     if set(mapping.values()) != set(mapping):
         return None
     return tuple(sorted(n for _, n in _cycles(mapping) if n > 1))

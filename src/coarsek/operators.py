@@ -10,7 +10,9 @@ identity only along its tracks, so it costs two defect entries per moved
 basis vector, however large the basis.  The ambient basis is an explicit
 finite set or the lazy product of a vertex list and a slot list, which is
 never materialised; adjoints are transposes and every identity checked here
-is an exact matrix identity.
+is an exact matrix identity.  Unitarity is one of them, read without a
+product: an integer unitary is a signed permutation matrix, so it is
+checked on the rows and columns the defect touches.
 
 Operators over the integer line are realized on truncation windows.  A finite
 square matrix always has index zero, so the index pairing is computed as the
@@ -334,52 +336,49 @@ def block_rank(a: SparseBlockOperator, x, y) -> int:
     """Exact rank of the (x, y) vertex block over the rationals.
 
     On a diagonal block every slot the defect leaves alone carries the
-    scalar alone, so it adds one to the rank when the scalar is nonzero."""
+    scalar alone, so it adds one to the rank when the scalar is nonzero.
+    A block whose rows and columns each hold at most one nonzero entry has
+    its nonzero entries as rank; any other block is eliminated."""
     cells = {
         (r.slot, c.slot): v
         for (r, c), v in a.delta.items()
         if r.vertex == x and c.vertex == y
     }
     s = a.scalar if x == y else 0
-    touched = sorted({rs for rs, _ in cells} | {cs for _, cs in cells}, key=slot_key)
-    mat = [
-        [cells.get((rs, cs), 0) + (s if rs == cs else 0) for cs in touched]
-        for rs in touched
-    ]
-    rank = matrix_rank(mat) if touched else 0
+    touched = {rs for rs, _ in cells} | {cs for _, cs in cells}
+    if s:
+        for t in touched:
+            cells[(t, t)] = cells.get((t, t), 0) + s
+    nonzero = [key for key, v in cells.items() if v]
+    if len({rs for rs, _ in nonzero}) == len({cs for _, cs in nonzero}) == len(nonzero):
+        rank = len(nonzero)
+    else:
+        rank = matrix_rank([[cells.get((rs, cs), 0) for cs in touched] for rs in touched])
     if s:
         rank += len(_restrict(a.domain, lambda v: v == x)) - len(touched)
     return rank
 
 
-def _gram(delta: dict, contract_rows: bool) -> dict:
-    """D*D (contracting rows) or DD* (contracting columns) as a plain entry
-    dict; grouping by the contracted index avoids intermediate operators."""
-    groups: dict[BlockIndex, list[tuple[BlockIndex, int]]] = {}
-    for (r, c), v in delta.items():
-        if contract_rows:
-            groups.setdefault(r, []).append((c, v))
-        else:
-            groups.setdefault(c, []).append((r, v))
-    prod: dict[tuple[BlockIndex, BlockIndex], int] = {}
-    for vals in groups.values():
-        for i1, v1 in vals:
-            for i2, v2 in vals:
-                key = (i1, i2)
-                prod[key] = prod.get(key, 0) + v1 * v2
-    return prod
-
-
-def _is_identity_on(base: int, extra: dict, region: Basis) -> bool:
-    """base*1 + extra equals the identity on every row and column through
-    region."""
-    covered = 0
-    for (r, c), v in extra.items():
-        if v and (r in region or c in region):
-            if r != c or base + v != 1:
-                return False
-            covered += 1
-    return base == 1 or covered == len(region)
+def touched_lines(a: SparseBlockOperator) -> tuple[dict, dict]:
+    """(rows, columns): every row and every column of a that the defect
+    touches, as {line: {index: entry}} with the scalar added on the line's
+    diagonal, each map holding exactly the nonzero entries of its line.
+    Every other line holds the scalar alone, on its diagonal."""
+    rows: dict[BlockIndex, dict[BlockIndex, int]] = {}
+    cols: dict[BlockIndex, dict[BlockIndex, int]] = {}
+    for (r, c), v in a.delta.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, {})[r] = v
+    s = a.scalar
+    if s:
+        for lines in (rows, cols):
+            for b, line in lines.items():
+                v = line.get(b, 0) + s
+                if v:
+                    line[b] = v
+                else:
+                    del line[b]
+    return rows, cols
 
 
 def is_unitary_on(
@@ -388,24 +387,30 @@ def is_unitary_on(
     """Check a*a = aa* = 1 exactly on the given basis vectors (the whole
     ambient basis when interior is None).
 
-    With a = s*1 + D, a*a - 1 = (s^2 - 1)*1 + s(D + D*) + D*D, and aa* - 1
-    the same with DD*; for s = 1 only rows and columns the defect touches
-    can fail."""
+    An integer vector of norm 1 is a signed unit vector, so a*a = 1 on
+    column b says that column b holds exactly one nonzero entry, that entry
+    is +-1, and its row holds no other nonzero entry; aa* = 1 on b says the
+    same of row b.  Nothing is multiplied.  A line the defect leaves alone
+    holds the scalar alone, which passes for s = +-1 and fails otherwise,
+    so only touched lines are read."""
     region = a.domain if interior is None else _as_basis(interior)
     if not region <= a.domain:
         raise OperatorError("interior is not contained in the ambient basis")
-    s = a.scalar
-    linear: dict[tuple[BlockIndex, BlockIndex], int] = {}
-    if s:
-        for (r, c), v in a.delta.items():
-            linear[(r, c)] = linear.get((r, c), 0) + s * v
-            linear[(c, r)] = linear.get((c, r), 0) + s * v
-    for contract_rows in (True, False):
-        extra = _gram(a.delta, contract_rows)
-        for key, v in linear.items():
-            extra[key] = extra.get(key, 0) + v
-        if not _is_identity_on(s * s, extra, region):
+    rows, cols = touched_lines(a)
+    if a.scalar * a.scalar != 1:
+        if sum(1 for b in rows if b in cols and b in region) != len(region):
             return False
+    for lines, partners in ((cols, rows), (rows, cols)):
+        for b, line in lines.items():
+            if b in region:
+                if len(line) != 1:
+                    return False
+                i, v = next(iter(line.items()))
+                if v * v != 1:
+                    return False
+                # a partner line the defect leaves alone is b's own diagonal
+                if i in partners and len(partners[i]) != 1:
+                    return False
     return True
 
 
@@ -459,22 +464,17 @@ def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     if not is_unitary_on(u, interior):
         raise OperatorError("operator is not unitary on the window interior")
     # the diagonal of u*Pu at b is the sum of squares of the entries of
-    # column b on the nonnegative half line.  A column the defect leaves
-    # alone is s times a unit vector and adds (1 - s^2)[b >= 0], which
-    # vanishes for s = 1; only the touched columns are summed.
+    # column b on the nonnegative half line.  Each column first counts as
+    # s times a unit vector, adding (1 - s^2)[b >= 0], which vanishes for
+    # s = 1; a defect entry v at (r, b) with r >= 0 then takes v^2 more off,
+    # and 2sv more on the diagonal, since (s + v)^2 - s^2 = v^2 + 2sv.
     s = u.scalar
-    columns: dict[BlockIndex, dict[BlockIndex, int]] = {}
-    for (r, c), v in u.delta.items():
-        if c in interior:
-            columns.setdefault(c, {})[r] = v
     total = 0
     if s * s != 1:
         total = (1 - s * s) * len(_restrict(interior, lambda x: x >= 0))
-    for c, col in columns.items():
-        col[c] = col.get(c, 0) + s
-        total += (s * s if c.vertex >= 0 else 0) - sum(
-            v * v for r, v in col.items() if r.vertex >= 0
-        )
+    for (r, c), v in u.delta.items():
+        if r.vertex >= 0 and c in interior:
+            total -= v * v + (2 * s * v if r == c else 0)
     return total
 
 
@@ -585,23 +585,19 @@ def _row_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
     one string per slice of at most _CHUNK rows of a vertex.  A slice starts
     as the scalar diagonal, then the rows the defect touches are rebuilt."""
     touched: dict = {}
-    for ((x, rs), c), v in a.delta.items():
-        touched.setdefault(x, {}).setdefault(rs, []).append((c, v))
+    for (x, rs), cells in touched_lines(a)[0].items():
+        touched.setdefault(x, {})[rs] = list(cells.items())
     s = a.scalar
     for x, texts, places in _vertex_slots(a.domain, slot):
         head, mid = f"{lead}{vertex(x)}{sep}", f"{sep}{vertex(x)}{sep}"
         patches: dict[int, list] = {}
         for rs, cells in touched.pop(x, {}).items():
             i, j = divmod(places[rs], _CHUNK)
-            patches.setdefault(i, []).append((j, rs, cells))
+            patches.setdefault(i, []).append((j, cells))
         for i in range(0, len(texts), _CHUNK):
             part = texts[i : i + _CHUNK]
             rows = [f"{head}{t}{mid}{t}{sep}{s}{end}" for t in part] if s else [""] * len(part)
-            for j, rs, cells in patches.get(i // _CHUNK, ()):
-                if s:
-                    merged = dict(cells)
-                    merged[(x, rs)] = merged.get((x, rs), 0) + s
-                    cells = [(c, v) for c, v in merged.items() if v]
+            for j, cells in patches.get(i // _CHUNK, ()):
                 if len(cells) > 1:
                     cells.sort(key=lambda cell: block_key(cell[0]))
                 row = f"{head}{part[j]}{sep}"

@@ -324,6 +324,45 @@ def test_line_index_pairing_matches_dense_reference_on_all_classes():
         assert dense_index(ref.entries, ref.domain, window) == -k
 
 
+LINE_DOMAIN = ProductBasis(range(-2, 3), (Ordinal(1), Ordinal(2)))
+LINE_BASIS = sorted(LINE_DOMAIN, key=block_key)
+
+
+@st.composite
+def local_signed_permutations(draw):
+    """Each slot lane shifted one vertex either way, truncated at the ends,
+    or left for disjoint swaps of vectors at most one vertex apart; signed,
+    stored against a scalar of -2..2, with a few columns left to the
+    scalar."""
+    s = draw(st.integers(-2, 2))
+    image = {}
+    for slot in LINE_DOMAIN.slots:
+        step = draw(st.integers(-1, 1))
+        for x in LINE_DOMAIN.vertices if step else ():
+            target = BlockIndex(x + step, slot)
+            image[BlockIndex(x, slot)] = target if target in LINE_DOMAIN else None
+    pairs = st.tuples(st.sampled_from(LINE_BASIS), st.sampled_from(LINE_BASIS))
+    for x, y in draw(st.lists(pairs, max_size=5)):
+        if abs(x.vertex - y.vertex) <= 1 and x not in image and y not in image:
+            image[x], image[y] = y, x
+    left = draw(st.sets(st.sampled_from(LINE_BASIS), max_size=2))
+    cells = {}
+    for c in LINE_BASIS:
+        if c in image or c not in left:
+            r = image.get(c, c)
+            cells[(c, c)] = cells.get((c, c), 0) - s
+            if r is not None:
+                cells[(r, c)] = cells.get((r, c), 0) + draw(st.sampled_from((-1, 1)))
+    return SparseBlockOperator(LINE_DOMAIN, cells, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(local_signed_permutations(), st.integers(0, 2), st.integers(0, 4))
+def test_index_pairing_matches_dense_reference_at_any_scalar(a, radius, margin):
+    window = Window(radius=radius, margin=margin)
+    assert outcome(index_pairing, a, window) == dense_index(a.entries, a.domain, window)
+
+
 # ---------------------------------------------------------------------------
 # arbitrary splits of the same matrix
 

@@ -116,7 +116,7 @@ def test_is_unitary_examples():
 def test_is_unitary_general_fallback_detects_non_unitary():
     r1, r2, c1, c2 = sorted(DOMAIN, key=str)[:4]
     t = op_from({(r1, c1): 1, (r1, c2): 1, (r2, c1): 1, (r2, c2): -1})
-    # rows share support, so the fast path does not apply; gram check runs
+    # every column and every row holds two entries
     assert not is_unitary_on(t)
 
 
