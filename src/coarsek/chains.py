@@ -9,6 +9,7 @@ values plus a finite window of exceptional values.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from typing import Iterable, Mapping, Optional, Union
 
 from .graphs import Edge, Label, OrientedGraph
@@ -315,9 +316,10 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
     )
     # D's nonzero entries come first, so the columns of V past them are an
     # integer basis of the kernel of d
+    ids = [e.id for e in g.edges]
     basis = [
-        Chain1(g, {e.id: v[i][j] for i, e in enumerate(g.edges) if v[i][j]})
-        for j in range(len(diag), ne)
+        Chain1(g, dict(compress(zip(ids, col), col)))
+        for col in islice(zip(*v), len(diag), None)
     ]
     return HomologyResult(h0, len(basis), tuple(basis))
 

@@ -163,6 +163,19 @@ def _emit(report: Report, args, dumps: dict) -> int:
 # homology
 
 
+def _homology_json(payload: dict) -> str:
+    """json.dumps(payload, indent=1, sort_keys=True), with each H1 basis
+    chain written by the C encoder: indent=1 runs the pure-Python encoder
+    over every coefficient.  A basis chain is never empty."""
+    chains = [
+        "{\n   " + json.dumps(b, sort_keys=True, separators=(",\n   ", ": "))[1:-1] + "\n  }"
+        for b in payload["h1_basis"]
+    ]
+    basis = "[\n  " + ",\n  ".join(chains) + "\n ]" if chains else "[]"
+    text = json.dumps({**payload, "h1_basis": []}, indent=1, sort_keys=True)
+    return text.replace('"h1_basis": []', '"h1_basis": ' + basis, 1)
+
+
 def cmd_homology(args) -> int:
     g = _load_graph(args.graph)
     if isinstance(g, OrientedGraph):
@@ -177,7 +190,7 @@ def cmd_homology(args) -> int:
             ],
         }
         if args.json:
-            print(json.dumps(payload, indent=1, sort_keys=True))
+            print(_homology_json(payload))
         else:
             print(f"H0 = {res.h0}")
             print(f"H1 rank = {res.h1_rank}")

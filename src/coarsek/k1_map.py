@@ -77,6 +77,14 @@ class EdgeMatching:
             if set(m) != ins or set(m.values()) != outs or len(m) != len(ins):
                 raise NonCycleError(x, len(ins), len(outs))
 
+    @classmethod
+    def _trusted(cls, expanded: ExpandedGraph, routes: dict) -> "EdgeMatching":
+        """The matching of routes, a bijection at every vertex of expanded;
+        nothing is checked or copied."""
+        m = cls.__new__(cls)
+        m.expanded, m.per_vertex = expanded, routes
+        return m
+
     def at(self, x) -> dict:
         return self.per_vertex[x]
 
@@ -150,9 +158,13 @@ def cycle_unitary(
 ) -> CycleUnitary:
     """Build the permutation unitary of a finite-support cycle."""
     g = expand_graph(gamma.graph, gamma)
-    if not is_cycle(gamma) or matching is None:
-        # on a non-cycle this raises, naming the first unbalanced vertex
+    if not is_cycle(gamma):
+        # this raises, naming the first unbalanced vertex
         matching = canonical_matching(g)
+    elif matching is None:
+        # a cycle balances the flows at every vertex, so the canonical
+        # routes are a matching without the checks of permuted_matching
+        matching = EdgeMatching._trusted(g, _routes(g, {}))
     u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(matching.per_vertex))
     return CycleUnitary(expanded=g, matching=matching, u=u)
 

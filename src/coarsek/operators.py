@@ -209,14 +209,14 @@ class SparseBlockOperator:
     ) -> "SparseBlockOperator":
         """Operator fixing every basis vector except the keys of moves: b
         goes to moves[b], or to zero when that is None.  Only the moved
-        vectors are stored."""
-        if injective:
-            images = [img for img in moves.values() if img is not None]
-            # an image outside the moved vectors collides with a fixed one
-            if len(set(images)) != len(images) or any(
-                img not in moves for img in images
-            ):
-                raise OperatorError("basis map is not injective")
+        vectors are stored.  Each key and each image that is not a key is
+        checked against the basis once."""
+        images = [img for img in moves.values() if img is not None]
+        # an image outside the moved vectors collides with a fixed one
+        if injective and (
+            len(set(images)) != len(images) or any(img not in moves for img in images)
+        ):
+            raise OperatorError("basis map is not injective")
         entries = {}
         for src, img in moves.items():
             if img == src:
@@ -224,7 +224,13 @@ class SparseBlockOperator:
             entries[(src, src)] = -1
             if img is not None:
                 entries[(img, src)] = 1
-        return cls(domain, entries, scalar=1)
+        op = cls(domain, scalar=1)
+        if all(b in op.domain for b in moves) and all(
+            img in op.domain for img in images if img not in moves
+        ):
+            op.delta = entries
+            return op
+        return cls(op.domain, entries, scalar=1)  # the full checks name a stray entry
 
     @property
     def entries(self) -> dict[tuple[BlockIndex, BlockIndex], int]:

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsek import cli
 from coarsek.cli import MAX_WORK, main
@@ -594,3 +596,29 @@ def test_work_limit_admits_an_estimate_equal_to_it(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(cli, "MAX_WORK", 145 + 3 * 144 - 1)
     assert main(argv) == 2
     assert "estimated work 577 exceeds the limit 576" in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            "h0": st.text(max_size=8),
+            "h0_torsion": st.lists(st.integers(2, 99), max_size=3),
+            "h0_free_rank": st.integers(0, 9),
+            "h1_rank": st.integers(0, 9),
+            "h1_basis": st.lists(
+                st.dictionaries(
+                    st.text(alphabet='e1é"\\\n {}[],:', max_size=4),
+                    st.integers(-3, 3).filter(bool),
+                    min_size=1,
+                    max_size=5,
+                ),
+                max_size=4,
+            ),
+        }
+    )
+)
+def test_homology_json_is_the_indent_1_encoding(payload):
+    """Keys with quotes, backslashes, newlines, separators and non-ASCII
+    characters, and an empty basis."""
+    assert cli._homology_json(payload) == json.dumps(payload, indent=1, sort_keys=True)

@@ -1,15 +1,16 @@
 """Smith normal form against the implementation it replaced.
 
-The oracle below is the earlier ``smith_normal_form``, kept verbatim: a
-global pivot search over the whole tail block, full-height column
+The oracle below is the earlier ``smith_normal_form``, kept verbatim: dense
+rows, a global pivot search over the whole tail block, full-height column
 operations, and a divisor-chain scan after every pivot.  The current
-function skips the work a unit pivot makes pointless and must return the
-same ``(U, D, V)`` for every input, so the comparison is exact equality.
-Incidence matrices of random multigraphs (mostly unit pivots) and small
-general integer matrices (non-unit pivots, torsion, the divisor-chain row
-drag) are both covered.
+function stores D, U and V sparsely and skips the work a unit pivot makes
+pointless; it must return the same ``(U, D, V)`` for every input, so the
+comparison is exact equality.  Incidence matrices of random multigraphs
+(mostly unit pivots) and small general integer matrices (non-unit pivots,
+torsion, the divisor-chain row drag) are both covered.
 """
 
+import copy
 import random
 
 import pytest
@@ -141,12 +142,41 @@ def test_incidence_matrices_of_random_multigraphs():
     assert all(count >= 10 for count in shapes.values()), shapes
 
 
-def test_connected_incidence_matrix_with_many_cycles():
-    rng = random.Random(7)
-    n = 40
+def connected_incidence_matrix(n: int, seed: int) -> Matrix:
+    """A random spanning tree plus n + 1 random chords, E = 2V."""
+    rng = random.Random(seed)
     pairs = [(rng.randrange(i), i) for i in range(1, n)]
     pairs += [tuple(rng.sample(range(n), 2)) for _ in range(n + 1)]
     g = OrientedGraph(range(n), [Edge(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)])
+    return boundary_matrix(g)
+
+
+def test_connected_incidence_matrix_with_many_cycles():
+    mat = connected_incidence_matrix(40, 7)
+    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+
+
+def test_connected_incidence_matrix_of_benchmark_size():
+    """V = 160, E = 320: the largest homology request of the benchmark."""
+    mat = connected_incidence_matrix(160, 160)
+    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+
+
+@pytest.mark.parametrize(
+    "vertices, ends",
+    [
+        # parallel and antiparallel edges on a triangle, one isolated vertex
+        (range(4), [(0, 1), (0, 1), (1, 0), (1, 2), (2, 0), (2, 0), (0, 2)]),
+        # isolated vertices first, last and in between
+        (range(6), [(1, 2), (2, 4), (4, 1), (2, 1), (4, 2)]),
+        # two components, each a bundle of parallel and antiparallel edges
+        (range(5), [(0, 1), (1, 0), (0, 1), (3, 4), (3, 4), (4, 3), (4, 3)]),
+        # only isolated vertices
+        (range(3), []),
+    ],
+)
+def test_multigraph_incidence_matrices(vertices, ends):
+    g = OrientedGraph(vertices, [Edge(f"e{i}", s, t) for i, (s, t) in enumerate(ends)])
     mat = boundary_matrix(g)
     assert smith_normal_form(mat) == reference_smith_normal_form(mat)
 
@@ -176,8 +206,38 @@ def test_small_general_integer_matrices():
     assert non_unit >= 50
 
 
-# empty shapes, a zero matrix, 1 x 1 cases, and diag(2, 3), whose Smith form
-# diag(1, 6) needs the row drag
-@pytest.mark.parametrize("a", [[], [[], []], [[0, 0], [0, 0]], [[5]], [[-1]], [[2, 0], [0, 3]]])
+# m = 0 and n = 0 (also [[]]), a zero matrix, 1 x 1 cases; diag(2, 3),
+# whose Smith form diag(1, 6) needs the row drag, and diag(-2, 3), which
+# drags below a negative pivot; a zero quotient in a column operation
+# ([[4, 3], [-2, -2]]) and in a row operation (the 3 x 3 case after it); a
+# negative non-unit pivot that ends up negated; a drag on a 3 x 3 matrix
+# with torsion
+@pytest.mark.parametrize(
+    "a",
+    [
+        [],
+        [[], []],
+        [[0, 0], [0, 0]],
+        [[5]],
+        [[-1]],
+        [[2, 0], [0, 3]],
+        [[]],
+        [[-2, 0], [0, 3]],
+        [[4, 3], [-2, -2]],
+        [[5, 6, 3], [1, -4, -1], [-5, -6, -4]],
+        [[-4, 6], [6, -4]],
+        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+    ],
+)
 def test_fixed_small_matrices(a):
     assert smith_normal_form(a) == reference_smith_normal_form(a)
+
+
+def test_the_input_matrix_is_left_unchanged():
+    rng = random.Random(5)
+    cases = [random_integer_matrix(rng) for _ in range(50)]
+    cases += [boundary_matrix(random_multigraph(rng)) for _ in range(50)]
+    for a in cases:
+        before = copy.deepcopy(a)
+        smith_normal_form(a)
+        assert a == before

@@ -3,15 +3,20 @@ the same objects rebuilt through the checking constructors.
 
 compose, adjoint, +, -, unary - and defect build operators, chain +, -,
 scaled and boundary build chains, expand_graph builds its multigraph and
-boundary_witness its seven operators without checking their input again.  Each result must equal, field by
+boundary_witness its seven operators without checking their input again.
+from_moves checks each moved vector once and cycle_unitary builds the
+canonical matching of a cycle unchecked.  Each result must equal, field by
 field, what the checking constructor makes of a reference computation."""
 
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek.chains import Chain0, Chain1, boundary, is_cycle
+from coarsek.corpus import random_cycle
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.k0_map import (
     ExpandedGraph,
@@ -19,9 +24,11 @@ from coarsek.k0_map import (
     expand_graph,
     order_matched_involution,
 )
+from coarsek.k1_map import NonCycleError, canonical_matching, cycle_unitary
 from coarsek.operators import (
     BlockIndex,
     CopyEdge,
+    OperatorError,
     Ordinal,
     ProductBasis,
     SparseBlockOperator,
@@ -39,10 +46,8 @@ SCALARS = st.sampled_from([-1, 0, 1, 2])
 # operators
 
 
-@st.composite
-def operator_pairs(draw):
-    """Two operators over one basis, a product or an explicit subset of
-    one, whose defects share cells with opposite values."""
+def bases(draw):
+    """A product basis, or an explicit subset of one."""
     vertices = draw(st.lists(LABELS, unique=True, min_size=1, max_size=3))
     slots = draw(
         st.lists(
@@ -54,9 +59,15 @@ def operator_pairs(draw):
     )
     product = ProductBasis(vertices, slots)
     if draw(st.booleans()):
-        domain = product
-    else:
-        domain = frozenset(b for b in product if draw(st.booleans()))
+        return product
+    return frozenset(b for b in product if draw(st.booleans()))
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators over one basis, a product or an explicit subset of
+    one, whose defects share cells with opposite values."""
+    domain = bases(draw)
     basis = sorted(domain, key=block_key)
     a_delta, b_delta = {}, {}
     if basis:
@@ -116,6 +127,61 @@ def test_derived_operators_equal_their_checked_rebuilds(pair):
     )
     # entries that cancel completely
     assert_checked_rebuild(a - a, d, {key: 0 for key in ma}, 0)
+
+
+STRAY = BlockIndex(("stray",), Ordinal(9))  # in no basis drawn here
+
+
+@st.composite
+def moves_cases(draw):
+    """A basis and moves on it: a partial bijection with None images, or
+    any map, with a key or an image outside the basis now and then;
+    injectivity is checked or not, independently."""
+    domain = bases(draw)
+    pool = sorted(domain, key=block_key) + [STRAY] * draw(st.integers(0, 1))
+    keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6)) if pool else []
+    if draw(st.booleans()):
+        images = [
+            None if draw(st.integers(0, 3)) == 0 else img
+            for img in draw(st.permutations(keys))
+        ]
+    else:
+        images = [draw(st.sampled_from(pool + [None])) for _ in keys]
+        if keys and draw(st.integers(0, 3)) == 0:
+            images[-1] = STRAY
+    return domain, dict(zip(keys, images)), draw(st.booleans())
+
+
+def reference_moves(domain, moves: dict, injective: bool) -> SparseBlockOperator:
+    """The identity with each moved column replaced, through the checking
+    constructor."""
+    images = [img for img in moves.values() if img is not None]
+    if injective and (len(set(images)) != len(images) or not set(images) <= set(moves)):
+        raise OperatorError("basis map is not injective")
+    entries = {}
+    for src, img in moves.items():
+        if img != src:
+            entries[(src, src)] = -1
+            if img is not None:
+                entries[(img, src)] = 1
+    return SparseBlockOperator(domain, entries, scalar=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moves_cases())
+def test_from_moves_equals_the_checked_construction(case):
+    domain, moves, injective = case
+    try:
+        want = reference_moves(domain, moves, injective)
+    except OperatorError as exc:
+        with pytest.raises(OperatorError) as err:
+            SparseBlockOperator.from_moves(domain, moves, injective)
+        assert str(err.value) == str(exc)
+        return
+    got = SparseBlockOperator.from_moves(domain, moves, injective)
+    assert got.domain is domain
+    assert got.scalar == want.scalar == 1
+    assert list(got.delta.items()) == list(want.delta.items())
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +266,35 @@ def test_derived_chains_equal_their_checked_rebuilds(case, data):
     same(d, Chain0, net)
     same(d + (-d), Chain0, {})
     assert is_cycle(a) == (not any(net.values()))
+
+
+# ---------------------------------------------------------------------------
+# cycle_unitary
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_cycles(), st.integers(0, 2**16))
+def test_cycle_unitary_matching_equals_the_checked_construction(case, seed):
+    """Cycles drawn from the fundamental cycles of the host, and the host's
+    own chain, which is mostly not a cycle."""
+    g, chain = case
+    gamma = chain if seed % 4 == 0 else random_cycle(random.Random(seed), g)
+    ex = expand_graph(g, gamma)
+    if not is_cycle(gamma):
+        with pytest.raises(NonCycleError) as want:
+            canonical_matching(ex)
+        with pytest.raises(NonCycleError) as got:
+            cycle_unitary(gamma)
+        assert got.value.vertex == want.value.vertex
+        assert str(got.value) == str(want.value)
+        return
+    want = canonical_matching(ex)
+    cu = cycle_unitary(gamma)
+    assert cu.matching.expanded is cu.expanded
+    assert [(x, list(m.items())) for x, m in cu.matching.per_vertex.items()] == [
+        (x, list(m.items())) for x, m in want.per_vertex.items()
+    ]
+    assert cu.u == cycle_unitary(gamma, want).u
 
 
 # ---------------------------------------------------------------------------
