@@ -24,9 +24,13 @@ route through the hybrid intermediate
 is also constructed here, but it fails in general: the hybrid is injective
 only when alpha and beta route every ingoing edge to the same target vertex,
 and even then closed tracks of different cycle type obstruct any unitary
-conjugation (conjugation preserves the spectrum).  The verification report
-records the literal route honestly, with certificates, next to the product
-identity that does hold.
+conjugation (conjugation preserves the spectrum).  Past the cycle types,
+whether a block-diagonal slot permutation conjugates U_alpha onto U' is
+decided exactly: the tracks of both matchings, read as closed walks of the
+expanded graph, must agree as a multiset, and the first closed walk whose
+multiplicities differ is the certificate.  The verification report records
+the literal route honestly, with certificates, next to the product identity
+that does hold.
 """
 
 from __future__ import annotations
@@ -87,9 +91,6 @@ class EdgeMatching:
 
     def at(self, x) -> dict:
         return self.per_vertex[x]
-
-    def inverse_at(self, x) -> dict:
-        return {v: k for k, v in self.per_vertex[x].items()}
 
 
 def canonical_matching(g: ExpandedGraph) -> EdgeMatching:
@@ -232,10 +233,11 @@ def _route_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockO
 
 def _hybrid_intermediate(
     g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching
-) -> tuple[SparseBlockOperator, Optional[tuple]]:
+) -> tuple[Optional[SparseBlockOperator], Optional[tuple]]:
     """The classical intermediate: ingoing vectors go to the alpha target
-    vertex but the beta slot.  Returns the matrix and, when it is not a
-    basis bijection, a colliding pair of columns as certificate."""
+    vertex but the beta slot.  Returns the matrix when it is a basis
+    bijection, and otherwise None with a colliding pair of columns as
+    certificate."""
     moves = {}
     for x in g.vertices:
         for e in g.in_edges(x):
@@ -246,99 +248,85 @@ def _hybrid_intermediate(
     # moved vector lands on can take part, so the first collision in block
     # order over these candidates is the first over the whole basis
     candidates = set(moves) | {img for img in moves.values() if img not in moves}
-    collision = None
     seen: dict[BlockIndex, BlockIndex] = {}
     for b in sorted(candidates, key=block_key):
         img = moves.get(b, b)
         if img in seen:
-            collision = (seen[img], b, img)
-            break
+            return None, (seen[img], b, img)
         seen[img] = b
-    op = SparseBlockOperator.from_moves(_full_domain(g), moves, injective=False)
-    return op, collision
+    return SparseBlockOperator.from_moves(_full_domain(g), moves), None
 
 
-CONJUGATOR_BUDGET = 200_000  # propagation steps before the search gives up
+def _least_rotation(word: list) -> int:
+    """Start of the lexicographically least rotation of word, in linear
+    time (K. S. Booth, Inf. Process. Lett. 10(4), 1980)."""
+    s = word + word
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
-def _solve_block_conjugator(g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching):
-    """Search for per-vertex permutations pi_x of the ingoing edges with
+def _block_conjugator(g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching):
+    """Decide whether per-vertex permutations pi_x of the ingoing edges with
 
         alpha_x(pi_x(e)) = pi_y(beta_x(e)),   y = target(beta_x(e)),
 
-    which makes V = (direct sum of pi_x on ingoing slots) satisfy
-    U' = V* U_alpha V when the hybrid U' is unitary.  Deterministic
-    backtracking; returns (per_vertex slot maps, None) or (None, reason).
+    exist; they make V = (direct sum of pi_x on ingoing slots) satisfy
+    U' = V* U_alpha V when the hybrid U' is unitary.
+
+    The track map sigma(e) = m_{target(e)}(e) of a matching m permutes the
+    expanded edges, and the condition says pi conjugates sigma_beta to
+    sigma_alpha.  Such a pi keeps every edge's colour (source, target), so
+    it exists exactly when the tracks of both maps, read as cyclic colour
+    words, form the same multiset; aligning equal words at their least
+    rotation builds pi.  Returns (per-vertex slot maps, None), or (None,
+    reason) naming the first closed walk whose multiplicities differ.
     """
+    colour: dict = {}
+    for e in g.edges:
+        colour.setdefault((e.source, e.target), len(colour))
+    tracks = []
+    for m in (alpha, beta):
+        sigma = {e: m.at(e.target)[e] for e in g.edges}
+        by_word: dict = {}
+        for start, n in _cycles(sigma):
+            walk = [start]
+            for _ in range(n - 1):
+                walk.append(sigma[walk[-1]])
+            word = [colour[e.source, e.target] for e in walk]
+            k = _least_rotation(word)
+            by_word.setdefault(tuple(word[k:] + word[:k]), []).append(walk[k:] + walk[:k])
+        tracks.append(by_word)
+    a_tracks, b_tracks = tracks
+    for word in {**a_tracks, **b_tracks}:
+        n_a, n_b = len(a_tracks.get(word, ())), len(b_tracks.get(word, ()))
+        if n_a != n_b:
+            walk = (a_tracks.get(word) or b_tracks[word])[0]
+            vertices = [e.source for e in walk] + [walk[0].source]
+            return None, (
+                f"closed walk {vertices} has multiplicity {n_a} among the alpha "
+                f"tracks and {n_b} among the beta tracks: no slot-permutation "
+                "conjugator exists"
+            )
     pi: dict = {x: {} for x in g.vertices}
-    used: dict = {x: set() for x in g.vertices}
-    alpha_inv = {x: alpha.inverse_at(x) for x in g.vertices}
-    beta_inv = {x: beta.inverse_at(x) for x in g.vertices}
-    points = [
-        (x, e)
-        for x in g.vertices
-        for e in g.in_edges(x)
-    ]
-    steps = 0
-
-    def propagate(x, e, p, trail):
-        nonlocal steps
-        stack = [(x, e, p)]
-        while stack:
-            steps += 1
-            if steps > CONJUGATOR_BUDGET:
-                raise TimeoutError
-            x, e, p = stack.pop()
-            cur = pi[x].get(e)
-            if cur is not None:
-                if cur != p:
-                    return False
-                continue
-            if p in used[x] or p.target != x or p.source != e.source:
-                return False
-            if alpha.at(x)[p].target != beta.at(x)[e].target:
-                return False
-            pi[x][e] = p
-            used[x].add(p)
-            trail.append((x, e, p))
-            # forward: the constraint attached to the edge beta_x(e)
-            f = beta.at(x)[e]
-            stack.append((f.target, f, alpha.at(x)[p]))
-            # backward: the constraint attached to the edge e itself
-            s = e.source
-            e0 = beta_inv[s].get(e)
-            if e0 is not None:
-                p0 = alpha_inv[s].get(p)
-                if p0 is None:
-                    return False
-                stack.append((s, e0, p0))
-        return True
-
-    def undo(trail):
-        for x, e, p in trail:
-            del pi[x][e]
-            used[x].discard(p)
-
-    def solve(idx):
-        while idx < len(points) and points[idx][1] in pi[points[idx][0]]:
-            idx += 1
-        if idx == len(points):
-            return True
-        x, e = points[idx]
-        candidates = [p for p in g.in_edges(x) if p not in used[x]]
-        for p in candidates:
-            trail: list = []
-            if propagate(x, e, p, trail) and solve(idx + 1):
-                return True
-            undo(trail)
-        return False
-
-    try:
-        if solve(0):
-            return {x: {e.id: p.id for e, p in m.items()} for x, m in pi.items()}, None
-        return None, "search exhausted: no slot-permutation conjugator exists"
-    except TimeoutError:
-        return None, "search budget exceeded"
+    for word, b_walks in b_tracks.items():
+        for b_walk, a_walk in zip(b_walks, a_tracks[word]):
+            for e, p in zip(b_walk, a_walk):
+                pi[e.target][e.id] = p.id
+    return pi, None
 
 
 @dataclass
@@ -348,8 +336,10 @@ class MatchingIndependenceReport:
     correction_* fields document the product identity U_beta = U_alpha * R,
     which holds always.  literal_* fields document the two-conjugation route
     through the hybrid intermediate; when it cannot hold, the report carries
-    the obstruction (a column collision of the hybrid, or differing
-    permutation cycle types, which no unitary conjugation can reconcile).
+    the obstruction (a column collision of the hybrid, differing permutation
+    cycle types, which no unitary conjugation can reconcile, or a closed walk
+    that is a track of one matching more often than of the other, which no
+    block-diagonal slot permutation can reconcile).
     """
 
     u_alpha: SparseBlockOperator = field(repr=False)
@@ -359,7 +349,6 @@ class MatchingIndependenceReport:
     correction_is_permutation: bool
     correction_propagation_zero: bool
     correction_block_ranks: dict
-    literal_intermediate: SparseBlockOperator = field(repr=False)
     literal_intermediate_unitary: bool
     literal_collision: Optional[tuple]
     literal_matches_beta: Optional[bool]
@@ -446,7 +435,7 @@ def verify_matching_independence(
                 "no unitary conjugation can exist"
             )
         else:
-            per_vertex, reason = _solve_block_conjugator(g, alpha, beta)
+            per_vertex, reason = _block_conjugator(g, alpha, beta)
             if per_vertex is None:
                 v_obstruction = reason
             else:
@@ -476,7 +465,6 @@ def verify_matching_independence(
         correction_is_permutation=corr_ok,
         correction_propagation_zero=prop_zero,
         correction_block_ranks=block_ranks,
-        literal_intermediate=hybrid,
         literal_intermediate_unitary=unitary,
         literal_collision=collision,
         literal_matches_beta=matches_beta,

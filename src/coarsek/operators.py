@@ -189,15 +189,13 @@ class SparseBlockOperator:
         cls,
         domain: Iterable[BlockIndex],
         mapping: Mapping[BlockIndex, BlockIndex],
-        injective: bool = True,
     ) -> "SparseBlockOperator":
         """Operator sending basis vector b to mapping[b] (columns indexed by
         the preimage).  Vectors without an image get a zero column."""
         dom = _as_basis(domain)
-        if injective:
-            images = list(mapping.values())
-            if len(set(images)) != len(images):
-                raise OperatorError("basis map is not injective")
+        images = list(mapping.values())
+        if len(set(images)) != len(images):
+            raise OperatorError("basis map is not injective")
         return cls(dom, {(img, src): 1 for src, img in mapping.items()})
 
     @classmethod
@@ -205,17 +203,13 @@ class SparseBlockOperator:
         cls,
         domain: Iterable[BlockIndex],
         moves: Mapping[BlockIndex, Optional[BlockIndex]],
-        injective: bool = True,
     ) -> "SparseBlockOperator":
         """Operator fixing every basis vector except the keys of moves: b
         goes to moves[b], or to zero when that is None.  Only the moved
-        vectors are stored.  Each key and each image that is not a key is
-        checked against the basis once."""
+        vectors are stored, and each is checked against the basis once."""
         images = [img for img in moves.values() if img is not None]
         # an image outside the moved vectors collides with a fixed one
-        if injective and (
-            len(set(images)) != len(images) or any(img not in moves for img in images)
-        ):
+        if len(set(images)) != len(images) or any(img not in moves for img in images):
             raise OperatorError("basis map is not injective")
         entries = {}
         for src, img in moves.items():
@@ -225,9 +219,8 @@ class SparseBlockOperator:
             if img is not None:
                 entries[(img, src)] = 1
         op = cls(domain, scalar=1)
-        if all(b in op.domain for b in moves) and all(
-            img in op.domain for img in images if img not in moves
-        ):
+        # every image is a moved vector, so checking the keys checks them all
+        if all(b in op.domain for b in moves):
             op.delta = entries
             return op
         return cls(op.domain, entries, scalar=1)  # the full checks name a stray entry

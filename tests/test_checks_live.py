@@ -9,17 +9,26 @@ import json
 
 import pytest
 
-from coarsek import chains, cli, scenarios
+from coarsek import chains, cli, k1_map, scenarios
 from coarsek.chains import Chain0, Chain1, is_cycle
 from coarsek.corpus import cycle_graph, path_graph
+from coarsek.graphs import graph_from_json
+from coarsek.k0_map import expand_graph
 from coarsek.operators import (
     BlockIndex,
+    CopyEdge,
     Ordinal,
     SparseBlockOperator,
     bilateral_shift,
     index_pairing,
 )
-from coarsek.k1_map import CycleUnitary, line_cycle_unitary
+from coarsek.k1_map import (
+    CycleUnitary,
+    canonical_matching,
+    line_cycle_unitary,
+    permuted_matching,
+    verify_matching_independence,
+)
 
 SEED = 1
 COUNT = 12
@@ -311,3 +320,120 @@ def test_k1_map_a_doubled_window_operator_of_another_index_fails(
     monkeypatch.setattr(cli, "constant_cycle_index", shifted_index)
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", LINE, CLASS2, *WINDOW)
     _only_failure(rc, verdicts, "index pairing stable under window doubling")
+
+
+# ---------------------------------------------------------------------------
+# the matching-independence report, directly and through k1-map --matching
+
+BIGON = {
+    "kind": "finite",
+    "vertices": [0, 1],
+    "edges": [
+        {"id": "a", "source": 0, "target": 1},
+        {"id": "b", "source": 1, "target": 0},
+    ],
+}
+TWICE_AROUND = {"degree": 1, "coeffs": {"a": 2, "b": 2}}
+# the parallel copies swapped at both vertices: both routes hold, with a
+# conjugator V that is not the identity
+SWAPS = {"positions": {"0": [1, 0], "1": [1, 0]}}
+MATCHING_CHECKS = (
+    "matching independence (product identity)",
+    "matching independence (two-conjugation route)",
+)
+
+
+def _bigon_report():
+    g = graph_from_json(BIGON)
+    gamma = Chain1(g, TWICE_AROUND["coeffs"])
+    ex = expand_graph(g, gamma)
+    beta = permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
+    return verify_matching_independence(gamma, canonical_matching(ex), beta)
+
+
+def _verdicts(rep) -> dict:
+    return {k: v for k, v in rep.to_json().items() if isinstance(v, bool)}
+
+
+def _faulty(monkeypatch, name, fault) -> None:
+    """k1_map.name with fault applied to each of its results."""
+    real = getattr(k1_map, name)
+    monkeypatch.setattr(k1_map, name, lambda *args: fault(real(*args)))
+
+
+def _flipped(monkeypatch, name, fault) -> set:
+    """The verdicts of the report that a faulty k1_map.name turns false."""
+    assert all(_verdicts(_bigon_report()).values())
+    _faulty(monkeypatch, name, fault)
+    return {k for k, v in _verdicts(_bigon_report()).items() if not v}
+
+
+def _swapped_after(r: SparseBlockOperator, p: BlockIndex, q: BlockIndex):
+    """r followed by swapping the basis vectors p and q, which r fixes."""
+    return r.compose(SparseBlockOperator.from_moves(r.domain, {p: q, q: p}))
+
+
+def cross_vertex_move(r):
+    """Two vectors that no route touches swapped between vertices 0 and 1:
+    still a permutation, but with propagation 1; since U_alpha is
+    invertible, R = U_alpha* U_beta is forced, so U_alpha R moves too."""
+    return _swapped_after(r, BlockIndex(0, CopyEdge("a", 1)), BlockIndex(1, CopyEdge("b", 1)))
+
+
+def same_vertex_move(r):
+    """Two untouched slots at vertex 0 swapped: a permutation of
+    propagation zero, but U_alpha R no longer equals U_beta."""
+    return _swapped_after(r, BlockIndex(0, CopyEdge("a", 1)), BlockIndex(0, CopyEdge("a", 2)))
+
+
+def identity_conjugator(decision):
+    """Claims the identity conjugates U_alpha onto the hybrid, which here
+    equals U_beta != U_alpha."""
+    per_vertex, _ = decision
+    return {x: {} for x in per_vertex}, None
+
+
+def test_a_cross_vertex_correction_fails_propagation_zero(monkeypatch):
+    flipped = _flipped(monkeypatch, "matching_correction", cross_vertex_move)
+    assert flipped == {"correction_propagation_zero", "correction_identity", "content_ok"}
+
+
+def test_a_correction_off_the_product_identity_fails_only_the_identity(monkeypatch):
+    flipped = _flipped(monkeypatch, "matching_correction", same_vertex_move)
+    assert flipped == {"correction_identity", "content_ok"}
+
+
+def test_a_wrong_conjugator_fails_only_its_identity(monkeypatch):
+    flipped = _flipped(monkeypatch, "_block_conjugator", identity_conjugator)
+    assert flipped == {"literal_v_identity", "literal_route_ok"}
+
+
+def _k1_matching(tmp_path, capsys) -> tuple[int, dict]:
+    matching = _write(tmp_path, "m.json", SWAPS)
+    return _run_cli(
+        tmp_path, capsys, "k1-map", BIGON, TWICE_AROUND,
+        "--matching", matching, "--strict-matching",
+    )
+
+
+def test_k1_map_matching_passes_on_the_real_report(tmp_path, capsys):
+    rc, verdicts = _k1_matching(tmp_path, capsys)
+    assert rc == 0 and all(verdicts.values())
+    assert set(MATCHING_CHECKS) <= set(verdicts)
+
+
+@pytest.mark.parametrize("fault", [cross_vertex_move, same_vertex_move])
+def test_k1_map_a_faulty_correction_fails_only_the_product_identity(
+    tmp_path, capsys, monkeypatch, fault
+):
+    _faulty(monkeypatch, "matching_correction", fault)
+    rc, verdicts = _k1_matching(tmp_path, capsys)
+    _only_failure(rc, verdicts, MATCHING_CHECKS[0])
+
+
+def test_k1_map_a_wrong_conjugator_fails_only_the_two_conjugation_route(
+    tmp_path, capsys, monkeypatch
+):
+    _faulty(monkeypatch, "_block_conjugator", identity_conjugator)
+    rc, verdicts = _k1_matching(tmp_path, capsys)
+    _only_failure(rc, verdicts, MATCHING_CHECKS[1])

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -186,6 +187,36 @@ def test_k1_matching_override_figure_eight(tmp_path, capsys):
         ["k1-map", "--graph", graph, "--chain", chain, "--matching", override,
          "--strict-matching"]
     ) == 1
+
+
+def test_k1_matching_decides_the_conjugator_on_a_large_double_bigon(tmp_path, capsys):
+    # 2,000 parallel copies each way, rerouted at 0 by p and at 1 by p^-1:
+    # every track stays a 2-cycle 0 -> 1 -> 0, so a conjugator exists; a
+    # search that recurses once per track would overflow the stack here
+    graph = write(
+        tmp_path,
+        "bigon.json",
+        {
+            "kind": "finite",
+            "vertices": [0, 1],
+            "edges": [
+                {"id": "a", "source": 0, "target": 1},
+                {"id": "b", "source": 1, "target": 0},
+            ],
+        },
+    )
+    chain = write(tmp_path, "c.json", {"degree": 1, "coeffs": {"a": 2000, "b": 2000}})
+    p = list(range(2000))
+    random.Random(1).shuffle(p)
+    p_inv = [0] * len(p)
+    for j, i in enumerate(p):
+        p_inv[i] = j
+    override = write(tmp_path, "m.json", {"positions": {"0": p, "1": p_inv}})
+    argv = ["k1-map", "--graph", graph, "--chain", chain, "--matching", override, "--json"]
+    assert main(argv) == 0
+    status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert status["matching independence (product identity)"] == "PASS"
+    assert status["matching independence (two-conjugation route)"] == "PASS"
 
 
 @pytest.mark.parametrize(

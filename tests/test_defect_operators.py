@@ -94,7 +94,7 @@ def reference_hybrid(g, alpha, beta):
             collision = (seen[mapping[b]], b, mapping[b])
             break
         seen[mapping[b]] = b
-    op = SparseBlockOperator.from_basis_map(domain, mapping, injective=False)
+    op = SparseBlockOperator(domain, {(img, src): 1 for src, img in mapping.items()})
     return op, collision
 
 
@@ -242,18 +242,21 @@ def test_rerouted_matchings_and_corrections_match_full_construction(seed):
     u_beta = cycle_unitary(gamma, beta).u
     assert_same_operator(u_beta, reference_cycle_unitary(ex, beta))
     correction = matching_correction(ex, alpha, beta)
-    per_vertex = {
-        x: {e.id: alpha.inverse_at(x)[beta.at(x)[e]].id for e in ex.in_edges(x)}
-        for x in ex.vertices
-    }
+    per_vertex = {}
+    for x in ex.vertices:
+        alpha_inv = {out: e for e, out in alpha.at(x).items()}
+        per_vertex[x] = {e.id: alpha_inv[beta.at(x)[e]].id for e in ex.in_edges(x)}
     ref_corr = reference_slot_permutation(reference_domain(ex), per_vertex)
     assert_same_operator(correction, ref_corr)
     assert_same_algebra(correction, ref_corr)
     hybrid, collision = _hybrid_intermediate(ex, alpha, beta)
     ref_hybrid, ref_collision = reference_hybrid(ex, alpha, beta)
     assert collision == ref_collision
-    assert_same_operator(hybrid, ref_hybrid)
-    assert_same_algebra(hybrid, ref_hybrid)
+    if collision is None:
+        assert_same_operator(hybrid, ref_hybrid)
+        assert_same_algebra(hybrid, ref_hybrid)
+    else:
+        assert hybrid is None
 
 
 @settings(max_examples=25, deadline=None)

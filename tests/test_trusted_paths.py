@@ -135,8 +135,7 @@ STRAY = BlockIndex(("stray",), Ordinal(9))  # in no basis drawn here
 @st.composite
 def moves_cases(draw):
     """A basis and moves on it: a partial bijection with None images, or
-    any map, with a key or an image outside the basis now and then;
-    injectivity is checked or not, independently."""
+    any map, with a key or an image outside the basis now and then."""
     domain = bases(draw)
     pool = sorted(domain, key=block_key) + [STRAY] * draw(st.integers(0, 1))
     keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=6)) if pool else []
@@ -149,14 +148,14 @@ def moves_cases(draw):
         images = [draw(st.sampled_from(pool + [None])) for _ in keys]
         if keys and draw(st.integers(0, 3)) == 0:
             images[-1] = STRAY
-    return domain, dict(zip(keys, images)), draw(st.booleans())
+    return domain, dict(zip(keys, images))
 
 
-def reference_moves(domain, moves: dict, injective: bool) -> SparseBlockOperator:
+def reference_moves(domain, moves: dict) -> SparseBlockOperator:
     """The identity with each moved column replaced, through the checking
     constructor."""
     images = [img for img in moves.values() if img is not None]
-    if injective and (len(set(images)) != len(images) or not set(images) <= set(moves)):
+    if len(set(images)) != len(images) or not set(images) <= set(moves):
         raise OperatorError("basis map is not injective")
     entries = {}
     for src, img in moves.items():
@@ -170,15 +169,15 @@ def reference_moves(domain, moves: dict, injective: bool) -> SparseBlockOperator
 @settings(max_examples=300, deadline=None)
 @given(moves_cases())
 def test_from_moves_equals_the_checked_construction(case):
-    domain, moves, injective = case
+    domain, moves = case
     try:
-        want = reference_moves(domain, moves, injective)
+        want = reference_moves(domain, moves)
     except OperatorError as exc:
         with pytest.raises(OperatorError) as err:
-            SparseBlockOperator.from_moves(domain, moves, injective)
+            SparseBlockOperator.from_moves(domain, moves)
         assert str(err.value) == str(exc)
         return
-    got = SparseBlockOperator.from_moves(domain, moves, injective)
+    got = SparseBlockOperator.from_moves(domain, moves)
     assert got.domain is domain
     assert got.scalar == want.scalar == 1
     assert list(got.delta.items()) == list(want.delta.items())
