@@ -119,11 +119,14 @@ class BandedZChain:
     window_values: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if json_int(self.degree, "degree") not in (0, 1):
+        json_int(self.degree, "degree")
+        json_int(self.tail_left, "tail_left")
+        json_int(self.tail_right, "tail_right")
+        start = json_int(self.window_start, "window_start")
+        vals = [json_int(v, f"window_values[{i}]") for i, v in enumerate(self.window_values)]
+        if self.degree not in (0, 1):
             raise ChainError("degree must be 0 or 1")
         # normalize: shrink the window so representation is canonical
-        vals = list(self.window_values)
-        start = self.window_start
         while vals and vals[0] == self.tail_left:
             vals.pop(0)
             start += 1
@@ -131,7 +134,7 @@ class BandedZChain:
             vals.pop()
         if not vals and self.tail_left == self.tail_right:
             start = 0  # a constant chain has no position of its own
-        object.__setattr__(self, "window_values", tuple(int(v) for v in vals))
+        object.__setattr__(self, "window_values", tuple(vals))
         object.__setattr__(self, "window_start", start)
 
     def value(self, i: int) -> int:
@@ -531,12 +534,11 @@ def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
     values = data.get("window_values", [])
     if not isinstance(values, list):
         raise ChainError(f"window_values must be a list, got {values!r}")
+    # the constructor checks every field with json_int
     return BandedZChain(
         degree=degree,
-        tail_left=json_int(data.get("tail_left", 0), "tail_left"),
-        tail_right=json_int(data.get("tail_right", 0), "tail_right"),
-        window_start=json_int(data.get("window_start", 0), "window_start"),
-        window_values=tuple(
-            json_int(v, f"window_values[{i}]") for i, v in enumerate(values)
-        ),
+        tail_left=data.get("tail_left", 0),
+        tail_right=data.get("tail_right", 0),
+        window_start=data.get("window_start", 0),
+        window_values=tuple(values),
     )

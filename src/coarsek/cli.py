@@ -343,8 +343,8 @@ def cmd_k1(args) -> int:
             CheckResult(
                 "entries join adjacent vertices only",
                 all(
-                    r.vertex == c.vertex or ex.adjacent(r.vertex, c.vertex)
-                    for (r, c) in cu.u.delta
+                    r is None or r.vertex == c.vertex or ex.adjacent(r.vertex, c.vertex)
+                    for c, r in cu.u.moves.items()
                 ),
             )
         )

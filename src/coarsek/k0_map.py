@@ -78,7 +78,7 @@ def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
 class ProjectionPair:
     """Diagonal projections (f, g) over a common ambient basis; at each
     vertex at most one of them is nonzero.  Both have scalar 0, so their
-    delta holds every nonzero entry."""
+    moves fix exactly the vectors they project onto."""
 
     f: SparseBlockOperator
     g: SparseBlockOperator
@@ -89,18 +89,18 @@ class ProjectionPair:
 def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
     ceiling = max((abs(v) for v in values.values()), default=0)
     dom = ProductBasis(values, [Ordinal(i) for i in range(1, ceiling + 1)])
-    f_entries = {}
-    g_entries = {}
+    f_moves = {}
+    g_moves = {}
     for x, cx in values.items():
         for i in range(1, abs(cx) + 1):
             b = BlockIndex(x, Ordinal(i))
             if cx > 0:
-                f_entries[(b, b)] = 1
+                f_moves[b] = b
             else:
-                g_entries[(b, b)] = 1
+                g_moves[b] = b
     return ProjectionPair(
-        f=SparseBlockOperator(dom, f_entries),
-        g=SparseBlockOperator(dom, g_entries),
+        f=SparseBlockOperator(dom, f_moves),
+        g=SparseBlockOperator(dom, g_moves),
         values=dict(values),
         host_kind=host_kind,
     )
@@ -124,9 +124,7 @@ def build_projection_pair(
 
 def slot_ceiling(pair: ProjectionPair) -> int:
     """Largest ordinal slot index actually used by either projection."""
-    used = [r.slot.index for (r, _) in pair.f.delta] + [
-        r.slot.index for (r, _) in pair.g.delta
-    ]
+    used = [b.slot.index for b in pair.f.moves] + [b.slot.index for b in pair.g.moves]
     return max(used, default=0)
 
 
@@ -141,7 +139,7 @@ def k0_signature(pair: ProjectionPair) -> int:
     invariant and equals the sum of the chain coefficients."""
     if pair.host_kind != "finite":
         raise ChainError("k0_signature is defined for finite hosts only")
-    return len(pair.f.delta) - len(pair.g.delta)
+    return len(pair.f.moves) - len(pair.g.moves)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def block_diagonal_slot_permutation(
             b = BlockIndex(x, slot)
             if b in domain:
                 moves[b] = BlockIndex(x, target)
-    return SparseBlockOperator.from_moves(domain, moves)
+    return SparseBlockOperator(domain, moves, 1)
 
 
 @dataclass
@@ -231,11 +229,11 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         [BlockIndex(x, o) for x in g.vertices for o in ordinals] + sources + targets
     )
 
-    def op(items, scalar=0):
-        return SparseBlockOperator._trusted(dom, items, scalar)
+    def op(moves, scalar=0):
+        return SparseBlockOperator._trusted(dom, moves, scalar)
 
     def diag(blocks):
-        return op(((b, b), 1) for b in blocks)
+        return op({b: b for b in blocks})
 
     def ranks(counts):
         return diag(BlockIndex(x, o) for x, n in counts.items() for o in ordinals[:n])
@@ -243,15 +241,14 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
     def exchange(counts, edges_at):
         # at each vertex x, ordinal slot i and the slot of the i-th edge of
         # edges_at(x) trade places (order_matched_involution)
-        items = []
+        moves = {}
         for x, n in counts.items():
             swaps = order_matched_involution(ordinals[:n], [e.id for e in edges_at(x)])
             for a, b in swaps.items():
-                src = BlockIndex(x, a)
-                items += [((src, src), -1), ((BlockIndex(x, b), src), 1)]
-        return op(items, 1)
+                moves[BlockIndex(x, a)] = BlockIndex(x, b)
+        return op(moves, 1)
 
-    v = op(((t, s), 1) for s, t in zip(sources, targets))
+    v = op(dict(zip(sources, targets)))
     source_projection, target_projection = diag(sources), diag(targets)
     in_rank_projection, out_rank_projection = ranks(ins), ranks(outs)
     exchange_in, exchange_out = exchange(ins, g.in_edges), exchange(outs, g.out_edges)
@@ -260,7 +257,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         return t.compose(p).compose(t.adjoint())
 
     def diag_ranks(projection):
-        return Counter(r.vertex for (r, col) in projection.delta if r == col)
+        return Counter(b.vertex for b, r in projection.moves.items() if r == b)
 
     vv = v.adjoint().compose(v)
     ww = v.compose(v.adjoint())
@@ -279,7 +276,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         ),
         "adjacency": all(
             r.vertex == col.vertex or g.adjacent(r.vertex, col.vertex)
-            for (r, col) in v.delta
+            for col, r in v.moves.items()
         ),
     }
     return BoundaryWitness(

@@ -36,6 +36,7 @@ that does hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .chains import Chain1, is_cycle
@@ -54,8 +55,8 @@ from .operators import (
     SparseBlockOperator,
     Window,
     block_key,
+    diagonal_block_ranks,
     index_pairing,
-    touched_lines,
 )
 
 
@@ -166,7 +167,7 @@ def cycle_unitary(
         # a cycle balances the flows at every vertex, so the canonical
         # routes are a matching without the checks of permuted_matching
         matching = EdgeMatching._trusted(g, _routes(g, {}))
-    u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(matching.per_vertex))
+    u = SparseBlockOperator(_full_domain(g), _track_map(matching.per_vertex), 1)
     return CycleUnitary(expanded=g, matching=matching, u=u)
 
 
@@ -174,19 +175,15 @@ def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]
     """Sorted nontrivial cycle lengths when op is a permutation matrix of its
     ambient basis, else None.
 
-    Columns the defect leaves alone are fixed points when the scalar is 1
-    and rule a permutation out otherwise, so only touched columns are read."""
-    _, columns = touched_lines(op)
-    if op.scalar != 1 and len(columns) != len(op.domain):
-        return None
-    mapping = {}
-    for c, col in columns.items():
-        if list(col.values()) != [1]:
+    With scalar 1 the moves permute their own columns unless one is zero;
+    with scalar 0 every column must be moved."""
+    moves = op.moves
+    if op.scalar:
+        if any(r is None for r in moves.values()):
             return None
-        (mapping[c],) = col
-    if set(mapping.values()) != set(mapping):
+    elif len(moves) != len(op.domain):
         return None
-    return tuple(sorted(n for _, n in _cycles(mapping) if n > 1))
+    return tuple(sorted(n for _, n in _cycles(moves) if n > 1))
 
 
 def _cycles(mapping: dict) -> Iterator[tuple[object, int]]:
@@ -254,7 +251,7 @@ def _hybrid_intermediate(
         if img in seen:
             return None, (seen[img], b, img)
         seen[img] = b
-    return SparseBlockOperator.from_moves(_full_domain(g), moves), None
+    return SparseBlockOperator(_full_domain(g), moves, 1), None
 
 
 def _least_rotation(word: list) -> int:
@@ -409,13 +406,8 @@ def verify_matching_independence(
         correction.adjoint().compose(correction)
         == SparseBlockOperator.identity(correction.domain)
     )
-    # R - 1 on the moved slots at x is a slot permutation minus the identity:
-    # its rank is the number of those slots minus the number of their cycles
-    moves = {c: r for (r, c) in correction.delta if r != c}
-    block_ranks: dict = {}
-    for start, n in _cycles(moves):
-        block_ranks[start.vertex] = block_ranks.get(start.vertex, 0) + n - 1
-    prop_zero = all(r.vertex == c.vertex for (r, c) in correction.delta)
+    block_ranks = dict(diagonal_block_ranks(correction))
+    prop_zero = all(r is None or r.vertex == c.vertex for c, r in correction.moves.items())
 
     hybrid, collision = _hybrid_intermediate(g, alpha, beta)
     unitary = collision is None
@@ -484,17 +476,31 @@ def verify_matching_independence(
 
 @dataclass
 class CompressionResult:
-    """Conjugation of a cycle unitary into the corner spanned by the first n
-    ordinal slots.  u_tilde carries ordinal slots numbered by the expanded
-    edges in (parent id, copy) order; conjugating back with t recovers the
-    original operator exactly."""
+    """Conjugation of a cycle unitary u into the corner spanned by the first
+    n ordinal slots.  u_tilde carries ordinal slots numbered by the expanded
+    edges in (parent id, copy) order; conjugating back with t recovers u
+    exactly.  Both verdicts are read off the stored operators."""
 
+    u: SparseBlockOperator = field(repr=False)
     u_tilde: SparseBlockOperator
     t: SparseBlockOperator = field(repr=False)
     n: int
     max_valence: int
-    confinement_ok: bool
-    round_trip_ok: bool
+
+    @property
+    def confinement_ok(self) -> bool:
+        """u_tilde moves no vector from or into a slot beyond n."""
+        n = self.n
+        return all(
+            c.slot.index <= n and (r is None or r.slot.index <= n)
+            for c, r in self.u_tilde.moves.items()
+        )
+
+    @cached_property
+    def round_trip_ok(self) -> bool:
+        t = self.t
+        conjugated = t.adjoint().compose(self.u).compose(t)
+        return t.compose(conjugated).compose(t.adjoint()) == self.u
 
 
 def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> CompressionResult:
@@ -519,28 +525,17 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
         per_vertex[x] = order_matched_involution(first, ins)
     t = block_diagonal_slot_permutation(cu.u.domain, per_vertex)
     conjugated = t.adjoint().compose(cu.u).compose(t)
-    round_trip_ok = t.compose(conjugated).compose(t.adjoint()) == cu.u
 
     def relabel(b: BlockIndex) -> BlockIndex:
         return BlockIndex(b.vertex, Ordinal(number[b.slot]))
 
+    # a line window leaves zero columns at its far cut
     u_tilde = SparseBlockOperator(
         ProductBasis(g.vertices, [Ordinal(number[e.id]) for e in g.edges]),
-        {(relabel(r), relabel(c)): v for (r, c), v in conjugated.delta.items()},
+        {relabel(c): None if r is None else relabel(r) for c, r in conjugated.moves.items()},
         conjugated.scalar,
     )
-    confinement_ok = all(
-        r.slot.index <= n and c.slot.index <= n
-        for (r, c) in u_tilde.defect().delta
-    )
-    return CompressionResult(
-        u_tilde=u_tilde,
-        t=t,
-        n=n,
-        max_valence=max_valence,
-        confinement_ok=confinement_ok,
-        round_trip_ok=round_trip_ok,
-    )
+    return CompressionResult(u=cu.u, u_tilde=u_tilde, t=t, n=n, max_valence=max_valence)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +569,7 @@ def line_cycle_unitary(
     """
     g = line_expansion(k, window.lo, window.hi)
     routes = _routes(g, copy_permutations or {})
-    u = SparseBlockOperator.from_moves(_full_domain(g), _track_map(routes))
+    u = SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
     return CycleUnitary(expanded=g, matching=None, u=u, window=window)
 
 

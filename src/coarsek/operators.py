@@ -1,28 +1,29 @@
-"""Sparse integer block operators on the space spanned by (vertex, slot)
+"""Partial permutation operators on the space spanned by (vertex, slot)
 basis vectors.
 
 A slot is either an ordinal position of an abstract Hilbert basis or a copy
 of an edge of an expanded graph; together with a vertex it names one basis
-vector.  An operator is stored as s*1 + D: an integer multiple s of the
-identity of its ambient basis plus a sparse defect D holding only the
-entries where the matrix differs from s*1.  A cycle unitary differs from the
-identity only along its tracks, so it costs two defect entries per moved
-basis vector, however large the basis.  The ambient basis is an explicit
-finite set or the lazy product of a vertex list and a slot list, which is
-never materialised; adjoints are transposes and every identity checked here
-is an exact matrix identity.  Unitarity is one of them, read without a
-product: an integer unitary is a signed permutation matrix, so it is
-checked on the rows and columns the defect touches.
+vector.  Every operator the package builds (projections, witnesses,
+exchanges, cycle unitaries, corrections, shifts, compressions) holds at most
+one nonzero entry in each row and column, and that entry is 1.  So it is
+stored as what it is: a scalar 0 or 1 for the columns left alone, and a map
+from every other column to the row of its 1, or to None for a zero column.
+A cycle unitary costs one stored move per moved basis vector, however large
+the basis, which is an explicit finite set or the lazy product of a vertex
+list and a slot list.  Adjoints are inverse maps and every identity checked
+here is an exact matrix identity; unitarity is read without a product: no
+column of the region is zero and no row of it is empty.
 
 Operators over the integer line are realized on truncation windows.  A finite
 square matrix always has index zero, so the index pairing is computed as the
 trace of P - U*PU against the half-line projection, summed over the central
 region of the window where the truncated operator agrees with its infinite
-model.
+model; for a partial permutation that trace is the net flow across the cut.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cache
@@ -30,7 +31,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
 from .graphs import idkey
-from .intlinalg import rank as matrix_rank
 
 
 class OperatorError(ValueError):
@@ -139,245 +139,160 @@ def _restrict(domain: Basis, keep: Callable[[object], bool]) -> Basis:
     return frozenset(b for b in domain if keep(b.vertex))
 
 
-Entries = Mapping[tuple[BlockIndex, BlockIndex], int]
-
-
 class SparseBlockOperator:
-    """Integer matrix scalar*1 + delta over an orthonormal basis of
-    BlockIndex.
+    """Partial permutation matrix over an orthonormal basis of BlockIndex.
 
-    delta holds exactly the nonzero entries of the matrix minus scalar*1:
-    with scalar 0 it stores every nonzero entry, with scalar 1 only those
-    where the operator differs from the identity.  Any split of the same
-    matrix compares equal.
+    Column b holds a single 1 in row moves[b], or nothing when that is None;
+    every other column is scalar*e_b, with scalar 0 or 1.  moves keeps only
+    the columns that differ from that default, so every matrix has exactly
+    one representation.
 
-    The constructor, from_basis_map and from_moves check that every value is
-    an int (never truncated) and every entry lies in the basis.  compose,
-    adjoint, +, -, unary - and defect skip that through _trusted."""
+    The constructor checks the scalar, every column and row against the
+    basis, and that no two columns share a row; compose and adjoint skip
+    that through _trusted."""
 
-    def __init__(
-        self, domain: Iterable[BlockIndex], entries: Entries = (), scalar: int = 0
-    ):
-        if type(scalar) is not int:
-            raise OperatorError(f"scalar must be an integer, got {scalar!r}")
-        self.domain = _as_basis(domain)
+    def __init__(self, domain: Iterable[BlockIndex], moves: Mapping = (), scalar: int = 0):
+        if type(scalar) is not int or scalar not in (0, 1):
+            raise OperatorError(f"scalar must be the integer 0 or 1, got {scalar!r}")
+        self.domain = dom = _as_basis(domain)
         self.scalar = scalar
-        self.delta: dict[tuple[BlockIndex, BlockIndex], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (r, c), v in items:
-            if type(v) is not int:
-                raise OperatorError(f"entry ({r}, {c}) must be an integer, got {v!r}")
-            if v == 0:
+        if not isinstance(moves, Mapping):
+            moves = dict(moves)
+        self.moves: dict[BlockIndex, Optional[BlockIndex]] = {}
+        rows = set()
+        for c, r in moves.items():
+            if c not in dom:
+                raise OperatorError(f"column {c} outside the declared basis")
+            if r is None:
+                if scalar:
+                    self.moves[c] = None
                 continue
-            if r not in self.domain or c not in self.domain:
-                raise OperatorError(f"entry ({r}, {c}) outside the declared basis")
-            self.delta[(r, c)] = v
+            if r in rows:
+                raise OperatorError(f"two columns are sent into row {r}")
+            rows.add(r)
+            # with scalar 1 every row must be a moved column, whose key is
+            # checked against the basis: any other holds a fixed vector's 1
+            if not (r in moves if scalar else r in dom):
+                if r not in dom:
+                    raise OperatorError(f"row {r} outside the declared basis")
+                raise OperatorError(f"column {c} is sent into row {r} of a fixed vector")
+            if r != c or not scalar:
+                self.moves[c] = r
 
     @classmethod
-    def _trusted(cls, domain: Basis, items: Iterable, scalar: int) -> "SparseBlockOperator":
-        """scalar*1 plus the nonzero (cell, int) items; nothing is checked."""
+    def _trusted(cls, domain: Basis, moves: dict, scalar: int) -> "SparseBlockOperator":
+        """The operator of moves as stored; nothing is checked or dropped."""
         a = cls.__new__(cls)
-        a.domain, a.scalar, a.delta = domain, scalar, {key: v for key, v in items if v}
+        a.domain, a.scalar, a.moves = domain, scalar, moves
         return a
 
     @classmethod
     def identity(cls, domain: Iterable[BlockIndex]) -> "SparseBlockOperator":
         return cls(domain, scalar=1)
 
-    @classmethod
-    def from_basis_map(
-        cls,
-        domain: Iterable[BlockIndex],
-        mapping: Mapping[BlockIndex, BlockIndex],
-    ) -> "SparseBlockOperator":
-        """Operator sending basis vector b to mapping[b] (columns indexed by
-        the preimage).  Vectors without an image get a zero column."""
-        dom = _as_basis(domain)
-        images = list(mapping.values())
-        if len(set(images)) != len(images):
-            raise OperatorError("basis map is not injective")
-        return cls(dom, {(img, src): 1 for src, img in mapping.items()})
-
-    @classmethod
-    def from_moves(
-        cls,
-        domain: Iterable[BlockIndex],
-        moves: Mapping[BlockIndex, Optional[BlockIndex]],
-    ) -> "SparseBlockOperator":
-        """Operator fixing every basis vector except the keys of moves: b
-        goes to moves[b], or to zero when that is None.  Only the moved
-        vectors are stored, and each is checked against the basis once."""
-        images = [img for img in moves.values() if img is not None]
-        # an image outside the moved vectors collides with a fixed one
-        if len(set(images)) != len(images) or any(img not in moves for img in images):
-            raise OperatorError("basis map is not injective")
-        entries = {}
-        for src, img in moves.items():
-            if img == src:
-                continue
-            entries[(src, src)] = -1
-            if img is not None:
-                entries[(img, src)] = 1
-        op = cls(domain, scalar=1)
-        # every image is a moved vector, so checking the keys checks them all
-        if all(b in op.domain for b in moves):
-            op.delta = entries
-            return op
-        return cls(op.domain, entries, scalar=1)  # the full checks name a stray entry
+    def _image(self, c: BlockIndex) -> Optional[BlockIndex]:
+        """The row of the 1 in column c, or None for a zero column."""
+        return self.moves.get(c, c) if self.scalar else self.moves.get(c)
 
     @property
     def entries(self) -> dict[tuple[BlockIndex, BlockIndex], int]:
-        """Every nonzero entry of the matrix, materialised on each call.
-
-        For tests and diagnostics only: with a nonzero scalar it holds one
-        entry per basis vector.  The package itself reads delta."""
-        out = {(b, b): self.scalar for b in self.domain} if self.scalar else {}
-        for key, v in self.delta.items():
-            total = out.get(key, 0) + v
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return out
+        """Every nonzero entry of the matrix, materialised on each call: for
+        tests and diagnostics, as with scalar 1 it holds one per vector."""
+        if not self.scalar:
+            return {(r, c): 1 for c, r in self.moves.items()}
+        images = ((self.moves.get(c, c), c) for c in self.domain)
+        return {(r, c): 1 for r, c in images if r is not None}
 
     def entry(self, r: BlockIndex, c: BlockIndex) -> int:
-        v = self.delta.get((r, c), 0)
-        if self.scalar and r == c and r in self.domain:
-            v += self.scalar
-        return v
+        return int(c in self.domain and self._image(c) == r)
 
     def is_zero(self) -> bool:
         if not self.scalar:
-            return not self.delta
-        # delta must cancel the whole diagonal and hold nothing else
-        return len(self.delta) == len(self.domain) and all(
-            r == c and v == -self.scalar for (r, c), v in self.delta.items()
-        )
+            return not self.moves
+        return len(self.moves) == len(self.domain) and not any(self.moves.values())
 
     def _same_basis(self, other: "SparseBlockOperator") -> bool:
         return self.domain is other.domain or self.domain == other.domain
 
-    def _check_basis(self, other: "SparseBlockOperator") -> None:
+    def compose(self, other: "SparseBlockOperator") -> "SparseBlockOperator":
+        """Matrix product self * other: each column goes where other sends
+        it, then where self sends that."""
         if not self._same_basis(other):
             raise OperatorError("ambient bases differ")
-
-    def compose(self, other: "SparseBlockOperator") -> "SparseBlockOperator":
-        """Matrix product self * other, from
-        (s1 + D1)(s2 + D2) = s1 s2 + s1 D2 + s2 D1 + D1 D2."""
-        self._check_basis(other)
-        s1, s2 = self.scalar, other.scalar
-        acc: dict[tuple[BlockIndex, BlockIndex], int] = {}
-        if s1:
-            acc = {key: s1 * v for key, v in other.delta.items()}
-        if s2:
-            for key, v in self.delta.items():
-                acc[key] = acc.get(key, 0) + s2 * v
-        by_row: dict[BlockIndex, list[tuple[BlockIndex, int]]] = {}
-        for (r, c), v in other.delta.items():
-            by_row.setdefault(r, []).append((c, v))
-        for (r, k), av in self.delta.items():
-            for c, bv in by_row.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + av * bv
-        return self._trusted(self.domain, acc.items(), s1 * s2)
+        moves, s, scalar = self.moves, self.scalar, self.scalar * other.scalar
+        out = {}
+        for c, r in other.moves.items():
+            if r is not None:
+                r = moves.get(r, r) if s else moves.get(r)
+            if r != c if scalar else r is not None:
+                out[c] = r
+        if other.scalar:
+            # other fixes these columns, so self alone moves them
+            for c, r in moves.items():
+                if c not in other.moves:
+                    out[c] = r
+        return self._trusted(self.domain, out, scalar)
 
     def adjoint(self) -> "SparseBlockOperator":
-        return self._trusted(
-            self.domain, (((c, r), v) for (r, c), v in self.delta.items()), self.scalar
-        )
-
-    def _combine(self, other: "SparseBlockOperator", sign: int) -> "SparseBlockOperator":
-        self._check_basis(other)
-        acc = dict(self.delta)
-        for key, v in other.delta.items():
-            acc[key] = acc.get(key, 0) + sign * v
-        return self._trusted(self.domain, acc.items(), self.scalar + sign * other.scalar)
-
-    def __add__(self, other: "SparseBlockOperator") -> "SparseBlockOperator":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "SparseBlockOperator") -> "SparseBlockOperator":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "SparseBlockOperator":
-        return self._trusted(
-            self.domain, ((key, -v) for key, v in self.delta.items()), -self.scalar
-        )
-
-    def defect(self) -> "SparseBlockOperator":
-        """self minus the identity of its ambient basis."""
-        return self._trusted(self.domain, self.delta.items(), self.scalar - 1)
+        """The transpose, which is the inverse map.  With scalar 1 a moved
+        column that nothing lands on has an empty row, so its column in the
+        adjoint is zero."""
+        out: dict = {r: c for c, r in self.moves.items() if r is not None}
+        if self.scalar:
+            for c in self.moves:
+                out.setdefault(c, None)
+        return self._trusted(self.domain, out, self.scalar)
 
     def __eq__(self, other):
         if not isinstance(other, SparseBlockOperator) or not self._same_basis(other):
             return False
         if self.scalar == other.scalar:
-            return self.delta == other.delta
-        return (self - other).is_zero()
+            return self.moves == other.moves
+        return all(self._image(b) == other._image(b) for b in self.domain)
 
     def __repr__(self):
-        return (
-            f"SparseBlockOperator({len(self.domain)} basis vectors, "
-            f"{self.scalar}*1 + {len(self.delta)} defect entries)"
-        )
+        n, s, m = len(self.domain), self.scalar, len(self.moves)
+        return f"SparseBlockOperator({n} basis vectors, {s}*1 off {m} moved columns)"
 
 
 def propagation(a: SparseBlockOperator) -> int:
     """Least R with every nonzero entry of an operator over the line joining
-    vertices x and y with |x - y| <= R.
-
-    The scalar part is diagonal, so only the defect is measured; a and a - 1
-    have the same propagation."""
-    return max((abs(r.vertex - c.vertex) for (r, c) in a.delta), default=0)
+    vertices x and y with |x - y| <= R: the largest move, since the columns
+    left to the scalar sit on the diagonal."""
+    return max(
+        (abs(r.vertex - c.vertex) for c, r in a.moves.items() if r is not None), default=0
+    )
 
 
 def block_rank(a: SparseBlockOperator, x, y) -> int:
-    """Exact rank of the (x, y) vertex block over the rationals.
+    """Exact rank of the (x, y) vertex block of a - 1.
 
-    On a diagonal block every slot the defect leaves alone carries the
-    scalar alone, so it adds one to the rank when the scalar is nonzero.
-    A block whose rows and columns each hold at most one nonzero entry has
-    its nonzero entries as rank; any other block is eliminated."""
-    cells = {
-        (r.slot, c.slot): v
-        for (r, c), v in a.delta.items()
-        if r.vertex == x and c.vertex == y
-    }
-    s = a.scalar if x == y else 0
-    touched = {rs for rs, _ in cells} | {cs for _, cs in cells}
-    if s:
-        for t in touched:
-            cells[(t, t)] = cells.get((t, t), 0) + s
-    nonzero = [key for key, v in cells.items() if v]
-    if len({rs for rs, _ in nonzero}) == len({cs for _, cs in nonzero}) == len(nonzero):
-        rank = len(nonzero)
-    else:
-        rank = matrix_rank([[cells.get((rs, cs), 0) for cs in touched] for rs in touched])
-    if s:
-        rank += len(_restrict(a.domain, lambda v: v == x)) - len(touched)
-    return rank
+    Off the diagonal a - 1 agrees with a, so the rank is the number of
+    columns at y moved into x; diagonal_block_ranks reads the diagonal."""
+    if x != y:
+        return sum(r is not None and (r.vertex, c.vertex) == (x, y) for c, r in a.moves.items())
+    return diagonal_block_ranks(a)[x]
 
 
-def touched_lines(a: SparseBlockOperator) -> tuple[dict, dict]:
-    """(rows, columns): every row and every column of a that the defect
-    touches, as {line: {index: entry}} with the scalar added on the line's
-    diagonal, each map holding exactly the nonzero entries of its line.
-    Every other line holds the scalar alone, on its diagonal."""
-    rows: dict[BlockIndex, dict[BlockIndex, int]] = {}
-    cols: dict[BlockIndex, dict[BlockIndex, int]] = {}
-    for (r, c), v in a.delta.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, {})[r] = v
-    s = a.scalar
-    if s:
-        for lines in (rows, cols):
-            for b, line in lines.items():
-                v = line.get(b, 0) + s
-                if v:
-                    line[b] = v
-                else:
-                    del line[b]
-    return rows, cols
+def diagonal_block_ranks(a: SparseBlockOperator) -> Counter:
+    """Exact rank of the (x, x) vertex block of a - 1 at every vertex x, in
+    one pass; a vertex left out has rank 0.  The block is Q - 1 for the
+    partial permutation Q of the slots at x, whose kernel is spanned by the
+    sums over the closed cycles of Q: the rank is the slots at x (only the
+    moved ones when the scalar fixes the rest) minus the closed cycles the
+    moves form inside x, each counted once."""
+    moves = a.moves
+    ranks = Counter(c.vertex for c in (moves if a.scalar else a.domain))
+    seen: set = set()
+    for start in moves:
+        if start in seen:
+            continue
+        cur = start
+        while cur in moves and cur not in seen and cur.vertex == start.vertex:
+            seen.add(cur)
+            cur = moves[cur]
+        ranks[start.vertex] -= cur == start
+    return ranks
 
 
 def is_unitary_on(
@@ -386,31 +301,18 @@ def is_unitary_on(
     """Check a*a = aa* = 1 exactly on the given basis vectors (the whole
     ambient basis when interior is None).
 
-    An integer vector of norm 1 is a signed unit vector, so a*a = 1 on
-    column b says that column b holds exactly one nonzero entry, that entry
-    is +-1, and its row holds no other nonzero entry; aa* = 1 on b says the
-    same of row b.  Nothing is multiplied.  A line the defect leaves alone
-    holds the scalar alone, which passes for s = +-1 and fails otherwise,
-    so only touched lines are read."""
+    A partial permutation holds at most one 1 in each row and column, so
+    a*a = 1 on column b says that column b is not zero, and aa* = 1 on b
+    that row b is not empty.  Nothing is multiplied.  With scalar 1 only a
+    moved column can fail: it is zero when its image is None, and its row
+    is empty when no column lands on it."""
     region = a.domain if interior is None else _as_basis(interior)
     if not region <= a.domain:
         raise OperatorError("interior is not contained in the ambient basis")
-    rows, cols = touched_lines(a)
-    if a.scalar * a.scalar != 1:
-        if sum(1 for b in rows if b in cols and b in region) != len(region):
-            return False
-    for lines, partners in ((cols, rows), (rows, cols)):
-        for b, line in lines.items():
-            if b in region:
-                if len(line) != 1:
-                    return False
-                i, v = next(iter(line.items()))
-                if v * v != 1:
-                    return False
-                # a partner line the defect leaves alone is b's own diagonal
-                if i in partners and len(partners[i]) != 1:
-                    return False
-    return True
+    rows = set(a.moves.values())
+    if a.scalar:
+        return all(r is not None and c in rows for c, r in a.moves.items() if c in region)
+    return sum(c in region for c in a.moves) == sum(r in region for r in rows) == len(region)
 
 
 @dataclass(frozen=True)
@@ -457,23 +359,24 @@ def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     For the infinite operator the support of P - u*Pu sits within the
     propagation distance of the cut at 0, so once the margin dominates the
     propagation the central sum is exact and independent of the window.
+
+    The diagonal of u*Pu at column c is 1 exactly when the 1 of column c
+    lies on the nonnegative half line, so the trace is the net flow of
+    moved vectors out of the half line across the cut: the index of a
+    one-dimensional locality-preserving unitary (D. Gross, V. Nesme,
+    H. Vogts and R. F. Werner, Commun. Math. Phys. 310, 2012).
     """
     window.require_margin(propagation(u))
     interior = window.interior(u.domain)
     if not is_unitary_on(u, interior):
         raise OperatorError("operator is not unitary on the window interior")
-    # the diagonal of u*Pu at b is the sum of squares of the entries of
-    # column b on the nonnegative half line.  Each column first counts as
-    # s times a unit vector, adding (1 - s^2)[b >= 0], which vanishes for
-    # s = 1; a defect entry v at (r, b) with r >= 0 then takes v^2 more off,
-    # and 2sv more on the diagonal, since (s + v)^2 - s^2 = v^2 + 2sv.
+    # with scalar 0 every interior column is moved, and each first counts
+    # [c >= 0] from P; with scalar 1 a column left alone cancels itself
     s = u.scalar
-    total = 0
-    if s * s != 1:
-        total = (1 - s * s) * len(_restrict(interior, lambda x: x >= 0))
-    for (r, c), v in u.delta.items():
-        if r.vertex >= 0 and c in interior:
-            total -= v * v + (2 * s * v if r == c else 0)
+    total = 0 if s else len(_restrict(interior, lambda x: x >= 0))
+    for c, r in u.moves.items():
+        if c in interior:
+            total += s * (c.vertex >= 0) - (r is not None and r.vertex >= 0)
     return total
 
 
@@ -483,35 +386,28 @@ def bilateral_shift(
     """Truncated forward shift (x, s) -> (x+1, s); the sign oracle for the
     index pairing: its index is -1 per slot."""
     domain = ProductBasis(range(window.lo, window.hi + 1), slots)
-    mapping = {
+    moves = {
         BlockIndex(x, s): BlockIndex(x + 1, s)
         for x in range(window.lo, window.hi)
         for s in slots
     }
-    return SparseBlockOperator.from_basis_map(domain, mapping)
+    return SparseBlockOperator(domain, moves)
 
 
 # ---------------------------------------------------------------------------
 # interchange formats
 #
 # Both dumps list the nonzero entries row by row in block_key order: rows by
-# (vertex idkey, slot_key) of the row, the entries of a row by the same key
-# of their column.  The writers walk the basis one vertex at a time and
-# write each vertex's rows in slices of at most _CHUNK: a slice starts as the
-# scalar diagonal, built from slot texts formatted once per operator (one
-# list for all vertices of a product basis), and the few rows the defect
-# touches are rewritten in place.  The matrix is never materialised.  The
-# JSON dump is byte for byte what json.dumps(..., indent=1, sort_keys=True)
-# writes for the same object.
+# (vertex idkey, slot_key) of the row; a row holds at most one entry.  The
+# writers walk the basis one vertex at a time and write each vertex's rows
+# in slices of at most _CHUNK: a slice starts as the scalar diagonal, built
+# from slot texts formatted once per operator (one list for all vertices of
+# a product basis), and the few rows the moves change are rewritten in
+# place.  The matrix is never materialised.  The JSON dump is byte for byte
+# what json.dumps(..., indent=1, sort_keys=True) writes for the same object.
 
 
 _CHUNK = 4096  # rows joined per write
-
-
-def _label_from_json(x):
-    if isinstance(x, list):
-        return tuple(_label_from_json(part) for part in x)
-    return x
 
 
 def _fmt(x, depth: Optional[int] = None) -> str:
@@ -545,12 +441,6 @@ def _json_slot_at(s: Slot, depth: int) -> str:
     return f"{{{pad}{body}\n{' ' * depth}}}"
 
 
-def _slot_from_json(data) -> Slot:
-    if "ordinal" in data:
-        return Ordinal(data["ordinal"])
-    return CopyEdge(_label_from_json(data["edge"]), data["copy"])
-
-
 def _vertex_slots(domain: Basis, slot: Callable) -> Iterable[tuple]:
     """(vertex, texts, places) for every vertex of domain in idkey order:
     the texts of its slots in slot_key order and the place of each slot in
@@ -582,26 +472,27 @@ def _row_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
     """The nonzero entries of a in block_key order, each as lead, row vertex,
     row slot, column vertex, column slot and value joined by sep, then end;
     one string per slice of at most _CHUNK rows of a vertex.  A slice starts
-    as the scalar diagonal, then the rows the defect touches are rebuilt."""
-    touched: dict = {}
-    for (x, rs), cells in touched_lines(a)[0].items():
-        touched.setdefault(x, {})[rs] = list(cells.items())
+    as the scalar diagonal, then the rows the moves change are rebuilt: such
+    a row holds the column landing on it, or nothing."""
     s = a.scalar
+    changed: dict = {}  # {vertex: {row slot: column or None}}
+    for c, r in a.moves.items():
+        if s:
+            changed.setdefault(c.vertex, {}).setdefault(c.slot, None)
+        if r is not None:
+            changed.setdefault(r.vertex, {})[r.slot] = c
     for x, texts, places in _vertex_slots(a.domain, slot):
         head, mid = f"{lead}{vertex(x)}{sep}", f"{sep}{vertex(x)}{sep}"
         patches: dict[int, list] = {}
-        for rs, cells in touched.pop(x, {}).items():
+        for rs, c in changed.pop(x, {}).items():
             i, j = divmod(places[rs], _CHUNK)
-            patches.setdefault(i, []).append((j, cells))
+            patches.setdefault(i, []).append((j, c))
         for i in range(0, len(texts), _CHUNK):
             part = texts[i : i + _CHUNK]
-            rows = [f"{head}{t}{mid}{t}{sep}{s}{end}" for t in part] if s else [""] * len(part)
-            for j, cells in patches.get(i // _CHUNK, ()):
-                if len(cells) > 1:
-                    cells.sort(key=lambda cell: block_key(cell[0]))
-                row = f"{head}{part[j]}{sep}"
-                rows[j] = "".join(
-                    [f"{row}{vertex(y)}{sep}{slot(t)}{sep}{v}{end}" for (y, t), v in cells]
+            rows = [f"{head}{t}{mid}{t}{sep}1{end}" for t in part] if s else [""] * len(part)
+            for j, c in patches.get(i // _CHUNK, ()):
+                rows[j] = "" if c is None else (
+                    f"{head}{part[j]}{sep}{vertex(c.vertex)}{sep}{slot(c.slot)}{sep}1{end}"
                 )
             yield "".join(rows)
 
@@ -637,15 +528,3 @@ def operator_to_json(a: SparseBlockOperator, out: TextIO) -> None:
     out.write(',\n "entries": ')
     _write_list(out, _row_chunks(a, vertex, slot, *item), "[", "\n ]", "[]")
     out.write("\n}")
-
-
-def operator_from_json(data: dict) -> SparseBlockOperator:
-    domain = [
-        BlockIndex(_label_from_json(v), _slot_from_json(s)) for v, s in data["basis"]
-    ]
-    entries = {}
-    for rv, rs, cv, cs, val in data["entries"]:
-        r = BlockIndex(_label_from_json(rv), _slot_from_json(rs))
-        c = BlockIndex(_label_from_json(cv), _slot_from_json(cs))
-        entries[(r, c)] = val
-    return SparseBlockOperator(domain, entries)

@@ -160,13 +160,14 @@ def cycle_corpus_pass(seed: int = DEFAULT_SEED, count: int = 200) -> CycleVerdic
         if not is_unitary_on(cu.u):
             out.unitarity.append({"graph": i, "coeffs": gamma.coeffs})
         ex = cu.expanded
-        defect = cu.u.defect()
-        for (r, c) in defect.delta:
-            if r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
-                out.adjacency.append({"graph": i, "row": r, "col": c})
-        blocks = {(r.vertex, c.vertex) for (r, c) in defect.delta}
+        blocks = {(c.vertex, c.vertex) for c in cu.u.moves}  # of u - 1
+        for c, r in cu.u.moves.items():
+            if r is not None:
+                blocks.add((r.vertex, c.vertex))
+                if r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
+                    out.adjacency.append({"graph": i, "row": r, "col": c})
         for (x, y) in blocks:
-            if block_rank(defect, x, y) > ex.degree(x):
+            if block_rank(cu.u, x, y) > ex.degree(x):
                 out.rank.append({"graph": i, "block": (x, y)})
     return out
 

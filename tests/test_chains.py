@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +299,22 @@ def test_chains_refuse_non_integer_coefficients(make):
     # never truncated, as the JSON readers never truncate
     with pytest.raises(ChainError, match="must be an integer"):
         make()
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((0, 0, 0, 0, (1.5, 2.7)), "window_values[0]"),
+        ((0, 0, 0, 0, (1, True)), "window_values[1]"),
+        ((0, 0.5, 0.5), "tail_left"),
+        ((1, 2, 2.0), "tail_right"),
+        ((0, 0, 1, 0.5), "window_start"),
+    ],
+)
+def test_banded_chains_refuse_non_integer_fields(args, field):
+    # never truncated: (1.5, 2.7) must not become the window (1, 2)
+    with pytest.raises(ChainError, match="^" + re.escape(f"{field} must be an integer")):
+        BandedZChain(*args)
 
 
 def test_chains_of_different_degrees_do_not_add():

@@ -35,42 +35,35 @@ COUNT = 12
 
 
 def _with_moves(cu: CycleUnitary, moves: dict) -> CycleUnitary:
-    """cu with the columns in moves sent to the given basis vectors."""
+    """cu with the columns in moves sent to the given basis vectors, through
+    the checking constructor."""
     u = cu.u
-    delta = {(r, c): v for (r, c), v in u.delta.items() if c not in moves}
-    for c, img in moves.items():
-        delta[(c, c)] = delta.get((c, c), 0) - 1
-        delta[(img, c)] = delta.get((img, c), 0) + 1
-    faulty = SparseBlockOperator(u.domain, delta, u.scalar)
+    faulty = SparseBlockOperator(u.domain, {**u.moves, **moves}, u.scalar)
     return CycleUnitary(cu.expanded, cu.matching, faulty)
 
 
 def _moved_columns(cu: CycleUnitary) -> list:
     """(column, image) of every basis vector the unitary moves."""
     return sorted(
-        ((c, r) for (r, c), v in cu.u.delta.items() if v == 1 and r != c),
+        ((c, r) for c, r in cu.u.moves.items() if r is not None),
         key=repr,
     )
 
 
 def _fixed_slots(cu: CycleUnitary, x) -> list:
     """Basis vectors at x that the unitary leaves alone."""
-    return [
-        BlockIndex(x, s)
-        for s in cu.u.domain.slots
-        if (BlockIndex(x, s), BlockIndex(x, s)) not in cu.u.delta
-    ]
+    return [BlockIndex(x, s) for s in cu.u.domain.slots if BlockIndex(x, s) not in cu.u.moves]
 
 
 def column_moved(cu: CycleUnitary) -> CycleUnitary:
-    """One moved column lands on a vector that stays fixed at the same
-    vertex: two columns share a row, so the operator is not unitary, but
-    every entry still joins adjacent vertices and no block grows."""
+    """One moved column sent to zero: the operator is no longer unitary,
+    but every entry still joins adjacent vertices and no block grows (a
+    cycle unitary forms no closed cycle inside one vertex)."""
     moved = _moved_columns(cu)
     if not moved:
         return cu
-    c, img = moved[0]
-    return _with_moves(cu, {c: _fixed_slots(cu, img.vertex)[0]})
+    c, _ = moved[0]
+    return _with_moves(cu, {c: None})
 
 
 def non_adjacent_move(cu: CycleUnitary) -> CycleUnitary:
@@ -241,9 +234,11 @@ def _faulty_pair(monkeypatch, fault) -> None:
 
 
 def not_idempotent(pair):
-    """f scaled by 2: still selfadjoint, orthogonal to g and of the same
-    rank count, but f*f = 2f."""
-    f = SparseBlockOperator(pair.f.domain, {k: 2 * v for k, v in pair.f.delta.items()})
+    """f sends the vector it projects onto to slot 1 of vertex 1, where the
+    chain is 0: still orthogonal to g and of the same rank count, but
+    f*f = 0 != f."""
+    (b,) = pair.f.moves  # the chain is positive at one vertex
+    f = SparseBlockOperator(pair.f.domain, {b: BlockIndex(1, Ordinal(1))})
     return dataclasses.replace(pair, f=f)
 
 
@@ -251,7 +246,7 @@ def one_extra_rank(pair):
     """f also projects onto slot 1 of vertex 1, where the chain is 0: still a
     projection orthogonal to g, but the signature grows by one."""
     b = BlockIndex(1, Ordinal(1))
-    f = SparseBlockOperator(pair.f.domain, {**pair.f.delta, (b, b): 1})
+    f = SparseBlockOperator(pair.f.domain, {**pair.f.moves, b: b})
     return dataclasses.replace(pair, f=f)
 
 
@@ -323,6 +318,100 @@ def test_k1_map_a_doubled_window_operator_of_another_index_fails(
 
 
 # ---------------------------------------------------------------------------
+# the compression checks, through run_random_finite and k1-map
+
+
+def moved_above_the_corner(res):
+    """u_tilde also swaps two slots beyond the corner at one vertex: still
+    a permutation of the same index, and t still conjugates u back."""
+    u = res.u_tilde
+    beyond = [s for s in u.domain.slots if s.index > res.n][:2]
+    if len(beyond) < 2:
+        return res
+    p, q = (BlockIndex(u.domain.vertices[0], s) for s in beyond)
+    return dataclasses.replace(res, u_tilde=u.compose(SparseBlockOperator(u.domain, {p: q, q: p}, 1)))
+
+
+def t_losing_a_vector(res):
+    """t also sends to zero the vector it carries onto a column u moves:
+    u_tilde is unchanged, but conjugating back no longer recovers u."""
+    c = next(c for c, r in res.u.moves.items() if r is not None)
+    b = res.t.adjoint().moves.get(c, c)
+    return dataclasses.replace(res, t=res.t.compose(SparseBlockOperator(res.t.domain, {b: None}, 1)))
+
+
+def shifted_lane(res):
+    """u_tilde followed by a shift of the slot-1 lane one vertex up, cut at
+    the window's end: still unitary on the interior and inside the corner,
+    but with index one lower."""
+    u = res.u_tilde
+    lane = [BlockIndex(x, Ordinal(1)) for x in u.domain.vertices]
+    shift = dict(zip(lane, lane[1:] + [None]))
+    return dataclasses.replace(res, u_tilde=u.compose(SparseBlockOperator(u.domain, shift, 1)))
+
+
+def _faulty_compression(monkeypatch, module, fault, line_only=False) -> None:
+    real = module.compress_to_uniform
+
+    def faulty(cu):
+        res = real(cu)
+        return fault(res) if cu.window is not None or not line_only else res
+
+    monkeypatch.setattr(module, "compress_to_uniform", faulty)
+
+
+COMPRESSION = "compression into the ordinal corner"
+
+
+def _random_finite_compression(monkeypatch, fault, line_only=False) -> dict:
+    """The details of the compression check of run_random_finite, the only
+    check that fails apart from the advisory two-conjugation route."""
+    _faulty_compression(monkeypatch, scenarios, fault, line_only)
+    report = scenarios.run_random_finite(SEED, COUNT)
+    failed = [c.name for c in report.checks if not c.passed and not c.advisory]
+    assert failed == [COMPRESSION]
+    details = next(c.details for c in report.checks if c.name == COMPRESSION)
+    assert not details["line_ok"]
+    return details
+
+
+def test_run_random_finite_compression_passes_on_the_real_results():
+    checks = {c.name: c for c in scenarios.run_random_finite(SEED, COUNT).checks}
+    assert checks[COMPRESSION].passed
+
+
+def test_run_random_finite_a_move_beyond_the_corner_fails_only_confinement(monkeypatch):
+    details = _random_finite_compression(monkeypatch, moved_above_the_corner)
+    assert details["failures"] and not any(f["round_trip"] is False for f in details["failures"])
+    for v in details["line"].values():
+        assert not v["confinement"] and v["round_trip"] and v["index_equal"]
+
+
+def test_run_random_finite_a_lossy_conjugator_fails_only_the_round_trip(monkeypatch):
+    details = _random_finite_compression(monkeypatch, t_losing_a_vector)
+    assert details["failures"] and all(f["round_trip"] is False for f in details["failures"])
+    for v in details["line"].values():
+        assert v["confinement"] and not v["round_trip"] and v["index_equal"]
+
+
+def test_run_random_finite_a_compressed_index_off_by_one_fails_only_index_equal(monkeypatch):
+    details = _random_finite_compression(monkeypatch, shifted_lane, line_only=True)
+    assert details["finite_ok"]
+    for v in details["line"].values():
+        assert v["confinement"] and v["round_trip"] and not v["index_equal"]
+        assert v["index_compressed"] == v["index_original"] - 1
+
+
+@pytest.mark.parametrize("fault", [moved_above_the_corner, t_losing_a_vector])
+def test_k1_map_a_faulty_compression_fails_only_the_corner_check(
+    tmp_path, capsys, monkeypatch, fault
+):
+    _faulty_compression(monkeypatch, cli, fault)
+    rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
+    _only_failure(rc, verdicts, COMPRESSION)
+
+
+# ---------------------------------------------------------------------------
 # the matching-independence report, directly and through k1-map --matching
 
 BIGON = {
@@ -370,7 +459,7 @@ def _flipped(monkeypatch, name, fault) -> set:
 
 def _swapped_after(r: SparseBlockOperator, p: BlockIndex, q: BlockIndex):
     """r followed by swapping the basis vectors p and q, which r fixes."""
-    return r.compose(SparseBlockOperator.from_moves(r.domain, {p: q, q: p}))
+    return r.compose(SparseBlockOperator(r.domain, {p: q, q: p}, 1))
 
 
 def cross_vertex_move(r):

@@ -24,7 +24,6 @@ from coarsek.operators import (
     _json_slot_at,
     block_key,
     dump_lines,
-    operator_from_json,
     operator_to_json,
 )
 
@@ -129,19 +128,15 @@ def operators(draw):
     else:
         domain = frozenset(b for b in product if draw(st.booleans()))
     basis = sorted(domain, key=block_key)
-    scalar = draw(st.sampled_from([0, 1, 2, -1]))
-    delta = {}
+    scalar = draw(st.sampled_from([0, 1]))
+    moves = {}
     if basis:
-        vectors = st.sampled_from(basis)
-        delta = draw(
-            st.dictionaries(
-                st.tuples(vectors, vectors), st.integers(-2, 2), max_size=8
-            )
-        )
-        # diagonal entries that cancel the scalar
-        for b in draw(st.lists(vectors, max_size=3)):
-            delta[(b, b)] = -scalar
-    return SparseBlockOperator(domain, delta, scalar)
+        moved = draw(st.lists(st.sampled_from(basis), unique=True, max_size=8))
+        rows = draw(st.permutations(moved if scalar else basis))
+        # columns sent to zero, which empties a row of the diagonal
+        zero = draw(st.sets(st.sampled_from(basis), max_size=3))
+        moves = {c: None if c in zero else r for c, r in zip(moved, rows)}
+    return SparseBlockOperator(domain, moves, scalar)
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,7 +145,8 @@ def test_streamed_dumps_match_the_reference_bytes(a):
     assert streamed(dump_lines, a) == reference_text(a)
     text = streamed(operator_to_json, a)
     assert text == reference_json(a)
-    assert operator_from_json(json.loads(text)) == a
+    entries = json.loads(text)["entries"]
+    assert len(entries) == len(a.entries) and {row[4] for row in entries} <= {1}
 
 
 def test_empty_operators_dump_like_the_reference():
@@ -158,8 +154,8 @@ def test_empty_operators_dump_like_the_reference():
     for domain in (frozenset(), ProductBasis((), ()), single):
         for a in (
             SparseBlockOperator(domain),
-            # the defect cancels the whole diagonal
-            SparseBlockOperator(domain, {(b, b): -2 for b in domain}, 2),
+            # every column of the scalar-1 diagonal sent to zero
+            SparseBlockOperator(domain, {b: None for b in domain}, 1),
         ):
             assert streamed(dump_lines, a) == reference_text(a) == "\n"
             assert streamed(operator_to_json, a) == reference_json(a)
@@ -171,13 +167,13 @@ def test_empty_operators_dump_like_the_reference():
 def test_large_dumps_cross_chunk_boundaries():
     domain = ProductBasis(range(-70, 70), [Ordinal(i) for i in range(1, 31)])
     x, y = BlockIndex(0, Ordinal(1)), BlockIndex(1, Ordinal(2))
-    assert_dumps_match_the_reference(SparseBlockOperator.from_moves(domain, {x: y, y: x}))
+    assert_dumps_match_the_reference(SparseBlockOperator(domain, {x: y, y: x}, 1))
 
 
 def test_a_row_cancelled_between_two_rows_of_its_vertex():
     domain = ProductBasis([0, 1], [Ordinal(1), Ordinal(2), Ordinal(3)])
     middle = BlockIndex(0, Ordinal(2))
-    a = SparseBlockOperator(domain, {(middle, middle): -1}, 1)
+    a = SparseBlockOperator(domain, {middle: None}, 1)
     assert_dumps_match_the_reference(a)
     assert "0\to:2" not in streamed(dump_lines, a)
 
@@ -185,7 +181,7 @@ def test_a_row_cancelled_between_two_rows_of_its_vertex():
 def test_vertices_whose_rows_all_cancel_first_middle_and_last():
     domain = ProductBasis(range(5), [Ordinal(1), CopyEdge("e", 0)])
     cancelled = [b for b in domain if b.vertex in (0, 2, 4)]
-    a = SparseBlockOperator(domain, {(b, b): -2 for b in cancelled}, 2)
+    a = SparseBlockOperator(domain, {b: None for b in cancelled}, 1)
     assert_dumps_match_the_reference(a)
     entries = json.loads(streamed(operator_to_json, a))["entries"]
     assert sorted({row[0] for row in entries}) == [1, 3]
@@ -208,14 +204,15 @@ def test_explicit_basis_with_uneven_slot_sets():
         w: [CopyEdge("e", 1), f0, Ordinal(3), Ordinal(1)],
     }
     domain = frozenset(BlockIndex(x, s) for x, ss in slots.items() for s in ss)
-    delta = {
-        (BlockIndex(0, Ordinal(2)), BlockIndex(w, Ordinal(3))): 4,
-        (BlockIndex(w, f0), BlockIndex(w, f0)): -1,
-        (BlockIndex(w, f0), BlockIndex("v", Ordinal(2))): 2,
-        (BlockIndex("v", Ordinal(2)), BlockIndex(0, CopyEdge("e", 0))): -3,
+    moves = {
+        BlockIndex(w, Ordinal(3)): BlockIndex(0, Ordinal(2)),
+        BlockIndex(0, Ordinal(2)): BlockIndex("v", Ordinal(2)),
+        BlockIndex("v", Ordinal(2)): BlockIndex(w, f0),
+        BlockIndex(w, f0): None,
+        BlockIndex(0, CopyEdge("e", 0)): BlockIndex(w, Ordinal(3)),
     }
-    for scalar in (0, 1, -2):
-        assert_dumps_match_the_reference(SparseBlockOperator(domain, delta, scalar))
+    for scalar in (0, 1):
+        assert_dumps_match_the_reference(SparseBlockOperator(domain, moves, scalar))
 
 
 def test_one_vertex_with_more_than_a_chunk_of_rows():
@@ -223,7 +220,7 @@ def test_one_vertex_with_more_than_a_chunk_of_rows():
     domain = ProductBasis(["only", "other"], [Ordinal(i) for i in range(n)])
     x, y = BlockIndex("only", Ordinal(3)), BlockIndex("only", Ordinal(n - 7))
     edge = BlockIndex("only", Ordinal(_CHUNK))
-    a = SparseBlockOperator.from_moves(domain, {x: y, y: x, edge: None})
+    a = SparseBlockOperator(domain, {x: y, y: x, edge: None}, 1)
     assert_dumps_match_the_reference(a)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from coarsek import operators
+from coarsek import intlinalg, operators
 from coarsek.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -225,7 +225,8 @@ def test_matching_report_needs_no_rank_by_elimination(stored, monkeypatch):
     def refuse(mat):
         raise AssertionError("rank by elimination")
 
-    monkeypatch.setattr(operators, "matrix_rank", refuse)
+    assert not hasattr(operators, "matrix_rank")
+    monkeypatch.setattr(intlinalg, "rank", refuse)
     name = "k1-figure-eight-matching"
     assert _map_digest(name) == stored[name]
 

@@ -16,11 +16,11 @@ from coarsek.operators import (
     SparseBlockOperator,
     Window,
     bilateral_shift,
+    block_key,
     block_rank,
     dump_lines,
     index_pairing,
     is_unitary_on,
-    operator_from_json,
     operator_to_json,
     propagation,
 )
@@ -30,18 +30,22 @@ DOMAIN = frozenset(
 )
 
 
-def op_from(entries):
-    return SparseBlockOperator(DOMAIN, entries)
+def op_from(moves, scalar=0):
+    return SparseBlockOperator(DOMAIN, moves, scalar)
 
 
-def random_operator(rng, density=0.3, bound=3):
-    basis = sorted(DOMAIN, key=lambda b: (b.vertex, b.slot))
-    entries = {}
-    for r in basis:
-        for c in basis:
-            if rng.random() < density:
-                entries[(r, c)] = rng.randint(-bound, bound)
-    return op_from(entries)
+def random_operator(rng, density=0.3):
+    """A random partial permutation: with scalar 0 a partial injection of
+    the basis, with scalar 1 a permutation of the moved columns with some
+    of them sent to zero."""
+    basis = sorted(DOMAIN, key=block_key)
+    moved = [b for b in basis if rng.random() < density * 2]
+    scalar = rng.randint(0, 1)
+    rows = list(moved if scalar else basis)
+    rng.shuffle(rows)
+    return op_from(
+        {c: None if rng.random() < density else r for c, r in zip(moved, rows)}, scalar
+    )
 
 
 def test_identity_composition():
@@ -53,7 +57,7 @@ def test_identity_composition():
 
 def test_permutation_times_adjoint_is_identity_on_support():
     perm = {b: BlockIndex((b.vertex + 1) % 4, b.slot) for b in DOMAIN}
-    p = SparseBlockOperator.from_basis_map(DOMAIN, perm)
+    p = SparseBlockOperator(DOMAIN, perm)
     assert p.compose(p.adjoint()) == SparseBlockOperator.identity(DOMAIN)
     assert is_unitary_on(p)
 
@@ -70,54 +74,72 @@ def test_two_shift_tracks_compose_to_double_shift():
 
 
 def test_adjoint_examples():
-    diag = op_from({(b, b): 1 for b in list(sorted(DOMAIN, key=str))[:3]})
+    diag = op_from({b: b for b in list(sorted(DOMAIN, key=str))[:3]})
     assert diag.adjoint() == diag
     r, c = sorted(DOMAIN, key=str)[:2]
-    single = op_from({(r, c): 1})
+    single = op_from({c: r})
     assert single.adjoint().entries == {(c, r): 1}
+    # with scalar 1 a moved column that nothing lands on has an empty row
+    zeroed = op_from({c: None}, 1)
+    assert zeroed.adjoint() == zeroed
+    shifted = op_from({r: c, c: None}, 1)
+    assert shifted.adjoint().moves == {c: r, r: None}
     t = random_operator(random.Random(1))
     assert t.adjoint().adjoint() == t
 
 
 def test_propagation_examples():
-    diag = op_from({(b, b): 2 for b in DOMAIN})
+    diag = op_from({b: b for b in DOMAIN})
     assert propagation(diag) == 0
+    assert propagation(op_from({BlockIndex(3, Ordinal(1)): None}, 1)) == 0
     w = Window(radius=3, margin=1)
     assert propagation(bilateral_shift(w)) == 1
 
 
 def test_block_rank():
+    # block_rank reads the blocks of a - 1
     assert block_rank(op_from({}), 0, 1) == 0
+    assert block_rank(op_from({}), 0, 0) == 2
+    assert block_rank(SparseBlockOperator.identity(DOMAIN), 0, 0) == 0
     r1 = BlockIndex(0, Ordinal(1))
     r2 = BlockIndex(0, Ordinal(2))
     c1 = BlockIndex(1, Ordinal(1))
     c2 = BlockIndex(1, Ordinal(2))
-    t = op_from({(r1, c1): 1, (r1, c2): 2, (r2, c1): 2, (r2, c2): 4})
-    assert block_rank(t, 0, 1) == 1
-    proj = op_from({(r1, r1): 1})
+    t = op_from({c1: r1, c2: r2, r1: c1, r2: c2}, 1)
+    assert block_rank(t, 0, 1) == block_rank(t, 1, 0) == 2
+    assert block_rank(t, 0, 0) == block_rank(t, 1, 1) == 2
+    assert block_rank(op_from({c1: r2, r1: c2, r2: c1, c2: r1}, 1), 0, 1) == 2
+    # a projection minus 1 keeps the slots it does not project onto
+    proj = op_from({r1: r1})
     assert block_rank(proj, 0, 0) == 1
+    # a swap inside a vertex is one closed cycle of two moved slots
+    assert block_rank(op_from({r1: r2, r2: r1}, 1), 0, 0) == 1
+    assert block_rank(op_from({r1: r2, r2: None}, 1), 0, 0) == 2
 
 
 def test_block_rank_of_line_defect():
     w = Window(radius=4, margin=2)
     cu = line_cycle_unitary(1, w)
-    defect = cu.u.defect()
     # the diagonal block at an interior vertex is one lost track vector
-    assert block_rank(defect, 0, 0) == 1 <= 2
+    assert block_rank(cu.u, 0, 0) == 1 <= 2
 
 
 def test_is_unitary_examples():
     assert is_unitary_on(SparseBlockOperator.identity(DOMAIN))
     r, c = sorted(DOMAIN, key=str)[:2]
-    v = op_from({(r, c): 1})  # non-square partial isometry
+    v = op_from({c: r})  # non-square partial isometry
     assert not is_unitary_on(v)
+    assert is_unitary_on(v, {c}) is False and is_unitary_on(v, set()) is True
 
 
 def test_is_unitary_general_fallback_detects_non_unitary():
     r1, r2, c1, c2 = sorted(DOMAIN, key=str)[:4]
-    t = op_from({(r1, c1): 1, (r1, c2): 1, (r2, c1): 1, (r2, c2): -1})
-    # every column and every row holds two entries
+    # a shift along four vectors whose last column is zero: every column
+    # but c2 is a unit vector, and row r1 is empty
+    t = op_from({r1: r2, r2: c1, c1: c2, c2: None}, 1)
     assert not is_unitary_on(t)
+    assert not is_unitary_on(t, {c2}) and not is_unitary_on(t, {r1})
+    assert is_unitary_on(t, {r2, c1})
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +207,7 @@ def test_index_invariant_under_block_diagonal_conjugation():
     swap = {
         b: BlockIndex(b.vertex, Ordinal(3 - b.slot.index)) for b in s.domain
     }
-    v = SparseBlockOperator.from_basis_map(s.domain, swap)
+    v = SparseBlockOperator(s.domain, swap)
     conj = v.adjoint().compose(s).compose(v)
     assert index_pairing(conj, w) == index_pairing(s, w) == -2
 
@@ -216,15 +238,39 @@ def test_dump_is_sorted_and_deterministic():
     t = SparseBlockOperator(
         domain,
         {
-            (BlockIndex(1, Ordinal(2)), BlockIndex(0, CopyEdge("e", 1))): -1,
-            (BlockIndex(0, Ordinal(1)), BlockIndex(0, Ordinal(1))): 3,
+            BlockIndex(0, CopyEdge("e", 1)): BlockIndex(1, Ordinal(2)),
+            BlockIndex(0, Ordinal(1)): BlockIndex(0, Ordinal(1)),
         },
     )
     first, second = io.StringIO(), io.StringIO()
     dump_lines(t, first)
     dump_lines(t, second)
-    assert first.getvalue() == '0\to:1\t0\to:1\t3\n1\to:2\t0\te:"e":1\t-1\n'
+    assert first.getvalue() == '0\to:1\t0\to:1\t1\n1\to:2\t0\te:"e":1\t1\n'
     assert second.getvalue() == first.getvalue()
+
+
+def _label_from_json(x):
+    if isinstance(x, list):
+        return tuple(_label_from_json(part) for part in x)
+    return x
+
+
+def _index_from_json(vertex, slot) -> BlockIndex:
+    if "ordinal" in slot:
+        return BlockIndex(_label_from_json(vertex), Ordinal(slot["ordinal"]))
+    edge = CopyEdge(_label_from_json(slot["edge"]), slot["copy"])
+    return BlockIndex(_label_from_json(vertex), edge)
+
+
+def operator_from_json(data: dict) -> SparseBlockOperator:
+    """The operator of a JSON dump, stored with scalar 0: every entry is
+    one move, and a dump never holds any other value than 1."""
+    domain = [_index_from_json(v, s) for v, s in data["basis"]]
+    moves = {}
+    for rv, rs, cv, cs, val in data["entries"]:
+        assert val == 1
+        moves[_index_from_json(cv, cs)] = _index_from_json(rv, rs)
+    return SparseBlockOperator(domain, moves)
 
 
 def test_operator_json_round_trip():
@@ -232,30 +278,34 @@ def test_operator_json_round_trip():
         BlockIndex(2, CopyEdge((0, 1), 2)),
         BlockIndex(1, Ordinal(1)),
     }
-    t = SparseBlockOperator(
-        domain,
-        {
-            (BlockIndex(2, CopyEdge((0, 1), 2)), BlockIndex(1, Ordinal(1))): 5,
-            (BlockIndex(0, Ordinal(2)), BlockIndex(0, Ordinal(2))): 1,
-        },
-    )
-    buf = io.StringIO()
-    operator_to_json(t, buf)
-    back = operator_from_json(json.loads(buf.getvalue()))
-    assert back == t
+    for scalar in (0, 1):
+        t = SparseBlockOperator(
+            domain,
+            {
+                BlockIndex(1, Ordinal(1)): BlockIndex(2, CopyEdge((0, 1), 2)),
+                BlockIndex(2, CopyEdge((0, 1), 2)): BlockIndex(0, Ordinal(2)),
+                BlockIndex(0, Ordinal(2)): None,
+            },
+            scalar,
+        )
+        buf = io.StringIO()
+        operator_to_json(t, buf)
+        back = operator_from_json(json.loads(buf.getvalue()))
+        assert back == t
 
 
 @pytest.mark.parametrize(
     "entries, scalar",
     [
-        ({(BlockIndex(0, Ordinal(1)), BlockIndex(0, Ordinal(1))): 2.7}, 0),
-        ({(BlockIndex(0, Ordinal(1)), BlockIndex(0, Ordinal(1))): True}, 0),
-        ({(BlockIndex(0, Ordinal(1)), BlockIndex(1, Ordinal(2))): 0.0}, 0),
+        ({BlockIndex(0, Ordinal(1)): 2.7}, 0),
+        ({BlockIndex(0, Ordinal(1)): True}, 0),
+        ({BlockIndex(0, Ordinal(1)): 0.0}, 0),
         ({}, 1.0),
         ({}, True),
     ],
 )
 def test_operators_refuse_non_integer_values(entries, scalar):
-    # never truncated, as the JSON readers never truncate
-    with pytest.raises(OperatorError, match="must be an integer"):
+    # never truncated or coerced, as the JSON readers never truncate: a
+    # number is no basis vector, and the scalar is the int 0 or 1
+    with pytest.raises(OperatorError, match="outside the declared basis|must be the integer"):
         SparseBlockOperator(DOMAIN, entries, scalar)

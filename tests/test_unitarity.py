@@ -1,11 +1,12 @@
-"""Differential tests of the signed-permutation unitarity check and of the
-partial-monomial block rank.
+"""Differential tests of the partial-permutation unitarity check and of the
+block rank of u - 1.
 
-The oracle is the product-based check: it builds D*D, DD* and s(D + D*)
-from the defect and compares a*a and aa* with the identity on every row and
+The oracle is the product-based check: it builds a*a and aa* from the
+materialised entries and compares them with the identity on every row and
 column through the region.  Each named case below also pins one branch of
-the signed-permutation reading, so that dropping any one of its tests
-changes a verdict."""
+the partial-permutation reading (a zero column, an empty row), or one
+refusal of the constructor that keeps every operator a partial
+permutation."""
 
 import random
 
@@ -34,10 +35,10 @@ A, B, C, D, E, F = BASIS  # (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
 # the product-based oracle
 
 
-def _gram(delta: dict, contract_rows: bool) -> dict:
-    """D*D (contracting rows) or DD* (contracting columns) as an entry dict."""
+def _gram(entries: dict, contract_rows: bool) -> dict:
+    """a*a (contracting rows) or aa* (contracting columns) as an entry dict."""
     groups: dict = {}
-    for (r, c), v in delta.items():
+    for (r, c), v in entries.items():
         if contract_rows:
             groups.setdefault(r, []).append((c, v))
         else:
@@ -50,34 +51,17 @@ def _gram(delta: dict, contract_rows: bool) -> dict:
     return prod
 
 
-def _is_identity_on(base: int, extra: dict, region) -> bool:
-    """base*1 + extra equals the identity on every row and column through
-    region."""
-    covered = 0
-    for (r, c), v in extra.items():
-        if v and (r in region or c in region):
-            if r != c or base + v != 1:
-                return False
-            covered += 1
-    return base == 1 or covered == len(region)
-
-
 def product_is_unitary_on(a: SparseBlockOperator, interior=None) -> bool:
-    """a*a - 1 = (s^2 - 1)*1 + s(D + D*) + D*D, and aa* - 1 the same with
-    DD*, checked on the rows and columns through the region."""
+    """a*a = aa* = 1 on every row and column through the region, from the
+    dense entries."""
     region = a.domain if interior is None else interior
-    s = a.scalar
-    linear: dict = {}
-    if s:
-        for (r, c), v in a.delta.items():
-            linear[(r, c)] = linear.get((r, c), 0) + s * v
-            linear[(c, r)] = linear.get((c, r), 0) + s * v
     for contract_rows in (True, False):
-        extra = _gram(a.delta, contract_rows)
-        for key, v in linear.items():
-            extra[key] = extra.get(key, 0) + v
-        if not _is_identity_on(s * s, extra, region):
+        prod = _gram(a.entries, contract_rows)
+        if any(prod.get((b, b), 0) != 1 for b in region):
             return False
+        for (i1, i2), v in prod.items():
+            if v and i1 != i2 and (i1 in region or i2 in region):
+                return False
     return True
 
 
@@ -87,7 +71,7 @@ def assert_verdict(a: SparseBlockOperator, region, expected: bool):
 
 
 # ---------------------------------------------------------------------------
-# random near-unitaries
+# random partial permutations
 
 
 REGIONS = {
@@ -100,25 +84,23 @@ REGIONS = {
 
 
 @st.composite
+def partial_permutations(draw, basis=BASIS):
+    """A partial permutation of basis: with scalar 0 a partial injection,
+    with scalar 1 a permutation of the moved columns with some of them
+    sent to zero."""
+    scalar = draw(st.integers(0, 1))
+    moved = draw(st.lists(st.sampled_from(basis), unique=True))
+    rows = draw(st.permutations(moved if scalar else basis))
+    zero = draw(st.sets(st.sampled_from(moved))) if moved else set()
+    moves = {c: None if c in zero else r for c, r in zip(moved, rows)}
+    return moves, scalar
+
+
+@st.composite
 def near_unitaries(draw):
-    """A signed permutation with some columns left to the scalar, stored
-    against a scalar of -2..2 over a product or an explicit basis, then a
-    few entries overwritten with 0 (cancelling), -s on the diagonal
-    (cancelling the scalar) or one of +-1, +-2."""
-    s = draw(st.integers(-2, 2))
-    perm = draw(st.permutations(BASIS))
-    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=6, max_size=6))
-    kept = draw(st.sets(st.sampled_from(BASIS)))
-    cells = {}
-    for c, r, sign in zip(BASIS, perm, signs):
-        if c in kept:
-            cells[(c, c)] = cells.get((c, c), 0) - s
-            cells[(r, c)] = cells.get((r, c), 0) + sign
-    for _ in range(draw(st.integers(0, 3))):
-        r, c = draw(st.sampled_from(BASIS)), draw(st.sampled_from(BASIS))
-        cells[(r, c)] = draw(
-            st.sampled_from((0, -s, -2, -1, 1, 2) if r == c else (0, -2, -1, 1, 2))
-        )
+    """A partial permutation over a product or an explicit basis, with a
+    region to check it on."""
+    moves, scalar = draw(partial_permutations())
     domain = draw(st.sampled_from((DOMAIN, frozenset(BASIS))))
     region = draw(
         st.one_of(
@@ -126,7 +108,7 @@ def near_unitaries(draw):
             st.frozensets(st.sampled_from(BASIS)),
         )
     )
-    return SparseBlockOperator(domain, cells, s), region
+    return SparseBlockOperator(domain, moves, scalar), region
 
 
 @settings(max_examples=600, deadline=None)
@@ -140,12 +122,11 @@ def test_random_operators_agree_with_product_check():
     rng = random.Random(7)
     unitary = 0
     for _ in range(3000):
-        s = rng.randint(-2, 2)
-        cells = {
-            (rng.choice(BASIS), rng.choice(BASIS)): rng.choice((-2, -1, 1, 2))
-            for _ in range(rng.randint(0, 8))
-        }
-        a = SparseBlockOperator(DOMAIN, cells, s)
+        s = rng.randint(0, 1)
+        moved = rng.sample(BASIS, rng.randint(0, len(BASIS)))
+        rows = rng.sample(moved if s else BASIS, len(moved))
+        moves = {c: r if rng.random() < 0.8 else None for c, r in zip(moved, rows)}
+        a = SparseBlockOperator(DOMAIN, moves, s)
         for region in REGIONS.values():
             verdict = is_unitary_on(a, region)
             assert verdict == product_is_unitary_on(a, region)
@@ -154,39 +135,42 @@ def test_random_operators_agree_with_product_check():
 
 
 # ---------------------------------------------------------------------------
-# named cases: each pins one test of the signed-permutation reading
+# named cases: each pins one test of the partial-permutation reading
 
 
-def swap(x, y, s=1, sign=1):
-    """s*1 plus a defect turning columns x and y into sign*e_y, sign*e_x."""
-    return SparseBlockOperator(
-        DOMAIN, {(x, x): -s, (y, y): -s, (y, x): sign, (x, y): sign}, s
-    )
+def swap(x, y, s=1):
+    """Columns x and y exchanged, every other column s*e_b."""
+    return SparseBlockOperator(DOMAIN, {x: y, y: x}, s)
 
 
 @pytest.mark.parametrize("s", [-1, 1])
 @pytest.mark.parametrize("region", list(REGIONS.values()), ids=list(REGIONS))
 def test_signed_swaps_are_unitary(s, region):
-    assert_verdict(swap(A, D, s, sign=-1), region, True)
-    assert_verdict(SparseBlockOperator(DOMAIN, {}, s), region, True)
+    # signs left with the general integer arithmetic: the scalar -1 is
+    # refused, and the swap itself is unitary
+    if s < 0:
+        with pytest.raises(OperatorError, match="must be the integer 0 or 1"):
+            SparseBlockOperator(DOMAIN, {}, s)
+    assert_verdict(swap(A, D), region, True)
+    assert_verdict(SparseBlockOperator(DOMAIN, {}, 1), region, True)
 
 
 @pytest.mark.parametrize("region", list(REGIONS.values()), ids=list(REGIONS))
 def test_scalar_zero_signed_permutation_is_unitary(region):
     perm = dict(zip(BASIS, BASIS[1:] + BASIS[:1]))
-    a = SparseBlockOperator(DOMAIN, {(img, b): -1 for b, img in perm.items()}, 0)
+    a = SparseBlockOperator(DOMAIN, perm, 0)
     assert_verdict(a, region, True)
 
 
 @pytest.mark.parametrize("s", [-2, 0, 2])
 def test_untouched_region_vector_fails_unless_scalar_is_a_sign(s):
-    # every line but those through F is a signed swap; F holds the scalar
-    # alone, so only the untouched-line guard sees it
-    cells = {}
-    for x, y in ((A, B), (C, D)):
-        cells.update({(x, x): -s, (y, y): -s, (x, y): 1, (y, x): 1})
-    cells.update({(E, E): 1 - s})
-    a = SparseBlockOperator(DOMAIN, cells, s)
+    if s:
+        with pytest.raises(OperatorError, match="must be the integer 0 or 1"):
+            SparseBlockOperator(DOMAIN, {}, s)
+        return
+    # every line but those through F is a swap or fixed; F holds the
+    # scalar 0 alone, so only the count of unmoved region vectors sees it
+    a = SparseBlockOperator(DOMAIN, {A: B, B: A, C: D, D: C, E: E}, s)
     assert_verdict(a, None, False)
     assert_verdict(a, frozenset({F}), False)
     assert_verdict(a, frozenset({A, E}), True)
@@ -195,53 +179,60 @@ def test_untouched_region_vector_fails_unless_scalar_is_a_sign(s):
 
 
 def test_column_with_two_entries_fails_the_one_entry_test():
-    # column A holds 1 at rows B and C, each of which holds nothing else;
-    # rows B and C lie outside the region, so only column A can fail
-    cells = {(A, A): -1, (B, A): 1, (C, A): 1, (B, B): -1, (C, C): -1}
-    # row A is e_D*, so that row A passes on its own
-    cells.update({(A, D): 1, (D, D): -1})
-    a = SparseBlockOperator(DOMAIN, cells, 1)
+    # a column holds at most one entry, so the one-entry test asks only
+    # that column A is not zero; row A is e_D*, so that row A passes alone
+    a = SparseBlockOperator(DOMAIN, {A: None, D: A}, 1)
     assert_verdict(a, frozenset({A}), False)
-    # on the row side: row A holds 1 at columns B and C
+    # on the row side: row A of the adjoint is empty
     assert_verdict(a.adjoint(), frozenset({A}), False)
 
 
 def test_entry_of_two_fails_the_sign_test():
-    cells = {(A, A): -1, (B, A): 2, (B, B): -1, (A, D): 1, (D, D): -1}
-    a = SparseBlockOperator(DOMAIN, cells, 1)
-    assert_verdict(a, frozenset({A}), False)
-    assert_verdict(a.adjoint(), frozenset({A}), False)
-    # over scalar -1 a diagonal 2 adds up to 1, a diagonal 3 to 2
-    assert_verdict(SparseBlockOperator(DOMAIN, {(A, A): 2}, -1), None, True)
-    assert_verdict(SparseBlockOperator(DOMAIN, {(A, A): 3}, -1), None, False)
+    # every entry is 1: a value in place of a row and a scalar of -1 are
+    # refused, so no entry can be 2 or -1
+    for moves, s in (({A: 2}, 0), ({A: 2}, 1), ({A: -1}, 0), ({}, -1)):
+        with pytest.raises(OperatorError):
+            SparseBlockOperator(DOMAIN, moves, s)
+    a = SparseBlockOperator(DOMAIN, {A: B, B: None, D: A}, 1)
+    assert {v for v in a.entries.values()} == {1}
+    assert a.entry(B, A) == 1 and a.entry(A, A) == 0 and a.entry(B, B) == 0
 
 
 def test_unit_column_whose_row_holds_a_second_entry_fails_the_partner_test():
-    # column A is e_B and row A is e_D*, both fine alone; row B also holds
-    # an entry at column C, and only the partner test reads row B
-    a = SparseBlockOperator(DOMAIN, {(B, A): 1, (B, C): 1, (A, D): 1}, 0)
-    assert_verdict(a, frozenset({A}), False)
-    assert_verdict(a.adjoint(), frozenset({A}), False)
+    # a row holds at most one entry: a second column sent into row B is
+    # refused, so column A being e_B settles row B
+    with pytest.raises(OperatorError, match="two columns are sent into row"):
+        SparseBlockOperator(DOMAIN, {A: B, C: B, D: A}, 0)
+    a = SparseBlockOperator(DOMAIN, {A: B, D: A}, 0)
+    assert_verdict(a, frozenset({A}), True)
+    # column B is zero
+    assert_verdict(a, frozenset({B}), False)
+    assert_verdict(a.adjoint(), frozenset({A}), True)
 
 
 def test_two_columns_sent_into_one_row():
     # A and C both go to B; B's own column goes nowhere
-    a = SparseBlockOperator(
-        DOMAIN, {(A, A): -1, (C, C): -1, (B, B): -1, (B, A): 1, (B, C): 1}, 1
-    )
-    for region in (None, frozenset({A}), frozenset({C}), frozenset({B})):
+    for s in (0, 1):
+        with pytest.raises(OperatorError, match="two columns are sent into row"):
+            SparseBlockOperator(DOMAIN, {A: B, C: B, B: None}, s)
+    # with scalar 1 a row outside the moved columns holds its fixed vector
+    with pytest.raises(OperatorError, match="of a fixed vector"):
+        SparseBlockOperator(DOMAIN, {A: B}, 1)
+    # B's row empty and A's column zero: only the rest is unitary
+    a = SparseBlockOperator(DOMAIN, {A: None, C: A, B: C}, 1)
+    for region in (None, frozenset({A}), frozenset({B})):
         assert_verdict(a, region, False)
-    assert_verdict(a, frozenset({E, F}), True)
+    assert_verdict(a, frozenset({C, E, F}), True)
 
 
 def test_cancelling_entries():
-    # a defect entry that cancels the scalar leaves a zero diagonal
-    a = SparseBlockOperator(DOMAIN, {(A, A): -1}, 1)
+    # a column sent to zero leaves an empty diagonal
+    a = SparseBlockOperator(DOMAIN, {A: None}, 1)
     assert_verdict(a, frozenset({A}), False)
     assert_verdict(a, frozenset({B}), True)
-    # a swap stored over scalar 2: the diagonal cancels to 0 exactly
-    assert_verdict(swap(A, B, 2), frozenset({A, B}), True)
-    assert_verdict(swap(A, B, 2), frozenset({A, C}), False)
+    # a swap over scalar 0: every other column is zero
+    assert_verdict(swap(A, B, 0), frozenset({A, B}), True)
+    assert_verdict(swap(A, B, 0), frozenset({A, C}), False)
 
 
 def test_region_outside_the_basis_is_refused():
@@ -250,37 +241,30 @@ def test_region_outside_the_basis_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# block rank: partial monomial blocks count their entries
+# block rank of u - 1
+
+
+SLOTS = tuple(Ordinal(i) for i in range(4))
+BLOCK_DOMAIN = ProductBasis(range(2), SLOTS)
 
 
 @st.composite
 def vertex_blocks(draw):
-    """An operator whose (0, y) block is a partial monomial matrix, now and
-    then with one extra entry, under a scalar of -2..2."""
-    slots = tuple(Ordinal(i) for i in range(4))
-    domain = ProductBasis(range(2), slots)
-    y = draw(st.sampled_from((0, 1)))
-    s = draw(st.integers(-2, 2))
-    rows = draw(st.permutations(slots))
-    used = draw(st.sets(st.sampled_from(slots)))
-    cells = {}
-    for cs, rs in zip(slots, rows):
-        if cs in used:
-            cells[(BlockIndex(0, rs), BlockIndex(y, cs))] = draw(
-                st.sampled_from((-2, -1, 1, 2, 3, -s))
-            )
-    if draw(st.booleans()):
-        extra = (BlockIndex(0, draw(st.sampled_from(slots))), BlockIndex(y, draw(st.sampled_from(slots))))
-        cells[extra] = draw(st.sampled_from((-1, 1, 2, -s)))
-    a = SparseBlockOperator(domain, cells, s)
-    return a, y, slots
+    """A partial permutation over two vertices of four slots each, and a
+    vertex y: the (0, y) block of u - 1 is checked."""
+    moves, scalar = draw(partial_permutations(sorted(BLOCK_DOMAIN, key=block_key)))
+    return SparseBlockOperator(BLOCK_DOMAIN, moves, scalar), draw(st.sampled_from((0, 1)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(vertex_blocks())
 def test_block_rank_matches_elimination(case):
-    a, y, slots = case
+    a, y = case
     block = [
-        [a.entry(BlockIndex(0, rs), BlockIndex(y, cs)) for cs in slots] for rs in slots
+        [
+            a.entry(BlockIndex(0, rs), BlockIndex(y, cs)) - (y == 0 and rs == cs)
+            for cs in SLOTS
+        ]
+        for rs in SLOTS
     ]
     assert block_rank(a, 0, y) == matrix_rank(block)
