@@ -478,14 +478,15 @@ def verify_matching_independence(
 class CompressionResult:
     """Conjugation of a cycle unitary u into the corner spanned by the first
     n ordinal slots.  u_tilde carries ordinal slots numbered by the expanded
-    edges in (parent id, copy) order; conjugating back with t recovers u
-    exactly.  Both verdicts are read off the stored operators."""
+    edges in (parent id, copy) order: ordinal i stands for slots[i - 1].
+    Both verdicts are read off the stored operators."""
 
     u: SparseBlockOperator = field(repr=False)
     u_tilde: SparseBlockOperator
     t: SparseBlockOperator = field(repr=False)
     n: int
     max_valence: int
+    slots: tuple = field(repr=False)
 
     @property
     def confinement_ok(self) -> bool:
@@ -498,8 +499,20 @@ class CompressionResult:
 
     @cached_property
     def round_trip_ok(self) -> bool:
+        """u_tilde, with its ordinal slots mapped back to the expanded edges
+        they number and conjugated back with t, is exactly u."""
+        number = {Ordinal(i): s for i, s in enumerate(self.slots, start=1)}
+
+        def edge(b: BlockIndex) -> BlockIndex:
+            return BlockIndex(b.vertex, number[b.slot])
+
+        # a relabelling of u_tilde's basis, so its moves stay valid as stored
+        conjugated = SparseBlockOperator._trusted(
+            self.u.domain,
+            {edge(c): None if r is None else edge(r) for c, r in self.u_tilde.moves.items()},
+            self.u_tilde.scalar,
+        )
         t = self.t
-        conjugated = t.adjoint().compose(self.u).compose(t)
         return t.compose(conjugated).compose(t.adjoint()) == self.u
 
 
@@ -509,7 +522,8 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
     The conjugated operator differs from the identity only in ordinal slots
     up to n, for any n at least the maximal valence."""
     g = cu.expanded
-    number = {e.id: i for i, e in enumerate(g.edges, start=1)}
+    slots = tuple(e.id for e in g.edges)
+    number = {s: i for i, s in enumerate(slots, start=1)}
     max_valence = max((g.degree(x) for x in g.vertices), default=0)
     if n is None:
         n = max_valence
@@ -531,11 +545,13 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
 
     # a line window leaves zero columns at its far cut
     u_tilde = SparseBlockOperator(
-        ProductBasis(g.vertices, [Ordinal(number[e.id]) for e in g.edges]),
+        ProductBasis(g.vertices, [Ordinal(number[s]) for s in slots]),
         {relabel(c): None if r is None else relabel(r) for c, r in conjugated.moves.items()},
         conjugated.scalar,
     )
-    return CompressionResult(u=cu.u, u_tilde=u_tilde, t=t, n=n, max_valence=max_valence)
+    return CompressionResult(
+        u=cu.u, u_tilde=u_tilde, t=t, n=n, max_valence=max_valence, slots=slots
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,21 @@ def block_rank(a: SparseBlockOperator, x, y) -> int:
     return diagonal_block_ranks(a)[x]
 
 
+def block_ranks(a: SparseBlockOperator) -> dict:
+    """block_rank(a, x, y) of every block of a - 1 that a moved column at y
+    touches, (y, y) and (x, y) when it moves into x, in one walk of the
+    moves instead of one walk per block."""
+    blocks = {(c.vertex, c.vertex) for c in a.moves}
+    off: Counter = Counter()
+    for c, r in a.moves.items():
+        if r is not None:
+            blocks.add((r.vertex, c.vertex))
+            if r.vertex != c.vertex:
+                off[r.vertex, c.vertex] += 1
+    diagonal = diagonal_block_ranks(a)
+    return {(x, y): diagonal[x] if x == y else off[x, y] for x, y in blocks}
+
+
 def diagonal_block_ranks(a: SparseBlockOperator) -> Counter:
     """Exact rank of the (x, x) vertex block of a - 1 at every vertex x, in
     one pass; a vertex left out has rank 0.  The block is Q - 1 for the
@@ -400,11 +415,14 @@ def bilateral_shift(
 # Both dumps list the nonzero entries row by row in block_key order: rows by
 # (vertex idkey, slot_key) of the row; a row holds at most one entry.  The
 # writers walk the basis one vertex at a time and write each vertex's rows
-# in slices of at most _CHUNK: a slice starts as the scalar diagonal, built
-# from slot texts formatted once per operator (one list for all vertices of
-# a product basis), and the few rows the moves change are rewritten in
-# place.  The matrix is never materialised.  The JSON dump is byte for byte
-# what json.dumps(..., indent=1, sort_keys=True) writes for the same object.
+# in slices of at most _CHUNK.  Along one vertex only the slot texts change,
+# and every vertex of a product basis has the same slots, so the texts
+# around the vertex label are formatted once per operator (once per vertex
+# for an explicit basis).  Each unchanged run of a slice is then one
+# str.join of those pieces with the vertex label as separator, and only the
+# few rows the moves change are formatted one by one.  The matrix is never
+# materialised.  The JSON dump is byte for byte what json.dumps(...,
+# indent=1, sort_keys=True) writes for the same object.
 
 
 _CHUNK = 4096  # rows joined per write
@@ -441,39 +459,47 @@ def _json_slot_at(s: Slot, depth: int) -> str:
     return f"{{{pad}{body}\n{' ' * depth}}}"
 
 
-def _vertex_slots(domain: Basis, slot: Callable) -> Iterable[tuple]:
-    """(vertex, texts, places) for every vertex of domain in idkey order:
-    the texts of its slots in slot_key order and the place of each slot in
-    that list.  All vertices of a product basis share one table."""
-
-    def table(slots):
-        slots = sorted(slots, key=slot_key)
-        return [slot(s) for s in slots], {s: i for i, s in enumerate(slots)}
-
+def _vertex_tables(domain: Basis, table: Callable) -> Iterable[tuple]:
+    """(vertex, table(slots)) for every vertex of domain in idkey order, its
+    slots in slot_key order.  All vertices of a product basis share one
+    table, built once; an explicit basis builds one per vertex, as the
+    writer reaches it."""
     if isinstance(domain, ProductBasis):
-        shared = table(domain.slots)
-        return ((x, *shared) for x in sorted(domain.vertices, key=idkey))
+        shared = table(sorted(domain.slots, key=slot_key))
+        return ((x, shared) for x in sorted(domain.vertices, key=idkey))
     by_vertex: dict = {}
     for x, s in domain:
         by_vertex.setdefault(x, []).append(s)
-    return ((x, *table(by_vertex[x])) for x in sorted(by_vertex, key=idkey))
+    return (
+        (x, table(sorted(by_vertex[x], key=slot_key)))
+        for x in sorted(by_vertex, key=idkey)
+    )
 
 
 def _basis_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
     """The basis of a in block_key order, each vector as lead, vertex, sep,
-    slot, end; one string per slice of at most _CHUNK slots of a vertex."""
-    for x, texts, _ in _vertex_slots(a.domain, slot):
+    slot, end; one string per slice of at most _CHUNK slots of a vertex,
+    joined around the vertex's head."""
+
+    def table(slots):
+        return [f"{slot(s)}{end}" for s in slots]
+
+    for x, tails in _vertex_tables(a.domain, table):
         head = f"{lead}{vertex(x)}{sep}"
-        for i in range(0, len(texts), _CHUNK):
-            yield "".join([f"{head}{t}{end}" for t in texts[i : i + _CHUNK]])
+        for i in range(0, len(tails), _CHUNK):
+            yield head + head.join(tails[i : i + _CHUNK])
 
 
 def _row_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
     """The nonzero entries of a in block_key order, each as lead, row vertex,
     row slot, column vertex, column slot and value joined by sep, then end;
-    one string per slice of at most _CHUNK rows of a vertex.  A slice starts
-    as the scalar diagonal, then the rows the moves change are rebuilt: such
-    a row holds the column landing on it, or nothing."""
+    one string per slice of at most _CHUNK rows of a vertex.
+
+    The rows the moves change split a slice into runs of unchanged rows.  A
+    changed row holds the column landing on it, or nothing, and is formatted
+    alone, in slot order.  With scalar 1 a run is the scalar diagonal, whose
+    rows differ only in their slot texts: one join of the vertex text over a
+    slice of the pieces of the table."""
     s = a.scalar
     changed: dict = {}  # {vertex: {row slot: column or None}}
     for c, r in a.moves.items():
@@ -481,19 +507,43 @@ def _row_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
             changed.setdefault(c.vertex, {}).setdefault(c.slot, None)
         if r is not None:
             changed.setdefault(r.vertex, {})[r.slot] = c
-    for x, texts, places in _vertex_slots(a.domain, slot):
-        head, mid = f"{lead}{vertex(x)}{sep}", f"{sep}{vertex(x)}{sep}"
-        patches: dict[int, list] = {}
-        for rs, c in changed.pop(x, {}).items():
-            i, j = divmod(places[rs], _CHUNK)
-            patches.setdefault(i, []).append((j, c))
-        for i in range(0, len(texts), _CHUNK):
-            part = texts[i : i + _CHUNK]
-            rows = [f"{head}{t}{mid}{t}{sep}1{end}" for t in part] if s else [""] * len(part)
-            for j, c in patches.get(i // _CHUNK, ()):
-                rows[j] = "" if c is None else (
-                    f"{head}{part[j]}{sep}{vertex(c.vertex)}{sep}{slot(c.slot)}{sep}1{end}"
-                )
+
+    def table(slots):
+        texts = [slot(b) for b in slots]
+        # the diagonal row of slot i is lead, vertex, pieces[2i + 1], vertex,
+        # pieces[2i + 2] without its last len(lead) characters, which are the
+        # next row's lead
+        pieces = [lead]
+        if s:
+            for t in texts:
+                pieces += (f"{sep}{t}{sep}", f"{sep}{t}{sep}1{end}{lead}")
+        return texts, {b: i for i, b in enumerate(slots)}, pieces
+
+    for x, (texts, places, pieces) in _vertex_tables(a.domain, table):
+        v = vertex(x)
+
+        def run(i: int, j: int) -> str:
+            """The diagonal rows of the slots at places i to j - 1."""
+            part = pieces[2 * i : 2 * j + 1]
+            part[0], part[-1] = lead, f"{sep}{texts[j - 1]}{sep}1{end}"
+            return v.join(part)
+
+        # in slot order: moves iterate in an order that follows the hash seed
+        patches = sorted((places[rs], c) for rs, c in changed.pop(x, {}).items())
+        k = 0
+        for start in range(0, len(texts), _CHUNK):
+            at, stop, rows = start, min(start + _CHUNK, len(texts)), []
+            while k < len(patches) and patches[k][0] < stop:
+                j, c = patches[k]
+                if s and at < j:
+                    rows.append(run(at, j))
+                if c is not None:
+                    rows.append(
+                        f"{lead}{v}{sep}{texts[j]}{sep}{vertex(c.vertex)}{sep}{slot(c.slot)}{sep}1{end}"
+                    )
+                at, k = j + 1, k + 1
+            if s and at < stop:
+                rows.append(run(at, stop))
             yield "".join(rows)
 
 

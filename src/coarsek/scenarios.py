@@ -47,7 +47,7 @@ from .k1_map import (
 from .operators import (
     Window,
     bilateral_shift,
-    block_rank,
+    block_ranks,
     index_pairing,
     is_unitary_on,
 )
@@ -160,14 +160,11 @@ def cycle_corpus_pass(seed: int = DEFAULT_SEED, count: int = 200) -> CycleVerdic
         if not is_unitary_on(cu.u):
             out.unitarity.append({"graph": i, "coeffs": gamma.coeffs})
         ex = cu.expanded
-        blocks = {(c.vertex, c.vertex) for c in cu.u.moves}  # of u - 1
         for c, r in cu.u.moves.items():
-            if r is not None:
-                blocks.add((r.vertex, c.vertex))
-                if r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
-                    out.adjacency.append({"graph": i, "row": r, "col": c})
-        for (x, y) in blocks:
-            if block_rank(cu.u, x, y) > ex.degree(x):
+            if r is not None and r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
+                out.adjacency.append({"graph": i, "row": r, "col": c})
+        for (x, y), rank in block_ranks(cu.u).items():
+            if rank > ex.degree(x):
                 out.rank.append({"graph": i, "block": (x, y)})
     return out
 

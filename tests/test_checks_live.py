@@ -321,15 +321,45 @@ def test_k1_map_a_doubled_window_operator_of_another_index_fails(
 # the compression checks, through run_random_finite and k1-map
 
 
+def _on_u_basis(res, op):
+    """op, an operator over u_tilde's basis, over u's basis: each ordinal
+    slot replaced by the expanded edge it numbers."""
+
+    def edge(b):
+        return BlockIndex(b.vertex, res.slots[b.slot.index - 1])
+
+    moves = {edge(c): None if r is None else edge(r) for c, r in op.moves.items()}
+    return SparseBlockOperator(res.u.domain, moves, op.scalar)
+
+
 def moved_above_the_corner(res):
-    """u_tilde also swaps two slots beyond the corner at one vertex: still
-    a permutation of the same index, and t still conjugates u back."""
+    """t also swaps, at one vertex, a corner slot that u_tilde moves with a
+    slot beyond the corner, and u_tilde is the conjugation by that t: still
+    a permutation of the same index that conjugates back to u, but it moves
+    a vector beyond the corner."""
     u = res.u_tilde
-    beyond = [s for s in u.domain.slots if s.index > res.n][:2]
-    if len(beyond) < 2:
+    beyond = [s for s in u.domain.slots if s.index > res.n]
+    c = next((c for c in u.moves if c.slot.index <= res.n), None)
+    if not beyond or c is None:
         return res
-    p, q = (BlockIndex(u.domain.vertices[0], s) for s in beyond)
-    return dataclasses.replace(res, u_tilde=u.compose(SparseBlockOperator(u.domain, {p: q, q: p}, 1)))
+    q = BlockIndex(c.vertex, beyond[0])
+    swap = SparseBlockOperator(u.domain, {c: q, q: c}, 1)
+    return dataclasses.replace(
+        res,
+        t=res.t.compose(_on_u_basis(res, swap)),
+        u_tilde=swap.compose(u).compose(swap),
+    )
+
+
+def swapped_in_the_corner(res):
+    """u_tilde also swaps a vector it moves with another corner slot of its
+    vertex: still a permutation inside the corner, of the same index, but no
+    longer the conjugation of u by t."""
+    u = res.u_tilde
+    c = next(c for c, r in u.moves.items() if r is not None)
+    other = next(s for s in u.domain.slots if s.index <= res.n and s != c.slot)
+    q = BlockIndex(c.vertex, other)
+    return dataclasses.replace(res, u_tilde=u.compose(SparseBlockOperator(u.domain, {c: q, q: c}, 1)))
 
 
 def t_losing_a_vector(res):
@@ -342,12 +372,14 @@ def t_losing_a_vector(res):
 
 def shifted_lane(res):
     """u_tilde followed by a shift of the slot-1 lane one vertex up, cut at
-    the window's end: still unitary on the interior and inside the corner,
-    but with index one lower."""
+    the window's end, and u followed by the same shift conjugated back: the
+    compression of another operator, consistent and inside the corner, but
+    its index is one lower than that of the unitary it was handed."""
     u = res.u_tilde
     lane = [BlockIndex(x, Ordinal(1)) for x in u.domain.vertices]
-    shift = dict(zip(lane, lane[1:] + [None]))
-    return dataclasses.replace(res, u_tilde=u.compose(SparseBlockOperator(u.domain, shift, 1)))
+    shift = SparseBlockOperator(u.domain, dict(zip(lane, lane[1:] + [None])), 1)
+    back = res.t.compose(_on_u_basis(res, shift)).compose(res.t.adjoint())
+    return dataclasses.replace(res, u=res.u.compose(back), u_tilde=u.compose(shift))
 
 
 def _faulty_compression(monkeypatch, module, fault, line_only=False) -> None:
@@ -394,6 +426,13 @@ def test_run_random_finite_a_lossy_conjugator_fails_only_the_round_trip(monkeypa
         assert v["confinement"] and not v["round_trip"] and v["index_equal"]
 
 
+def test_run_random_finite_a_wrong_compressed_operator_fails_only_the_round_trip(monkeypatch):
+    details = _random_finite_compression(monkeypatch, swapped_in_the_corner)
+    assert details["failures"] and all(f["round_trip"] is False for f in details["failures"])
+    for v in details["line"].values():
+        assert v["confinement"] and not v["round_trip"] and v["index_equal"]
+
+
 def test_run_random_finite_a_compressed_index_off_by_one_fails_only_index_equal(monkeypatch):
     details = _random_finite_compression(monkeypatch, shifted_lane, line_only=True)
     assert details["finite_ok"]
@@ -402,7 +441,9 @@ def test_run_random_finite_a_compressed_index_off_by_one_fails_only_index_equal(
         assert v["index_compressed"] == v["index_original"] - 1
 
 
-@pytest.mark.parametrize("fault", [moved_above_the_corner, t_losing_a_vector])
+@pytest.mark.parametrize(
+    "fault", [moved_above_the_corner, swapped_in_the_corner, t_losing_a_vector]
+)
 def test_k1_map_a_faulty_compression_fails_only_the_corner_check(
     tmp_path, capsys, monkeypatch, fault
 ):

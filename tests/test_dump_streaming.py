@@ -9,6 +9,7 @@ same bytes on every operator."""
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,73 @@ def test_one_vertex_with_more_than_a_chunk_of_rows():
     edge = BlockIndex("only", Ordinal(_CHUNK))
     a = SparseBlockOperator(domain, {x: y, y: x, edge: None}, 1)
     assert_dumps_match_the_reference(a)
+
+
+# ---------------------------------------------------------------------------
+# the runs of unchanged rows and the rows the moves change between them
+
+
+def _swaps(*pairs) -> dict:
+    return {**dict(pairs), **{r: c for c, r in pairs}}
+
+
+@pytest.mark.parametrize("scalar", [0, 1])
+def test_changed_rows_at_the_ends_of_slices_and_vertices(scalar):
+    n = _CHUNK + 3
+    domain = ProductBasis(["a", "b"], [Ordinal(i) for i in range(n)])
+
+    def a(i):
+        return BlockIndex("a", Ordinal(i))
+
+    def b(i):
+        return BlockIndex("b", Ordinal(i))
+
+    moves = _swaps(
+        (a(0), a(n - 1)),  # first and last row of a vertex
+        (a(_CHUNK - 1), a(_CHUNK)),  # last row of a slice, first of the next
+        (b(0), b(_CHUNK - 1)),
+        (b(_CHUNK), b(n - 1)),
+    )
+    # three adjacent changed rows, and a zero column next to a move
+    moves.update({a(5): a(6), a(6): a(7), a(7): a(5), b(10): None})
+    moves.update(_swaps((b(11), a(12))))
+    assert_dumps_match_the_reference(SparseBlockOperator(domain, moves, scalar))
+
+
+def test_a_vertex_whose_rows_all_change():
+    slots = [Ordinal(1), CopyEdge("e", 0), CopyEdge("e", 1)]
+    domain = ProductBasis([0, 1, 2], slots)
+    at = [BlockIndex(1, s) for s in slots]
+    rotation = dict(zip(at, at[1:] + at[:1]))
+    for moves in (rotation, {**rotation, at[0]: None}, _swaps(*zip(at, (BlockIndex(2, s) for s in slots)))):
+        for scalar in (0, 1):
+            assert_dumps_match_the_reference(SparseBlockOperator(domain, moves, scalar))
+
+
+def test_vertex_labels_that_need_json_escapes():
+    # the vertex text is the separator each run of unchanged rows is joined with
+    vertices = ['q"', "b\\s", "\n\t", "é→", ("t", 'x"y', 2), "\U0001f600"]
+    domain = ProductBasis(vertices, [Ordinal(1), CopyEdge('"e"', 0), Ordinal(2)])
+    basis = sorted(domain, key=block_key)
+    moves = _swaps((basis[0], basis[7]), (basis[4], basis[5]))
+    moves[basis[-1]] = None
+    for scalar in (0, 1):
+        assert_dumps_match_the_reference(SparseBlockOperator(domain, moves, scalar))
+    explicit = frozenset(basis[1:-2])
+    moves = _swaps((basis[1], basis[9]))
+    assert_dumps_match_the_reference(SparseBlockOperator(explicit, moves, 1))
+
+
+def test_two_operators_over_one_basis_dumped_back_to_back():
+    domain = ProductBasis(range(-3, 4), [Ordinal(i) for i in range(1, 6)])
+    x, y = BlockIndex(0, Ordinal(2)), BlockIndex(1, Ordinal(4))
+    first = SparseBlockOperator(domain, {x: y, y: x}, 1)
+    second = SparseBlockOperator(domain, {x: x, y: None}, 0)
+    for writer, reference in ((dump_lines, reference_text), (operator_to_json, reference_json)):
+        buf = io.StringIO()
+        for a in (first, second, first):
+            writer(a, buf)
+        assert buf.getvalue() == reference(first) + reference(second) + reference(first)
 
 
 # ---------------------------------------------------------------------------

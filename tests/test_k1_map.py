@@ -5,7 +5,9 @@ import pytest
 from coarsek import intlinalg, operators, scenarios
 from coarsek.chains import Chain1
 from coarsek.corpus import (
+    cycle_graph,
     figure_eight,
+    random_cycle,
     random_graph,
     random_matching_pair,
     random_multiplicity_cycle,
@@ -32,6 +34,7 @@ from coarsek.operators import (
     SparseBlockOperator,
     Window,
     block_rank,
+    block_ranks,
     index_pairing,
     is_unitary_on,
 )
@@ -132,6 +135,25 @@ def test_unitary_and_block_ranks_on_random_cycles():
         blocks |= {(r.vertex, c.vertex) for c, r in cu.u.moves.items() if r is not None}
         for (x, y) in blocks:
             assert block_rank(cu.u, x, y) <= ex.degree(x)
+
+
+def test_block_ranks_equal_block_rank_on_every_block():
+    """The corpus pass reads every block rank from one block_ranks walk; the
+    per-block block_rank is the reference, on the seed-1 corpus and on a
+    doubled cycle with two matchings and the correction between them."""
+    rng = random.Random(1)
+    ops = [cycle_unitary(random_cycle(rng, random_graph(rng))).u for _ in range(200)]
+    g = cycle_graph(9)
+    doubled = Chain1(g, {e.id: 2 for e in g.edges})
+    swapped = permuted_matching(expand_graph(g, doubled), {0: (1, 0), 3: (1, 0), 4: (1, 0)})
+    ua, ub = cycle_unitary(doubled).u, cycle_unitary(doubled, swapped).u
+    ops += [ua, ub, ua.adjoint().compose(ub)]
+    for u in ops:
+        blocks = {(c.vertex, c.vertex) for c in u.moves}
+        blocks |= {(r.vertex, c.vertex) for c, r in u.moves.items() if r is not None}
+        assert block_ranks(u) == {(x, y): block_rank(u, x, y) for x, y in blocks}
+    assert any(x != y for x, y in block_ranks(ua))
+    assert sorted(block_ranks(ua.adjoint().compose(ub)).values()) == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
