@@ -19,7 +19,6 @@ from .chains import (
     banded_cycle_value,
     boundary,
     chain_from_json,
-    chain_to_json,
     homology_finite,
     is_cycle,
     solve_boundary_finite,
@@ -33,7 +32,6 @@ from .graphs import (
     GraphError,
     OrientedGraph,
     graph_from_json,
-    graph_to_json,
 )
 from .k0_map import (
     BoundaryWitness,
@@ -41,6 +39,7 @@ from .k0_map import (
     ProjectionPair,
     boundary_witness,
     build_projection_pair,
+    component_signatures,
     expand_graph,
     k0_signature,
     slot_ceiling,

@@ -483,22 +483,7 @@ def banded_cycle_value(gamma: BandedZChain) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
-
-
-def chain_to_json(chain: Chain) -> dict:
-    if isinstance(chain, BandedZChain):
-        return {
-            "degree": chain.degree,
-            "tail_left": chain.tail_left,
-            "tail_right": chain.tail_right,
-            "window_start": chain.window_start,
-            "window_values": list(chain.window_values),
-        }
-    return {
-        "degree": chain.degree,
-        "coeffs": {str(k): v for k, v in sorted(chain.coeffs.items(), key=lambda kv: str(kv[0]))},
-    }
+# JSON input
 
 
 def json_int(value, field: str) -> int:

@@ -10,6 +10,7 @@ to stdout, human readable by default or as JSON with --json.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -35,6 +36,7 @@ from .graphs import GraphError, OrientedGraph, graph_from_json
 from .k0_map import (
     boundary_witness,
     build_projection_pair,
+    component_signatures,
     k0_signature,
     slot_ceiling,
     uniform_corner_holds,
@@ -255,11 +257,16 @@ def cmd_k0(args) -> int:
         )
         gamma = solve_boundary_finite(g, chain)
         if gamma is None:
+            # a chain that does not bound has a nonzero sum on some component
+            per_component = component_signatures(pair, g)
+            details = {"signature": sig}
+            if len(per_component) > 1:
+                details["component_signatures"] = per_component
             report.checks.append(
                 CheckResult(
                     "chain does not bound (signature is the obstruction witness)",
-                    True,
-                    {"signature": sig},
+                    any(per_component.values()),
+                    details,
                 )
             )
         else:
@@ -452,7 +459,10 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no state that parsing
+    changes (no append action, no mutable default, a fixed prog)."""
     parser = argparse.ArgumentParser(
         prog="coarsek",
         description="exact maps from graph homology to operator K-theory classes",

@@ -16,27 +16,7 @@ from .k1_map import EdgeMatching, canonical_matching, permuted_matching
 
 
 # ---------------------------------------------------------------------------
-# small named graphs
-
-
-def path_graph(n: int) -> OrientedGraph:
-    return OrientedGraph(
-        range(n), [Edge(f"e{i}", i, i + 1) for i in range(n - 1)]
-    )
-
-
-def cycle_graph(n: int) -> OrientedGraph:
-    edges = [Edge(f"e{i}", i, (i + 1) % n) for i in range(n)]
-    return OrientedGraph(range(n), edges)
-
-
-def triangle_with_chord_orientation() -> tuple[OrientedGraph, Chain1]:
-    """Triangle oriented 0->1, 1->2, 0->2 and the cycle e01 + e12 - e02."""
-    g = OrientedGraph(
-        range(3),
-        [Edge("e01", 0, 1), Edge("e12", 1, 2), Edge("e02", 0, 2)],
-    )
-    return g, Chain1(g, {"e01": 1, "e12": 1, "e02": -1})
+# a small named graph
 
 
 def figure_eight() -> tuple[OrientedGraph, Chain1]:

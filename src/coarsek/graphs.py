@@ -1,4 +1,4 @@
-"""Oriented graphs, the banded line and their JSON interchange.
+"""Oriented graphs, the banded line and the reader of their JSON files.
 
 Two shapes of graph are supported: arbitrary finite oriented graphs, and the
 banded description of the integer line (vertex set Z, with the cell edge
@@ -13,7 +13,7 @@ here uses floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Label = Union[int, str, tuple]
 
@@ -36,8 +36,7 @@ def idkey(x) -> tuple:
     raise GraphError(f"unsupported label type: {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: Label
     source: Label
     target: Label
@@ -149,12 +148,14 @@ class BandedZGraph:
         return self.edges_per_cell == 0
 
     def window(self, lo: int, hi: int) -> OrientedGraph:
-        """Materialize the subgraph on vertices lo..hi as a finite graph."""
+        """Materialize the subgraph on vertices lo..hi as a finite graph.
+        It is valid by construction: the int ids ascend, which is idkey
+        order, every cell joins two window vertices and none is a loop."""
         if lo > hi:
             raise GraphError("empty window")
         cells = range(lo, hi) if self.edges_per_cell else ()
-        return OrientedGraph(
-            range(lo, hi + 1), [Edge(id=n, source=n, target=n + 1) for n in cells]
+        return OrientedGraph._trusted(
+            tuple(range(lo, hi + 1)), tuple([Edge(n, n, n + 1) for n in cells])
         )
 
 
@@ -162,29 +163,7 @@ Graph = Union[OrientedGraph, BandedZGraph]
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
-
-
-def graph_to_json(g: Graph) -> dict:
-    if isinstance(g, BandedZGraph):
-        return {
-            "kind": "banded_z",
-            "edges_per_cell": g.edges_per_cell,
-            "perturbation": None,
-        }
-    for v in g.vertices:
-        if not isinstance(v, (int, str)):
-            raise GraphError("only int or str vertex ids are serializable")
-    for e in g.edges:
-        if not isinstance(e.id, (int, str)):
-            raise GraphError("only int or str edge ids are serializable")
-    return {
-        "kind": "finite",
-        "vertices": list(g.vertices),
-        "edges": [
-            {"id": e.id, "source": e.source, "target": e.target} for e in g.edges
-        ],
-    }
+# JSON input
 
 
 def _require_distinct_keys(field: str, labels) -> None:

@@ -19,7 +19,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .chains import BandedZChain, Chain0, Chain1, ChainError, boundary, uniform_bound
+from .chains import (
+    BandedZChain,
+    Chain0,
+    Chain1,
+    ChainError,
+    boundary,
+    spanning_forest,
+    uniform_bound,
+)
 from .graphs import Edge, Label, OrientedGraph
 from .operators import (
     BlockIndex,
@@ -140,6 +148,24 @@ def k0_signature(pair: ProjectionPair) -> int:
     if pair.host_kind != "finite":
         raise ChainError("k0_signature is defined for finite hosts only")
     return len(pair.f.moves) - len(pair.g.moves)
+
+
+def component_signatures(pair: ProjectionPair, g: OrientedGraph) -> dict:
+    """k0_signature on each path component of the host g, keyed by the
+    component's spanning-forest root.  Components lie at infinite distance,
+    so the Roe algebra is their direct sum and K0 has one rank trace per
+    component; the total signature can vanish where these do not."""
+    order, up = spanning_forest(g)
+    root = {}
+    for x in order:  # every vertex comes after its parent
+        e = up[x]
+        root[x] = x if e is None else root[e.source if e.target == x else e.target]
+    signatures = {x: 0 for x in order if up[x] is None}
+    for b in pair.f.moves:
+        signatures[root[b.vertex]] += 1
+    for b in pair.g.moves:
+        signatures[root[b.vertex]] -= 1
+    return signatures
 
 
 # ---------------------------------------------------------------------------

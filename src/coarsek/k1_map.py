@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .chains import Chain1, is_cycle
+from .chains import Chain1, is_cycle, json_int
 from .graphs import BandedZGraph
 from .k0_map import (
     ExpandedGraph,
@@ -560,9 +560,13 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
 
 def line_expansion(k: int, lo: int, hi: int) -> ExpandedGraph:
     """Expanded multigraph of the constant-k cycle on the line window
-    [lo, hi]: |k| parallel copies of every cell edge, reversed when k < 0."""
+    [lo, hi]: |k| parallel copies of every cell edge, reversed when k < 0.
+    The chain is k on every cell of the window, so once k is checked as the
+    constructor would check it, it is built unchecked."""
     graph = BandedZGraph().window(lo, hi)
-    gamma = Chain1(graph, {n: k for n in range(lo, hi)})
+    if lo < hi:
+        json_int(k, f"coefficient on edge {lo!r}")
+    gamma = Chain1._trusted(graph, ((n, k) for n in range(lo, hi)))
     return expand_graph(graph, gamma)
 
 

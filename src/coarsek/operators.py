@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
@@ -121,6 +121,12 @@ class ProductBasis(AbstractSet):
         return (
             f"ProductBasis({len(self.vertices)} vertices x {len(self.slots)} slots)"
         )
+
+    @cached_property
+    def ordered(self) -> tuple[list, list]:
+        """The vertices in idkey order and the slots in slot_key order,
+        sorted once for every dump of an operator over this basis."""
+        return sorted(self.vertices, key=idkey), sorted(self.slots, key=slot_key)
 
 
 Basis = Union[frozenset, ProductBasis]
@@ -465,8 +471,9 @@ def _vertex_tables(domain: Basis, table: Callable) -> Iterable[tuple]:
     table, built once; an explicit basis builds one per vertex, as the
     writer reaches it."""
     if isinstance(domain, ProductBasis):
-        shared = table(sorted(domain.slots, key=slot_key))
-        return ((x, shared) for x in sorted(domain.vertices, key=idkey))
+        vertices, slots = domain.ordered
+        shared = table(slots)
+        return ((x, shared) for x in vertices)
     by_vertex: dict = {}
     for x, s in domain:
         by_vertex.setdefault(x, []).append(s)

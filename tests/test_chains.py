@@ -15,7 +15,6 @@ from coarsek.chains import (
     boundary,
     boundary_matrix,
     chain_from_json,
-    chain_to_json,
     homology_finite,
     is_cycle,
     solve_boundary_finite,
@@ -24,14 +23,14 @@ from coarsek.chains import (
     spanning_forest,
     uniform_bound,
 )
-from coarsek.corpus import (
+from coarsek.corpus import random_chain1, random_graph
+from coarsek.graphs import BandedZGraph, Edge, OrientedGraph
+from helpers import (
+    chain_to_json,
     cycle_graph,
     path_graph,
-    random_chain1,
-    random_graph,
     triangle_with_chord_orientation,
 )
-from coarsek.graphs import BandedZGraph, Edge, OrientedGraph
 
 
 def is_connected(g: OrientedGraph) -> bool:

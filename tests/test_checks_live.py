@@ -11,13 +11,13 @@ import pytest
 
 from coarsek import chains, cli, k1_map, scenarios
 from coarsek.chains import Chain0, Chain1, is_cycle
-from coarsek.corpus import cycle_graph, path_graph
 from coarsek.graphs import graph_from_json
 from coarsek.k0_map import expand_graph
 from coarsek.operators import (
     BlockIndex,
     CopyEdge,
     Ordinal,
+    ProductBasis,
     SparseBlockOperator,
     bilateral_shift,
     index_pairing,
@@ -29,6 +29,7 @@ from coarsek.k1_map import (
     permuted_matching,
     verify_matching_independence,
 )
+from helpers import cycle_graph, path_graph
 
 SEED = 1
 COUNT = 12
@@ -272,6 +273,26 @@ def test_k0_map_a_signature_off_by_one_fails_only_the_signature(
     _only_failure(rc, verdicts, "signature equals coefficient sum")
 
 
+TWO_PATHS = {
+    "kind": "finite",
+    "vertices": [0, 1, 2, 3, 4],
+    "edges": [*PATH3["edges"], {"id": "c", "source": 3, "target": 4}],
+}
+TWO_BOUNDARIES = {"degree": 0, "coeffs": {"0": -1, "2": 1, "3": -1, "4": 1}}  # d(a + b + c)
+
+
+@pytest.mark.parametrize(
+    "graph, chain", [(PATH3, BOUNDARY), (TWO_PATHS, TWO_BOUNDARIES)], ids=["one", "two"]
+)
+def test_k0_map_a_solver_that_misses_a_boundary_fails_only_the_obstruction(
+    tmp_path, capsys, monkeypatch, graph, chain
+):
+    # a boundary reported as not bounding: no component signature is nonzero
+    monkeypatch.setattr(cli, "solve_boundary_finite", lambda g, c: None)
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", graph, chain)
+    _only_failure(rc, verdicts, "chain does not bound (signature is the obstruction witness)")
+
+
 CYCLE5 = {
     "kind": "finite",
     "vertices": list(range(5)),
@@ -315,6 +336,74 @@ def test_k1_map_a_doubled_window_operator_of_another_index_fails(
     monkeypatch.setattr(cli, "constant_cycle_index", shifted_index)
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", LINE, CLASS2, *WINDOW)
     _only_failure(rc, verdicts, "index pairing stable under window doubling")
+
+
+# ---------------------------------------------------------------------------
+# the four failure kinds of check_k0_signatures
+
+
+def _k0_signature_kinds() -> set:
+    return {f["kind"] for f in scenarios.check_k0_signatures(SEED, COUNT)["failures"]}
+
+
+def _faulty_scenario_pairs(monkeypatch, fault) -> None:
+    real = scenarios.build_projection_pair
+    monkeypatch.setattr(scenarios, "build_projection_pair", lambda c: fault(real(c)))
+
+
+def _one_slot_more(pair, f_moves: dict, g_moves: dict):
+    """pair with the given moves over its basis grown by one ordinal slot."""
+    dom = pair.f.domain
+    dom = ProductBasis(dom.vertices, [*dom.slots, Ordinal(len(dom.slots) + 1)])
+    return dataclasses.replace(
+        pair, f=SparseBlockOperator(dom, f_moves), g=SparseBlockOperator(dom, g_moves)
+    )
+
+
+def g_one_slot_up(pair):
+    """g projects onto the slots one above those of its ranks: the ranks
+    and the orthogonality hold, but negating the chain no longer swaps f
+    and g."""
+    up = [BlockIndex(b.vertex, Ordinal(b.slot.index + 1)) for b in pair.g.moves]
+    return _one_slot_more(pair, pair.f.moves, {b: b for b in up})
+
+
+def shared_vector(pair):
+    """f and g both also project onto a new slot of the first vertex: the
+    signature and the swap under negation hold, but fg != 0."""
+    b = BlockIndex(pair.f.domain.vertices[0], Ordinal(len(pair.f.domain.slots) + 1))
+    return _one_slot_more(pair, {**pair.f.moves, b: b}, {**pair.g.moves, b: b})
+
+
+def test_k0_signature_check_passes_on_the_real_pairs():
+    assert _k0_signature_kinds() == set()
+
+
+def test_a_boundary_off_by_a_vertex_fails_only_the_boundary_signature(monkeypatch):
+    real = scenarios.boundary
+
+    def off_by_a_vertex(gamma):
+        return real(gamma) + Chain0(gamma.graph, {gamma.graph.vertices[0]: 1})
+
+    monkeypatch.setattr(scenarios, "boundary", off_by_a_vertex)
+    assert _k0_signature_kinds() == {"boundary signature nonzero"}
+
+
+def test_a_doubled_signature_fails_only_the_coefficient_sum(monkeypatch):
+    # right wherever the signature is 0, as on every boundary
+    real = scenarios.k0_signature
+    monkeypatch.setattr(scenarios, "k0_signature", lambda pair: 2 * real(pair))
+    assert _k0_signature_kinds() == {"signature != coefficient sum"}
+
+
+def test_a_shifted_g_fails_only_the_swap_under_negation(monkeypatch):
+    _faulty_scenario_pairs(monkeypatch, g_one_slot_up)
+    assert _k0_signature_kinds() == {"negation does not swap f and g"}
+
+
+def test_a_vector_shared_by_f_and_g_fails_only_orthogonality(monkeypatch):
+    _faulty_scenario_pairs(monkeypatch, shared_vector)
+    assert _k0_signature_kinds() == {"f and g not orthogonal"}
 
 
 # ---------------------------------------------------------------------------

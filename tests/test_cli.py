@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -98,6 +99,18 @@ def test_k0_on_nonbounding_chain(triangle_file, tmp_path, capsys):
     chain = write(tmp_path, "c.json", {"degree": 0, "coeffs": {"0": 1}})
     assert main(["k0-map", "--graph", triangle_file, "--chain", chain]) == 0
     assert "does not bound" in capsys.readouterr().out
+
+
+def test_k0_nonbounding_chain_reports_a_signature_per_component(tmp_path, capsys):
+    # the total signature is 0, yet the chain does not bound: each of the
+    # two components carries its own nonzero signature
+    graph = write(tmp_path, "g.json", {"kind": "finite", "vertices": [0, 1], "edges": []})
+    chain = write(tmp_path, "c.json", {"degree": 0, "coeffs": {"0": 1, "1": -1}})
+    assert main(["k0-map", "--graph", graph, "--chain", chain, "--json"]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert check["name"].startswith("chain does not bound")
+    assert check["passed"]
+    assert check["details"] == {"signature": 0, "component_signatures": {"0": 1, "1": -1}}
 
 
 def test_k0_banded(line_file, tmp_path, capsys):
@@ -506,6 +519,47 @@ def test_python_m_coarsek_runs_the_cli(triangle_file):
     )
     assert done.returncode == 0, done.stderr
     assert "H1 rank = 1" in done.stdout
+
+
+def test_in_process_calls_match_one_process_per_call(
+    line_file, triangle_file, tmp_path, capsys, monkeypatch
+):
+    # the parser is built once per process and reused; every call must still
+    # answer as a fresh ``python -m coarsek`` does, errors included
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    monkeypatch.delenv("COARSEK_LOG", raising=False)
+    k1 = write(tmp_path, "k1.json", {"degree": 1, "tail_left": 2, "tail_right": 2})
+    k0 = write(tmp_path, "k0.json", {"degree": 0, "coeffs": {"0": 1}})
+    line = ["k1-map", "--graph", line_file, "--chain", k1, "--window", "4", "--margin", "4"]
+    calls = [
+        line,
+        [*line, "--bogus"],
+        ["k0-map", "--graph", triangle_file, "--chain", k0, "--dump", ""],
+        ["k1-map", "--graph", line_file, "--chain", k1, "--window", "-1"],
+        line,
+        ["verify", "--scenario", "z-line"],
+        [*line, "--json"],
+    ]
+
+    def timeless(text):
+        text = re.sub(r"\(\d+\.\d\ds\)", "(s)", text)
+        return re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', text)
+
+    cli._build_parser.cache_clear()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        done = subprocess.run(
+            [sys.executable, "-m", "coarsek", *argv],
+            capture_output=True, text=True, env=module_env(), timeout=60,
+        )
+        assert code == done.returncode, argv
+        assert timeless(got.out) == timeless(done.stdout), argv
+        assert got.err == done.stderr, argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("value", ["basic_format", "_styles"])

@@ -41,6 +41,7 @@ from coarsek.operators import (
     operator_to_json,
     propagation,
 )
+from helpers import cycle_graph
 
 # ---------------------------------------------------------------------------
 # reference constructions over the full explicit basis
@@ -477,6 +478,6 @@ def test_cycle_defect_storage_is_linear_in_expanded_edges():
         g = corpus.random_graph(rng)
         cu = cycle_unitary(corpus.random_cycle(rng, g))
         assert len(cu.u.moves) <= len(cu.expanded.edges)
-    g = corpus.cycle_graph(64)
+    g = cycle_graph(64)
     cu = cycle_unitary(corpus.random_cycle(random.Random(0), g))
     assert len(cu.u.moves) <= len(cu.expanded.edges)

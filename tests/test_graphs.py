@@ -6,8 +6,8 @@ from coarsek.graphs import (
     GraphError,
     OrientedGraph,
     graph_from_json,
-    graph_to_json,
 )
+from helpers import graph_to_json
 
 
 def test_loops_are_rejected():

@@ -3,12 +3,7 @@ import random
 import pytest
 
 from coarsek.chains import BandedZChain, Chain0, Chain1, boundary, uniform_bound
-from coarsek.corpus import (
-    random_chain0,
-    random_chain1,
-    random_graph,
-    triangle_with_chord_orientation,
-)
+from coarsek.corpus import random_chain0, random_chain1, random_graph
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.k0_map import (
     boundary_witness,
@@ -20,6 +15,7 @@ from coarsek.k0_map import (
     uniform_corner_holds,
 )
 from coarsek.operators import BlockIndex, CopyEdge, Ordinal, Window
+from helpers import triangle_with_chord_orientation
 
 
 def single_edge():

@@ -5,13 +5,11 @@ import pytest
 from coarsek import intlinalg, operators, scenarios
 from coarsek.chains import Chain1
 from coarsek.corpus import (
-    cycle_graph,
     figure_eight,
     random_cycle,
     random_graph,
     random_matching_pair,
     random_multiplicity_cycle,
-    triangle_with_chord_orientation,
 )
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.k0_map import expand_graph
@@ -38,6 +36,7 @@ from coarsek.operators import (
     index_pairing,
     is_unitary_on,
 )
+from helpers import cycle_graph, triangle_with_chord_orientation
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 the same objects rebuilt through the checking constructors.
 
 compose and adjoint build operators, chain +, -, scaled and boundary build
-chains, expand_graph builds its multigraph and boundary_witness its seven
-operators without checking their input again.  The operator constructor
+chains, expand_graph builds its multigraph, a line window its graph and
+line_expansion its chain, and boundary_witness its seven operators without
+checking their input again.  The operator constructor
 checks each moved vector once and cycle_unitary builds the canonical
 matching of a cycle unchecked.  Each result must equal, field by field,
 what the checking constructor makes of a reference computation."""
@@ -15,16 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsek.chains import Chain0, Chain1, boundary, is_cycle
+from coarsek.chains import Chain0, Chain1, ChainError, boundary, is_cycle
 from coarsek.corpus import random_cycle
-from coarsek.graphs import Edge, OrientedGraph
+from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
 from coarsek.k0_map import (
     ExpandedGraph,
     boundary_witness,
     expand_graph,
     order_matched_involution,
 )
-from coarsek.k1_map import NonCycleError, canonical_matching, cycle_unitary
+from coarsek.k1_map import (
+    NonCycleError,
+    canonical_matching,
+    cycle_unitary,
+    line_expansion,
+)
 from coarsek.operators import (
     BlockIndex,
     CopyEdge,
@@ -216,6 +222,71 @@ def test_expand_graph_equals_the_checked_construction(case):
         assert {y for y in ref.vertices if ex.adjacent(x, y)} == ref.neighbors(x)
     for e in ref.edges:
         assert ex.edge(e.id) == e
+
+
+# ---------------------------------------------------------------------------
+# line windows
+
+
+def assert_same_graph(got: OrientedGraph, ref: OrientedGraph) -> None:
+    assert got.vertices == ref.vertices
+    assert got.edges == ref.edges
+    for x in ref.vertices:
+        assert got.in_edges(x) == ref.in_edges(x)
+        assert got.out_edges(x) == ref.out_edges(x)
+    for e in ref.edges:
+        assert got.edge(e.id) == e
+
+
+def checked_window(per_cell: int, lo: int, hi: int) -> OrientedGraph:
+    """The window rebuilt by the checking constructor from unordered sets."""
+    cells = range(lo, hi) if per_cell else ()
+    return OrientedGraph(set(range(lo, hi + 1)), {Edge(n, n, n + 1) for n in cells})
+
+
+WINDOWS = [(0, 0), (-3, -3), (-5, -1), (-4, 3), (2, 7)]
+
+
+@pytest.mark.parametrize("per_cell", [0, 1])
+@pytest.mark.parametrize("lo, hi", WINDOWS)
+def test_line_window_equals_the_checked_construction(per_cell, lo, hi):
+    got = BandedZGraph(per_cell).window(lo, hi)
+    assert_same_graph(got, checked_window(per_cell, lo, hi))
+
+
+def test_an_empty_line_window_is_refused():
+    with pytest.raises(GraphError, match="empty window"):
+        BandedZGraph().window(1, 0)
+
+
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 2])
+@pytest.mark.parametrize("lo, hi", WINDOWS)
+def test_line_expansion_equals_expand_graph_over_a_checked_chain(k, lo, hi):
+    graph = checked_window(1, lo, hi)
+    ref = expand_graph(graph, Chain1(graph, {n: k for n in range(lo, hi)}))
+    got = line_expansion(k, lo, hi)
+    assert isinstance(got, ExpandedGraph)
+    assert_same_graph(got, ref)
+    for x in ref.vertices:
+        assert {y for y in ref.vertices if got.adjacent(x, y)} == ref.neighbors(x)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "2"])
+def test_line_expansion_refuses_what_the_chain_constructor_refuses(k):
+    graph = checked_window(1, -2, 2)
+    with pytest.raises(ChainError) as checked:
+        Chain1(graph, {n: k for n in range(-2, 2)})
+    with pytest.raises(ChainError) as trusted:
+        line_expansion(k, -2, 2)
+    assert str(trusted.value) == str(checked.value)
+
+
+def test_edge_keeps_its_fields_repr_and_hash():
+    e = Edge("e1", 0, (1, "a"))
+    assert (e.id, e.source, e.target) == ("e1", 0, (1, "a"))
+    assert Edge(id="e1", source=0, target=(1, "a")) == e
+    assert repr(e) == "Edge(id='e1', source=0, target=(1, 'a'))"
+    assert hash(e) == hash(("e1", 0, (1, "a")))
 
 
 # ---------------------------------------------------------------------------
