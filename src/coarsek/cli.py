@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: ``homology`` (chain-level invariants of a graph), ``k0-map``
-and ``k1-map`` (run the degree-0/degree-1 constructions with their full
-verification suites), ``verify`` (the built-in scenario runner).  Reports go
+and ``k1-map`` (the degree-0/degree-1 constructions, certified by the
+pipelines of ``scenarios``), ``verify`` (the built-in scenario runner).
+This module validates the input, admits a request, builds the operators
+whose construction can reject the input, and writes the output.  Reports go
 to stdout, human readable by default or as JSON with --json.  Exit codes:
 0 all checks passed, 1 a check failed, 2 bad input.
 """
@@ -27,41 +29,19 @@ from .chains import (
     chain_from_json,
     homology_finite,
     json_int,
-    solve_boundary_finite,
-    solve_boundary_on_z,
-    uf_class_on_z,
     uniform_bound,
 )
 from .graphs import GraphError, OrientedGraph, graph_from_json
-from .k0_map import (
-    boundary_witness,
-    build_projection_pair,
-    component_signatures,
-    k0_signature,
-    slot_ceiling,
-    uniform_corner_holds,
-    witness_report_json,
+from .k1_map import NonCycleError, cycle_unitary, line_cycle_unitary, permuted_matching
+from .operators import MarginError, OperatorError, Window, dump_lines, operator_to_json
+from .scenarios import (
+    DEFAULT_SEED,
+    SCENARIOS,
+    Report,
+    certify_k0,
+    certify_k1,
+    run_all,
 )
-from .k1_map import (
-    NonCycleError,
-    canonical_matching,
-    compress_to_uniform,
-    constant_cycle_index,
-    cycle_unitary,
-    line_cycle_unitary,
-    permuted_matching,
-    verify_matching_independence,
-)
-from .operators import (
-    MarginError,
-    OperatorError,
-    Window,
-    dump_lines,
-    index_pairing,
-    is_unitary_on,
-    operator_to_json,
-)
-from .scenarios import DEFAULT_SEED, SCENARIOS, CheckResult, Report, run_all
 
 log = logging.getLogger("coarsek")
 
@@ -150,7 +130,7 @@ def _dump_operators(directory: str, named_ops: dict) -> None:
         raise InputError(f"cannot write dumps to {directory}: {exc}")
 
 
-def _emit(report: Report, args, dumps: dict) -> int:
+def _emit(args, report: Report, dumps: dict) -> int:
     if args.dump:
         _dump_operators(args.dump, dumps)
         log.info("dumped %d operators to %s", len(dumps), args.dump)
@@ -228,93 +208,17 @@ def cmd_homology(args) -> int:
 def cmd_k0(args) -> int:
     g = _load_graph(args.graph)
     chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
-    report = Report(name="k0-map")
-    dumps = {}
+    window = None
     if isinstance(g, OrientedGraph):
         if not isinstance(chain, Chain0):
             raise InputError("the degree-0 map needs a degree-0 chain")
         _admit(_finite_work(g, chain, spread=True), args.dump)
-        pair = build_projection_pair(chain)
-        f, gg = pair.f, pair.g
-        report.checks.append(
-            CheckResult(
-                "projections are idempotent, selfadjoint and orthogonal",
-                f.compose(f) == f
-                and gg.compose(gg) == gg
-                and f.adjoint() == f
-                and gg.adjoint() == gg
-                and f.compose(gg).is_zero(),
-            )
-        )
-        sig = k0_signature(pair)
-        report.checks.append(
-            CheckResult(
-                "signature equals coefficient sum",
-                sig == chain.total(),
-                {"signature": sig, "sum": chain.total()},
-                verbose=True,
-            )
-        )
-        gamma = solve_boundary_finite(g, chain)
-        if gamma is None:
-            # a chain that does not bound has a nonzero sum on some component
-            per_component = component_signatures(pair, g)
-            details = {"signature": sig}
-            if len(per_component) > 1:
-                details["component_signatures"] = per_component
-            report.checks.append(
-                CheckResult(
-                    "chain does not bound (signature is the obstruction witness)",
-                    any(per_component.values()),
-                    details,
-                )
-            )
-        else:
-            w = boundary_witness(gamma)
-            report.checks.append(
-                CheckResult(
-                    "boundary witness identities",
-                    w.ok and sig == 0,
-                    witness_report_json(w),
-                )
-            )
-            dumps["witness_v"] = w.v
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 0:
             raise InputError("banded graphs need a banded degree-0 chain")
         _admit(_window_vertices(args) * uniform_bound(chain), args.dump)
         window = Window(radius=args.window, margin=args.margin)
-        pair = build_projection_pair(chain, window)
-        report.checks.append(
-            CheckResult(
-                "pair confined to the corner below the uniform bound",
-                uniform_corner_holds(chain, pair),
-                {"slot_ceiling": slot_ceiling(pair), "strict_bound": uniform_bound(chain)},
-            )
-        )
-        report.checks.append(
-            CheckResult(
-                "bounded-class invariant",
-                True,
-                {"tail_pair": uf_class_on_z(chain)},
-                verbose=True,
-            )
-        )
-        if not g.is_edgeless:
-            sol = solve_boundary_on_z(chain)
-            details = {
-                "bounded": sol.bounded,
-                "slope_left": sol.slope_left,
-                "slope_right": sol.slope_right,
-            }
-            ok = True
-            if sol.bounded:
-                ok = sol.gamma is not None and boundary(sol.gamma) == chain
-            report.checks.append(
-                CheckResult("boundary solution on the line", ok, details, verbose=True)
-            )
-    dumps.update(f=pair.f, g=pair.g)
-    return _emit(report, args, dumps)
+    return _emit(args, *certify_k0(g, chain, window))
 
 
 # ---------------------------------------------------------------------------
@@ -329,74 +233,51 @@ def _named_noncycle_vertex(chain: BandedZChain) -> int:
     return d.window_start
 
 
+def _bad_matching(path: str, exc: Exception) -> InputError:
+    return InputError(f"{path}: bad matching override: {exc}")
+
+
+def _load_positions(path: str, g: OrientedGraph) -> dict:
+    """The per-vertex permutations of a matching file, read before anything
+    is built; permuted_matching checks them against the expanded graph."""
+    data = _load_json_file(path)
+    lookup = {str(v): v for v in g.vertices}
+    try:
+        if "positions" not in data:
+            raise ValueError("the top-level object has no key 'positions'")
+        data = data["positions"]
+        if not isinstance(data, dict):
+            raise ValueError(f"positions must be an object, got {data!r}")
+        positions = {}
+        for key, val in data.items():
+            if not isinstance(val, list):
+                raise ValueError(f"positions[{key!r}] must be a list, got {val!r}")
+            positions[lookup[key]] = tuple(
+                json_int(p, f"positions[{key!r}][{j}]") for j, p in enumerate(val)
+            )
+    except (KeyError, ValueError) as exc:
+        raise _bad_matching(path, exc)
+    return positions
+
+
 def cmd_k1(args) -> int:
     g = _load_graph(args.graph)
     chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
-    report = Report(name="k1-map")
-    dumps = {}
+    beta = None
     if isinstance(g, OrientedGraph):
         if not isinstance(chain, Chain1):
             raise InputError("the degree-1 map needs a degree-1 chain")
+        positions = _load_positions(args.matching, g) if args.matching else None
         _admit(_finite_work(g, chain, spread=bool(args.dump)), args.dump)
         try:
             cu = cycle_unitary(chain)
         except NonCycleError as exc:
             raise InputError(str(exc))
-        ex = cu.expanded
-        report.checks.append(
-            CheckResult("cycle unitary is exactly unitary", is_unitary_on(cu.u))
-        )
-        report.checks.append(
-            CheckResult(
-                "entries join adjacent vertices only",
-                all(
-                    r is None or r.vertex == c.vertex or ex.adjacent(r.vertex, c.vertex)
-                    for c, r in cu.u.moves.items()
-                ),
-            )
-        )
-        if ex.edges:
-            comp = compress_to_uniform(cu)
-            report.checks.append(
-                CheckResult(
-                    "compression into the ordinal corner",
-                    comp.round_trip_ok and comp.confinement_ok,
-                    {"corner": comp.n, "max_valence": comp.max_valence},
-                )
-            )
-            dumps["u_tilde"] = comp.u_tilde
-        if args.matching:
-            data = _load_json_file(args.matching).get("positions", {})
-            lookup = {str(v): v for v in g.vertices}
+        if positions is not None:
             try:
-                if not isinstance(data, dict):
-                    raise ValueError(f"positions must be an object, got {data!r}")
-                positions = {}
-                for key, val in data.items():
-                    if not isinstance(val, list):
-                        raise ValueError(f"positions[{key!r}] must be a list, got {val!r}")
-                    positions[lookup[key]] = tuple(
-                        json_int(p, f"positions[{key!r}][{j}]") for j, p in enumerate(val)
-                    )
-                beta = permuted_matching(ex, positions)
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"{args.matching}: bad matching override: {exc}")
-            rep = verify_matching_independence(chain, canonical_matching(ex), beta)
-            report.checks.append(
-                CheckResult(
-                    "matching independence (product identity)",
-                    rep.content_ok,
-                    rep.to_json(),
-                )
-            )
-            report.checks.append(
-                CheckResult(
-                    "matching independence (two-conjugation route)",
-                    rep.literal_route_ok,
-                    rep.to_json(),
-                    advisory=not args.strict_matching,
-                )
-            )
+                beta = permuted_matching(cu.expanded, positions)
+            except ValueError as exc:
+                raise _bad_matching(args.matching, exc)
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 1:
             raise InputError("banded graphs need a banded degree-1 chain")
@@ -410,23 +291,8 @@ def cmd_k1(args) -> int:
             )
         n = _window_vertices(args)
         _admit(n + abs(k) * (n - 1), args.dump)
-        window = Window(radius=args.window, margin=args.margin)
-        cu = line_cycle_unitary(k, window)
-        idx = index_pairing(cu.u, window)
-        # constant_cycle_index also checks the margin against the infinite
-        # operator's propagation; doubling the radius keeps the check's
-        # outcome, since radius >= 1 iff 2 * radius >= 1
-        idx2 = constant_cycle_index(k, Window(radius=2 * args.window, margin=args.margin))
-        report.checks.append(
-            CheckResult(
-                "index pairing stable under window doubling",
-                idx == idx2,
-                {"class": k, "index": idx, "index_doubled_window": idx2},
-                verbose=True,
-            )
-        )
-    dumps["u"] = cu.u
-    return _emit(report, args, dumps)
+        cu = line_cycle_unitary(k, Window(radius=args.window, margin=args.margin))
+    return _emit(args, *certify_k1(chain, cu, beta, args.strict_matching))
 
 
 # ---------------------------------------------------------------------------

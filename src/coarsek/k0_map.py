@@ -61,6 +61,15 @@ class ExpandedGraph(OrientedGraph):
             self._near[x] = self.neighbors(x)
         return y in self._near[x]
 
+    def far_moves(self, op: SparseBlockOperator) -> list:
+        """(column, row) of each move of op between two vertices that no
+        edge joins, in the order op stores its moves."""
+        return [
+            (c, r)
+            for c, r in op.moves.items()
+            if r is not None and r.vertex != c.vertex and not self.adjacent(r.vertex, c.vertex)
+        ]
+
 
 def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
     """Replace each edge by |gamma_e| parallel copies, flipping orientation
@@ -300,10 +309,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         "rank_bookkeeping": all(
             ins[x] - outs[x] == c.coeff(x) for x in {*ins, *outs, *c.coeffs}
         ),
-        "adjacency": all(
-            r.vertex == col.vertex or g.adjacent(r.vertex, col.vertex)
-            for col, r in v.moves.items()
-        ),
+        "adjacency": not g.far_moves(v),
     }
     return BoundaryWitness(
         g, c, v, source_projection, target_projection, in_rank_projection,

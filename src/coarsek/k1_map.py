@@ -497,6 +497,10 @@ class CompressionResult:
             for c, r in self.u_tilde.moves.items()
         )
 
+    @property
+    def ok(self) -> bool:
+        return self.round_trip_ok and self.confinement_ok
+
     @cached_property
     def round_trip_ok(self) -> bool:
         """u_tilde, with its ordinal slots mapped back to the expanded edges

@@ -1,8 +1,10 @@
-"""Built-in verification scenarios.
+"""Built-in verification scenarios and the k0-map and k1-map pipelines.
 
-Each check function returns a plain dict of exact certificates; the CLI
-wraps them into reports and the acceptance test suite asserts on them, so
-both surfaces agree on what was actually computed.
+Each check function returns a plain dict of exact certificates, which the
+scenario runners wrap into reports and the acceptance tests assert on.
+certify_k0 and certify_k1 build the reports of k0-map and k1-map.  Each
+identity that both surfaces check is decided by one piece of code here or
+in the maps, so the two agree on what was actually computed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .chains import (
     boundary,
     homology_finite,
     is_cycle,
+    solve_boundary_finite,
     solve_boundary_on_z,
     uf_class_on_z,
     uniform_bound,
@@ -29,10 +32,12 @@ from .intlinalg import rank as matrix_rank
 from .k0_map import (
     boundary_witness,
     build_projection_pair,
+    component_signatures,
     expand_graph,
     k0_signature,
     slot_ceiling,
     uniform_corner_holds,
+    witness_report_json,
 )
 from .k1_map import (
     canonical_matching,
@@ -82,6 +87,15 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(c.passed or c.advisory for c in self.checks)
+
+    def add(self, name: str, passed: bool, details: dict | None = None, **flags) -> None:
+        self.checks.append(CheckResult(name, passed, details or {}, **flags))
+
+    def add_certificates(self, name: str, data: dict, key: str = "ok", advisory: bool = False):
+        """Add the check whose verdict is data[key]; data, with its seconds
+        taken out, becomes the details."""
+        seconds = data.pop("seconds", 0.0)
+        self.add(name, bool(data.get(key)), data, seconds=seconds, advisory=advisory)
 
     def to_json(self) -> dict:
         return {
@@ -138,6 +152,111 @@ def _timed(check):
 
 
 # ---------------------------------------------------------------------------
+# the k0-map and k1-map pipelines
+
+# the checks that k0-map or k1-map and the random-finite scenario share
+WITNESS = "boundary witness identities"
+COMPRESSION = "compression into the ordinal corner"
+PRODUCT_ROUTE = "matching independence (product identity)"
+LITERAL_ROUTE = "matching independence (two-conjugation route)"
+
+
+def _projections_hold(pair) -> bool:
+    """f and g are idempotent, selfadjoint and orthogonal."""
+    f, g = pair.f, pair.g
+    return (
+        f.compose(f) == f and g.compose(g) == g and f.adjoint() == f and g.adjoint() == g
+        and f.compose(g).is_zero()
+    )
+
+
+def _uniform_corner(chain: BandedZChain, pair) -> tuple[bool, dict]:
+    """Whether a banded pair stays below the chain's uniform bound, with the
+    two numbers compared."""
+    details = {"slot_ceiling": slot_ceiling(pair), "strict_bound": uniform_bound(chain)}
+    return uniform_corner_holds(chain, pair), details
+
+
+def _doubled_window_indexes(k: int, cu) -> tuple[int, int]:
+    """Index pairings of cu, the constant-k cycle's unitary on its window,
+    and of the same cycle on the window of twice the radius."""
+    w = cu.window
+    idx = index_pairing(cu.u, w)
+    # constant_cycle_index also checks the margin against the infinite
+    # operator's propagation; doubling the radius keeps the check's
+    # outcome, since radius >= 1 iff 2 * radius >= 1
+    return idx, constant_cycle_index(k, Window(radius=2 * w.radius, margin=w.margin))
+
+
+def certify_k0(g, chain, window: Window | None = None) -> tuple[Report, dict]:
+    """The k0-map report on an admitted chain, and the operators it dumps:
+    a finite degree-0 chain over the graph g, or a banded one realised on
+    the window."""
+    report, dumps = Report(name="k0-map"), {}
+    add = report.add
+    if window is None:
+        pair = build_projection_pair(chain)
+        add("projections are idempotent, selfadjoint and orthogonal", _projections_hold(pair))
+        sig, total = k0_signature(pair), chain.total()
+        details = {"signature": sig, "sum": total}
+        add("signature equals coefficient sum", sig == total, details, verbose=True)
+        gamma = solve_boundary_finite(g, chain)
+        if gamma is None:
+            # a chain that does not bound has a nonzero sum on some component
+            per_component = component_signatures(pair, g)
+            details = {"signature": sig}
+            if len(per_component) > 1:
+                details["component_signatures"] = per_component
+            name = "chain does not bound (signature is the obstruction witness)"
+            add(name, any(per_component.values()), details)
+        else:
+            w = boundary_witness(gamma)
+            add(WITNESS, w.ok and sig == 0, witness_report_json(w))
+            dumps["witness_v"] = w.v
+    else:
+        pair = build_projection_pair(chain, window)
+        add("pair confined to the corner below the uniform bound", *_uniform_corner(chain, pair))
+        add("bounded-class invariant", True, {"tail_pair": uf_class_on_z(chain)}, verbose=True)
+        if not g.is_edgeless:
+            sol = solve_boundary_on_z(chain)
+            ok = not sol.bounded or (sol.gamma is not None and boundary(sol.gamma) == chain)
+            details = {
+                "bounded": sol.bounded, "slope_left": sol.slope_left, "slope_right": sol.slope_right
+            }
+            add("boundary solution on the line", ok, details, verbose=True)
+    dumps.update(f=pair.f, g=pair.g)
+    return report, dumps
+
+
+def certify_k1(chain, cu, beta=None, strict_matching: bool = False) -> tuple[Report, dict]:
+    """The k1-map report on the cycle unitary cu of chain, and the operators
+    it dumps.  A unitary on a line window is certified by its index pairing;
+    a finite one by its identities, its compression and, given a second
+    matching beta, the comparison with the canonical matching."""
+    report, dumps = Report(name="k1-map"), {}
+    add = report.add
+    if cu.window is not None:
+        k = banded_cycle_value(chain)
+        idx, idx2 = _doubled_window_indexes(k, cu)
+        details = {"class": k, "index": idx, "index_doubled_window": idx2}
+        add("index pairing stable under window doubling", idx == idx2, details, verbose=True)
+    else:
+        ex = cu.expanded
+        add("cycle unitary is exactly unitary", is_unitary_on(cu.u))
+        add("entries join adjacent vertices only", not ex.far_moves(cu.u))
+        if ex.edges:
+            comp = compress_to_uniform(cu)
+            add(COMPRESSION, comp.ok, {"corner": comp.n, "max_valence": comp.max_valence})
+            dumps["u_tilde"] = comp.u_tilde
+        if beta is not None:
+            rep = verify_matching_independence(chain, canonical_matching(ex), beta)
+            add(PRODUCT_ROUTE, rep.content_ok, rep.to_json())
+            add(LITERAL_ROUTE, rep.literal_route_ok, rep.to_json(), advisory=not strict_matching)
+    dumps["u"] = cu.u
+    return report, dumps
+
+
+# ---------------------------------------------------------------------------
 # random finite corpus checks
 
 
@@ -160,9 +279,8 @@ def cycle_corpus_pass(seed: int = DEFAULT_SEED, count: int = 200) -> CycleVerdic
         if not is_unitary_on(cu.u):
             out.unitarity.append({"graph": i, "coeffs": gamma.coeffs})
         ex = cu.expanded
-        for c, r in cu.u.moves.items():
-            if r is not None and r.vertex != c.vertex and not ex.adjacent(r.vertex, c.vertex):
-                out.adjacency.append({"graph": i, "row": r, "col": c})
+        for c, r in ex.far_moves(cu.u):
+            out.adjacency.append({"graph": i, "row": r, "col": c})
         for (x, y), rank in block_ranks(cu.u).items():
             if rank > ex.degree(x):
                 out.rank.append({"graph": i, "block": (x, y)})
@@ -225,8 +343,8 @@ def check_k0_signatures(seed: int = DEFAULT_SEED, count: int = 100) -> dict:
         swapped = build_projection_pair(-c2)
         if swapped.f != pair.g or swapped.g != pair.f:
             failures.append({"case": i, "kind": "negation does not swap f and g"})
-        if not pair.f.compose(pair.g).is_zero():
-            failures.append({"case": i, "kind": "f and g not orthogonal"})
+        if not _projections_hold(pair):
+            failures.append({"case": i, "kind": "f and g not orthogonal projections"})
     return {"count": count, "failures": failures, "ok": not failures}
 
 
@@ -310,7 +428,7 @@ def check_compression(
         if not cu.expanded.edges:
             continue
         res = compress_to_uniform(cu)
-        if not (res.round_trip_ok and res.confinement_ok):
+        if not res.ok:
             failures.append({"case": i, "round_trip": res.round_trip_ok})
     window = Window(radius=line_radius, margin=6)
     line = {}
@@ -352,11 +470,9 @@ def check_line_isomorphism() -> dict:
     values = {}
     agree = True
     for k in range(-3, 4):
-        a = constant_cycle_index(k, Window(radius=16, margin=4))
-        b = constant_cycle_index(k, Window(radius=32, margin=4))
+        a, b = _doubled_window_indexes(k, line_cycle_unitary(k, Window(radius=16, margin=4)))
         values[k] = a
-        if a != b:
-            agree = False
+        agree = agree and a == b
     sign = shift_index  # index of the one-track forward shift
     linear = all(values[k] == sign * k for k in values)
     injective = len({values[k] for k in values}) == len(values)
@@ -424,15 +540,13 @@ def check_line_homology() -> dict:
     value = banded_cycle_value(constant2)
     corner_window = Window(radius=8, margin=0)
     chain = BandedZChain(0, 2, -1, 0, (3,))
-    pair = build_projection_pair(chain, corner_window)
-    corner = uniform_corner_holds(chain, pair)
+    corner, corner_details = _uniform_corner(chain, build_projection_pair(chain, corner_window))
     return {
         "constant_is_cycle": is_cycle(constant2),
         "constant_class": value,
         "nonconstant_is_cycle": is_cycle(broken),
         "uniform_corner": corner,
-        "slot_ceiling": slot_ceiling(pair),
-        "strict_bound": uniform_bound(chain),
+        **corner_details,
         "ok": is_cycle(constant2)
         and value == 2
         and not is_cycle(broken)
@@ -519,35 +633,20 @@ def _homology_agrees(g, expected_rank=None) -> bool:
 # scenario assembly
 
 
-def _as_check(name: str, data: dict, key: str = "ok", advisory: bool = False) -> CheckResult:
-    seconds = data.pop("seconds", 0.0)
-    return CheckResult(
-        name=name, passed=bool(data.get(key)), details=data, seconds=seconds, advisory=advisory
-    )
-
-
 def run_random_finite(
     seed: int = DEFAULT_SEED, count: int = 200, strict_matching: bool = False
 ) -> Report:
     report = Report(name="random-finite")
+    add = report.add_certificates
     # one pass serves both cycle checks; its seconds count for the first
     t0 = time.perf_counter()
     cycles = cycle_corpus_pass(seed, count)
     unitarity = check_unitarity_corpus(seed, count, cycles)
     unitarity["seconds"] = time.perf_counter() - t0
-    report.checks.append(_as_check("cycle unitaries are exactly unitary", unitarity))
-    report.checks.append(
-        _as_check(
-            "finite propagation and block-finite rank",
-            check_propagation_corpus(seed, count, cycles),
-        )
-    )
-    report.checks.append(
-        _as_check("boundary witness identities", check_witness_corpus(seed, count))
-    )
-    report.checks.append(
-        _as_check("projection-pair signatures", check_k0_signatures(seed))
-    )
+    add("cycle unitaries are exactly unitary", unitarity)
+    add("finite propagation and block-finite rank", check_propagation_corpus(seed, count, cycles))
+    add(WITNESS, check_witness_corpus(seed, count))
+    add("projection-pair signatures", check_k0_signatures(seed))
     matching = check_matching_independence(seed)
     content_view = {
         k: v for k, v in matching.items() if not k.startswith("literal")
@@ -557,47 +656,24 @@ def run_random_finite(
         "literal_ok": matching["literal_ok"],
         "literal_summary": matching["literal_summary"],
     }
-    report.checks.append(
-        _as_check(
-            "matching independence (product identity)",
-            content_view,
-            key="content_ok",
-        )
-    )
-    report.checks.append(
-        _as_check(
-            "matching independence (two-conjugation route)",
-            literal_view,
-            key="literal_ok",
-            advisory=not strict_matching,
-        )
-    )
-    report.checks.append(
-        _as_check("compression into the ordinal corner", check_compression(seed))
-    )
-    report.checks.append(
-        _as_check("homology engine cross-check", check_homology_engine(seed))
-    )
+    add(PRODUCT_ROUTE, content_view, key="content_ok")
+    add(LITERAL_ROUTE, literal_view, key="literal_ok", advisory=not strict_matching)
+    add(COMPRESSION, check_compression(seed))
+    add("homology engine cross-check", check_homology_engine(seed))
     return report
 
 
 def run_z_line(seed: int = DEFAULT_SEED, strict_matching: bool = False) -> Report:
     report = Report(name="z-line")
-    report.checks.append(
-        _as_check("banded 1-cycles are the constants", check_line_homology())
-    )
-    report.checks.append(
-        _as_check("degree-1 map is a signed isomorphism", check_line_isomorphism())
-    )
-    report.checks.append(
-        _as_check("degree-0 quotient certificates", check_line_h0_quotient(seed))
-    )
+    report.add_certificates("banded 1-cycles are the constants", check_line_homology())
+    report.add_certificates("degree-1 map is a signed isomorphism", check_line_isomorphism())
+    report.add_certificates("degree-0 quotient certificates", check_line_h0_quotient(seed))
     return report
 
 
 def run_z_edgeless(seed: int = DEFAULT_SEED, strict_matching: bool = False) -> Report:
     report = Report(name="z-edgeless")
-    report.checks.append(_as_check("edgeless line scenario", check_edgeless_line()))
+    report.add_certificates("edgeless line scenario", check_edgeless_line())
     return report
 
 

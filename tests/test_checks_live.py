@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from coarsek import chains, cli, k1_map, scenarios
+from coarsek import chains, cli, k0_map, k1_map, scenarios
 from coarsek.chains import Chain0, Chain1, is_cycle
 from coarsek.graphs import graph_from_json
 from coarsek.k0_map import expand_graph
@@ -230,8 +230,8 @@ NOT_A_BOUNDARY = {"degree": 0, "coeffs": {"0": 1}}
 
 
 def _faulty_pair(monkeypatch, fault) -> None:
-    real = cli.build_projection_pair
-    monkeypatch.setattr(cli, "build_projection_pair", lambda c: fault(real(c)))
+    real = scenarios.build_projection_pair
+    monkeypatch.setattr(scenarios, "build_projection_pair", lambda c: fault(real(c)))
 
 
 def not_idempotent(pair):
@@ -273,6 +273,16 @@ def test_k0_map_a_signature_off_by_one_fails_only_the_signature(
     _only_failure(rc, verdicts, "signature equals coefficient sum")
 
 
+def test_k0_map_an_exchange_that_swaps_nothing_fails_only_the_witness(
+    tmp_path, capsys, monkeypatch
+):
+    # the exchange permutations become the identity, so they no longer
+    # carry the edge slots onto the ordinal ranks
+    monkeypatch.setattr(k0_map, "order_matched_involution", lambda s1, s2: {})
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", PATH3, BOUNDARY)
+    _only_failure(rc, verdicts, "boundary witness identities")
+
+
 TWO_PATHS = {
     "kind": "finite",
     "vertices": [0, 1, 2, 3, 4],
@@ -288,7 +298,7 @@ def test_k0_map_a_solver_that_misses_a_boundary_fails_only_the_obstruction(
     tmp_path, capsys, monkeypatch, graph, chain
 ):
     # a boundary reported as not bounding: no component signature is nonzero
-    monkeypatch.setattr(cli, "solve_boundary_finite", lambda g, c: None)
+    monkeypatch.setattr(scenarios, "solve_boundary_finite", lambda g, c: None)
     rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", graph, chain)
     _only_failure(rc, verdicts, "chain does not bound (signature is the obstruction witness)")
 
@@ -304,6 +314,13 @@ AROUND5 = {"degree": 1, "coeffs": {f"e{i}": 1 for i in range(5)}}
 def test_k1_map_passes_on_the_real_unitary(tmp_path, capsys):
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
     assert rc == 0 and all(verdicts.values()) and len(verdicts) == 3
+
+
+def test_k1_map_a_moved_column_fails_only_unitarity(tmp_path, capsys, monkeypatch):
+    real = cli.cycle_unitary
+    monkeypatch.setattr(cli, "cycle_unitary", lambda gamma: column_moved(real(gamma)))
+    rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
+    _only_failure(rc, verdicts, "cycle unitary is exactly unitary")
 
 
 def test_k1_map_a_move_between_non_adjacent_vertices_fails_only_adjacency(
@@ -325,15 +342,16 @@ def test_k1_map_on_the_line_passes_with_the_real_windows(tmp_path, capsys):
     assert rc == 0 and verdicts == {"index pairing stable under window doubling": True}
 
 
+def shifted_index(k, window):
+    """Index of the constant-k unitary followed by the shift: one lower."""
+    u = line_cycle_unitary(k, window).u
+    return index_pairing(u.compose(bilateral_shift(window, u.domain.slots)), window)
+
+
 def test_k1_map_a_doubled_window_operator_of_another_index_fails(
     tmp_path, capsys, monkeypatch
 ):
-    def shifted_index(k, window):
-        """Index of the doubled-window unitary followed by the shift."""
-        u = line_cycle_unitary(k, window).u
-        return index_pairing(u.compose(bilateral_shift(window, u.domain.slots)), window)
-
-    monkeypatch.setattr(cli, "constant_cycle_index", shifted_index)
+    monkeypatch.setattr(scenarios, "constant_cycle_index", shifted_index)
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", LINE, CLASS2, *WINDOW)
     _only_failure(rc, verdicts, "index pairing stable under window doubling")
 
@@ -403,7 +421,104 @@ def test_a_shifted_g_fails_only_the_swap_under_negation(monkeypatch):
 
 def test_a_vector_shared_by_f_and_g_fails_only_orthogonality(monkeypatch):
     _faulty_scenario_pairs(monkeypatch, shared_vector)
-    assert _k0_signature_kinds() == {"f and g not orthogonal"}
+    assert _k0_signature_kinds() == {"f and g not orthogonal projections"}
+
+
+# ---------------------------------------------------------------------------
+# the line scenario checks, which share their verdicts with k0-map and k1-map
+
+LINE_VERDICTS = ("windows_agree", "linear", "injective", "additive")
+
+
+def _failed_line_verdicts() -> set:
+    out = scenarios.check_line_isomorphism()
+    failed = {v for v in LINE_VERDICTS if not out[v]}
+    assert out["ok"] == (not failed and out["shift_index"] == -1)
+    return failed
+
+
+def _every_line_unitary(monkeypatch, k_of) -> None:
+    """The constant-k_of(k) unitary wherever the line isomorphism asks for
+    the constant-k one, on every window."""
+    real = k1_map.line_cycle_unitary
+
+    def faulty(k, window, *rest):
+        return real(k_of(k), window, *rest)
+
+    monkeypatch.setattr(k1_map, "line_cycle_unitary", faulty)
+    monkeypatch.setattr(scenarios, "line_cycle_unitary", faulty)
+
+
+def test_line_isomorphism_passes_on_the_real_indexes():
+    assert _failed_line_verdicts() == set()
+
+
+def test_a_doubled_window_of_another_index_fails_only_windows_agree(monkeypatch):
+    monkeypatch.setattr(scenarios, "constant_cycle_index", shifted_index)
+    assert _failed_line_verdicts() == {"windows_agree"}
+
+
+def test_a_shift_of_the_opposite_sign_fails_only_linearity(monkeypatch):
+    # the values stay -k, injective and additive, but the sign reads +1
+    real = scenarios.bilateral_shift
+    monkeypatch.setattr(
+        scenarios, "bilateral_shift", lambda window, *rest: real(window, *rest).adjoint()
+    )
+    assert _failed_line_verdicts() == {"linear"}
+
+
+def test_every_class_sent_to_zero_fails_injectivity(monkeypatch):
+    # additive still holds (0 + 0 == 0); linear with sign -1 implies injective
+    _every_line_unitary(monkeypatch, lambda k: 0)
+    assert _failed_line_verdicts() == {"injective", "linear"}
+
+
+def test_every_class_off_by_one_fails_additivity(monkeypatch):
+    # -(k + 1) stays injective; linear with sign -1 implies additive
+    _every_line_unitary(monkeypatch, lambda k: k + 1)
+    assert _failed_line_verdicts() == {"additive", "linear"}
+
+
+def one_slot_over_the_bound(pair):
+    """f also projects onto a new ordinal slot above all others at the first
+    vertex: still a projection orthogonal to g, but above the uniform bound."""
+    b = BlockIndex(pair.f.domain.vertices[0], Ordinal(len(pair.f.domain.slots) + 1))
+    return _one_slot_more(pair, {**pair.f.moves, b: b}, pair.g.moves)
+
+
+def _pairs_over_the_bound(monkeypatch) -> None:
+    real = scenarios.build_projection_pair
+    monkeypatch.setattr(
+        scenarios, "build_projection_pair", lambda *args: one_slot_over_the_bound(real(*args))
+    )
+
+
+def test_a_pair_over_the_uniform_bound_fails_only_the_corner_on_the_line(monkeypatch):
+    real = scenarios.check_line_homology()
+    _pairs_over_the_bound(monkeypatch)
+    out = scenarios.check_line_homology()
+    assert real["uniform_corner"] and not out["uniform_corner"] and not out["ok"]
+    assert out["slot_ceiling"] == real["slot_ceiling"] + 1
+    changed = {"uniform_corner", "slot_ceiling", "ok", "seconds"}
+    assert {k: v for k, v in out.items() if k not in changed} == {
+        k: v for k, v in real.items() if k not in changed
+    }
+
+
+BANDED_CLASS = {"degree": 0, "tail_left": 2, "tail_right": -1}
+
+
+def test_k0_map_on_the_line_passes_with_the_real_pair(tmp_path, capsys):
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", LINE, BANDED_CLASS, *WINDOW)
+    assert rc == 0 and all(verdicts.values()) and len(verdicts) == 3
+
+
+def test_k0_map_a_pair_over_the_uniform_bound_fails_only_the_corner(
+    tmp_path, capsys, monkeypatch
+):
+    _pairs_over_the_bound(monkeypatch)
+    rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", LINE, BANDED_CLASS, *WINDOW)
+    _only_failure(rc, verdicts, "pair confined to the corner below the uniform bound")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +651,7 @@ def test_run_random_finite_a_compressed_index_off_by_one_fails_only_index_equal(
 def test_k1_map_a_faulty_compression_fails_only_the_corner_check(
     tmp_path, capsys, monkeypatch, fault
 ):
-    _faulty_compression(monkeypatch, cli, fault)
+    _faulty_compression(monkeypatch, scenarios, fault)
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
     _only_failure(rc, verdicts, COMPRESSION)
 

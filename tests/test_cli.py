@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsek import cli
+from coarsek import cli, scenarios
 from coarsek.cli import MAX_WORK, main
 
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
@@ -315,7 +315,7 @@ def test_dump_path_blocked_by_a_file_exits_2_before_building(
         raise AssertionError("built before the dump directory was made")
 
     monkeypatch.setattr(cli, "cycle_unitary", refuse)
-    monkeypatch.setattr(cli, "build_projection_pair", refuse)
+    monkeypatch.setattr(scenarios, "build_projection_pair", refuse)
     chain = write(tmp_path, "c.json", DUMP_REQUESTS[command][0])
     target = Path(triangle_file) / "dump" if below else Path(triangle_file)
     argv = [command, "--graph", triangle_file, "--chain", chain, "--dump", str(target)]
@@ -422,6 +422,7 @@ FIGURE_EIGHT_CHAIN = {"degree": 1, "coeffs": {"f1": 1, "g1": 1, "f2": 1, "g2": 1
         ([], FIGURE_EIGHT_CHAIN, None, "top level must be a JSON object"),
         (FIGURE_EIGHT_GRAPH, [], None, "top level must be a JSON object"),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, [], "top level must be a JSON object"),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"position": {"z": [1, 0]}}, "bad matching override: the top-level object has no key 'positions'"),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": []}, "positions must be an object"),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": 5}}, "positions['z'] must be a list"),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [0.0, 1]}}, "positions['z'][0] must be an integer"),
@@ -432,7 +433,7 @@ FIGURE_EIGHT_CHAIN = {"degree": 1, "coeffs": {"f1": 1, "g1": 1, "f2": 1, "g2": 1
         (FIGURE_EIGHT_GRAPH, dict(FIGURE_EIGHT_CHAIN, degree=True), None, "degree must be an integer, got True"),
     ],
     ids=[
-        "graph-list", "chain-list", "matching-list", "positions-list",
+        "graph-list", "chain-list", "matching-list", "positions-missing", "positions-list",
         "permutation-int", "permutation-float", "permutation-bool",
         "edges-per-cell-bool", "edges-per-cell-float",
         "degree-bool-banded", "degree-bool-coeffs",
@@ -449,6 +450,48 @@ def test_malformed_input_files_are_input_errors(
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+# matching file (None: no file at that path) -> part of the error it gets
+BAD_MATCHINGS = {
+    "missing-file": (None, "file not found"),
+    "positions-missing": ({"position": {"z": [1, 0]}}, "no key 'positions'"),
+    "unknown-vertex": ({"positions": {"q": [0]}}, "bad matching override: 'q'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_MATCHINGS))
+def test_bad_matching_file_exits_2_before_building(tmp_path, capsys, monkeypatch, fault):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the matching file was read")
+
+    monkeypatch.setattr(cli, "cycle_unitary", refuse)
+    payload, message = BAD_MATCHINGS[fault]
+    matching = str(tmp_path / "m.json")
+    if payload is not None:
+        write(tmp_path, "m.json", payload)
+    dump = tmp_path / "dump"
+    argv = ["k1-map", "--graph", write(tmp_path, "g.json", FIGURE_EIGHT_GRAPH),
+            "--chain", write(tmp_path, "c.json", FIGURE_EIGHT_CHAIN),
+            "--matching", matching, "--dump", str(dump)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {matching}: ") and message in captured.err
+    assert captured.out == ""
+    assert not dump.exists()  # read before the request is admitted
+
+
+def test_matching_file_with_no_permutations_keeps_the_canonical_matching(tmp_path, capsys):
+    argv = ["k1-map", "--graph", write(tmp_path, "g.json", FIGURE_EIGHT_GRAPH),
+            "--chain", write(tmp_path, "c.json", FIGURE_EIGHT_CHAIN),
+            "--matching", write(tmp_path, "m.json", {"positions": {}}),
+            "--strict-matching", "--json"]
+    assert main(argv) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert names[-2:] == [
+        "matching independence (product identity)",
+        "matching independence (two-conjugation route)",
+    ]
 
 
 @pytest.mark.parametrize("command", ["homology", "k0-map", "k1-map"])
