@@ -69,7 +69,6 @@ from .operators import (
     SparseBlockOperator,
     Window,
     bilateral_shift,
-    block_rank,
     dump_lines,
     index_pairing,
     is_unitary_on,

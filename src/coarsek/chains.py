@@ -9,7 +9,6 @@ values plus a finite window of exceptional values.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, islice
 from typing import Iterable, Mapping, Optional, Union
 
 from .graphs import Edge, Label, OrientedGraph
@@ -318,11 +317,11 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
         free_rank=nv - len(diag),
     )
     # D's nonzero entries come first, so the columns of V past them are an
-    # integer basis of the kernel of d
+    # integer basis of the kernel of d; each is stored as {row: entry}
     ids = [e.id for e in g.edges]
     basis = [
-        Chain1(g, dict(compress(zip(ids, col), col)))
-        for col in islice(zip(*v), len(diag), None)
+        Chain1._trusted(g, ((ids[i], x) for i, x in sorted(col.items())))
+        for col in v[len(diag):]
     ]
     return HomologyResult(h0, len(basis), tuple(basis))
 

@@ -88,6 +88,7 @@ class OrientedGraph:
         for e in edges:
             self._out[e.source].append(e)
             self._in[e.target].append(e)
+        self._near: dict = {}
 
     def edge(self, edge_id: Label) -> Edge:
         return self._by_id[edge_id]
@@ -109,6 +110,21 @@ class OrientedGraph:
 
     def neighbors(self, v: Label) -> set[Label]:
         return {e.target for e in self._out[v]} | {e.source for e in self._in[v]}
+
+    def adjacent(self, x: Label, y: Label) -> bool:
+        # the neighbours of x are memoised: collecting them costs O(valence)
+        if x not in self._near:
+            self._near[x] = self.neighbors(x)
+        return y in self._near[x]
+
+    def far_moves(self, op) -> list:
+        """(column, row) of each move of the operator op between two vertices
+        that no edge joins, in the order op stores its moves."""
+        return [
+            (c, r)
+            for c, r in op.moves.items()
+            if r is not None and r.vertex != c.vertex and not self.adjacent(r.vertex, c.vertex)
+        ]
 
     def __eq__(self, other):
         return (

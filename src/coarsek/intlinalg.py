@@ -5,12 +5,12 @@ floating point anywhere.  Smith normal form pivots naively but works on
 sparse storage: D is one {column: entry} dict per row plus a column-to-rows
 index, U one dict per row and V one dict per column, so a swap, a row
 operation or a column operation costs the nonzeros it touches, not a full
-row or column.  The dense matrices are built once, on return.  The
-incidence matrix of a graph is totally unimodular, so its pivots are units,
-and the loop skips the work a unit makes pointless: the pivot search stops
-at the first unit (the first strict minimum it would keep anyway) and the
-divisor-chain scan is skipped (a unit divides everything).  Only no-op work
-is skipped, so (U, D, V) is exactly what the plain dense loop returns.
+row or column.  The factors are returned as stored.  The incidence matrix
+of a graph is totally unimodular, so its pivots are units, and the loop
+skips the work a unit makes pointless: the pivot search stops at the first
+unit (the first strict minimum it would keep anyway) and the divisor-chain
+scan is skipped (a unit divides everything).  Only no-op work is skipped,
+so (U, D, V) is exactly what the plain dense loop returns.
 """
 
 from __future__ import annotations
@@ -19,31 +19,13 @@ from itertools import compress
 from typing import Optional
 
 Matrix = list[list[int]]
+Sparse = list[dict[int, int]]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return [[] for _ in a]
-    assert len(a[0]) == len(b), "inner dimensions must agree"
-    cols = len(b[0])
-    out = [[0] * cols for _ in a]
-    for i, row in enumerate(a):
-        for k, av in enumerate(row):
-            if av:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    orow[j] += av * brow[j]
-    return out
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(a: Matrix) -> tuple[Sparse, Sparse, Sparse]:
     """Return (U, D, V) with U*a*V = D, U and V unimodular, D diagonal
-    with each diagonal entry dividing the next."""
+    with each diagonal entry dividing the next.  U and D are lists of rows
+    and V a list of columns, each a {position: nonzero entry} dict."""
     m = len(a)
     n = len(a[0]) if m else 0
     # row i of D as {column: nonzero entry}
@@ -78,9 +60,17 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         _sub(u[i], u[j], q)
 
     def col_sub(i, j, q):
-        # col_i -= q * col_j
+        # col_i -= q * col_j, in place on the rows holding column j
         for r in cols[j]:
-            _sub(d[r], {i: d[r][j]}, q, cols, r)
+            row = d[r]
+            x = row.get(i, 0) - q * row[j]
+            if x:
+                if i not in row:
+                    cols[i].add(r)
+                row[i] = x
+            elif i in row:
+                del row[i]
+                cols[i].remove(r)
         _sub(v[i], v[j], q)
 
     t = 0
@@ -139,11 +129,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             u[t] = {c: -x for c, x in u[t].items()}
         t += 1
 
-    dense_v = [[0] * n for _ in range(n)]
-    for j, col in enumerate(v):
-        for i, x in col.items():
-            dense_v[i][j] = x
-    return _dense(u, m), _dense(d, n), dense_v
+    return u, d, v
 
 
 def _sub(dst: dict, src: dict, q: int, index: Optional[list] = None, owner: int = -1) -> None:
@@ -161,16 +147,10 @@ def _sub(dst: dict, src: dict, q: int, index: Optional[list] = None, owner: int 
                 index[k].remove(owner)
 
 
-def _dense(rows: list[dict], width: int) -> Matrix:
-    out = [[0] * width for _ in rows]
-    for line, row in zip(out, rows):
-        for j, x in row.items():
-            line[j] = x
-    return out
-
-
-def diagonal_of(d: Matrix) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+def diagonal_of(d: Sparse) -> list[int]:
+    """D[i][i] for every row i of the sparse D, 0 past the last column: the
+    cokernel of the factored matrix is the sum of the Z/D[i][i]."""
+    return [row.get(i, 0) for i, row in enumerate(d)]
 
 
 def rank(a: Matrix) -> int:
@@ -198,43 +178,3 @@ def rank(a: Matrix) -> int:
         if r == m:
             break
     return r
-
-
-def determinant(a: Matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in a)
-    w = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if not w[c][c]:
-            piv = next((i for i in range(c + 1, n) if w[i][c]), None)
-            if piv is None:
-                return 0
-            w[c], w[piv] = w[piv], w[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                w[i][j] = (w[c][c] * w[i][j] - w[i][c] * w[c][j]) // prev
-            w[i][c] = 0
-        prev = w[c][c]
-    return sign * w[n - 1][n - 1]
-
-
-def kernel_basis(a: Matrix) -> list[list[int]]:
-    """Integer basis of the kernel lattice {x : a*x = 0}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return identity_matrix(n)
-    _, d, v = smith_normal_form(a)
-    basis = []
-    for j in range(n):
-        if j >= m or d[j][j] == 0:
-            basis.append([v[i][j] for i in range(n)])
-    return basis

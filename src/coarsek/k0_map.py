@@ -45,30 +45,11 @@ class ExpandedGraph(OrientedGraph):
     id CopyEdge(e, c), which is also its basis slot, and copies of edges
     with negative coefficient run backwards."""
 
-    def _index(self, vertices: tuple, edges: tuple) -> None:
-        super()._index(vertices, edges)
-        self._near: dict = {}
-
     def in_count(self, x: Label) -> int:
         return len(self.in_edges(x))
 
     def out_count(self, x: Label) -> int:
         return len(self.out_edges(x))
-
-    def adjacent(self, x: Label, y: Label) -> bool:
-        # the neighbours of x are memoised: collecting them costs O(valence)
-        if x not in self._near:
-            self._near[x] = self.neighbors(x)
-        return y in self._near[x]
-
-    def far_moves(self, op: SparseBlockOperator) -> list:
-        """(column, row) of each move of op between two vertices that no
-        edge joins, in the order op stores its moves."""
-        return [
-            (c, r)
-            for c, r in op.moves.items()
-            if r is not None and r.vertex != c.vertex and not self.adjacent(r.vertex, c.vertex)
-        ]
 
 
 def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
@@ -309,7 +290,9 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         "rank_bookkeeping": all(
             ins[x] - outs[x] == c.coeff(x) for x in {*ins, *outs, *c.coeffs}
         ),
-        "adjacency": not g.far_moves(v),
+        # read in the host: every move of v runs along an edge of g, so g's
+        # own adjacency would certify only the construction
+        "adjacency": not gamma.graph.far_moves(v),
     }
     return BoundaryWitness(
         g, c, v, source_projection, target_projection, in_rank_projection,

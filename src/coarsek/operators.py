@@ -196,6 +196,16 @@ class SparseBlockOperator:
     def identity(cls, domain: Iterable[BlockIndex]) -> "SparseBlockOperator":
         return cls(domain, scalar=1)
 
+    @cached_property
+    def _explicit_order(self) -> list:
+        """(vertex, slots) for every vertex of an explicit basis, vertices in
+        idkey order and slots in slot_key order, sorted once for every dump
+        of this operator: a frozenset cannot keep its order."""
+        by_vertex: dict = {}
+        for x, s in self.domain:
+            by_vertex.setdefault(x, []).append(s)
+        return [(x, sorted(by_vertex[x], key=slot_key)) for x in sorted(by_vertex, key=idkey)]
+
     def _image(self, c: BlockIndex) -> Optional[BlockIndex]:
         """The row of the 1 in column c, or None for a zero column."""
         return self.moves.get(c, c) if self.scalar else self.moves.get(c)
@@ -270,20 +280,12 @@ def propagation(a: SparseBlockOperator) -> int:
     )
 
 
-def block_rank(a: SparseBlockOperator, x, y) -> int:
-    """Exact rank of the (x, y) vertex block of a - 1.
-
-    Off the diagonal a - 1 agrees with a, so the rank is the number of
-    columns at y moved into x; diagonal_block_ranks reads the diagonal."""
-    if x != y:
-        return sum(r is not None and (r.vertex, c.vertex) == (x, y) for c, r in a.moves.items())
-    return diagonal_block_ranks(a)[x]
-
-
 def block_ranks(a: SparseBlockOperator) -> dict:
-    """block_rank(a, x, y) of every block of a - 1 that a moved column at y
-    touches, (y, y) and (x, y) when it moves into x, in one walk of the
-    moves instead of one walk per block."""
+    """Exact rank of every (x, y) vertex block of a - 1 that a moved column
+    at y touches, (y, y) and (x, y) when it moves into x, in one walk of
+    the moves.  Off the diagonal a - 1 agrees with a, so the rank is the
+    number of columns at y moved into x; diagonal_block_ranks reads the
+    diagonal."""
     blocks = {(c.vertex, c.vertex) for c in a.moves}
     off: Counter = Counter()
     for c, r in a.moves.items():
@@ -465,22 +467,16 @@ def _json_slot_at(s: Slot, depth: int) -> str:
     return f"{{{pad}{body}\n{' ' * depth}}}"
 
 
-def _vertex_tables(domain: Basis, table: Callable) -> Iterable[tuple]:
-    """(vertex, table(slots)) for every vertex of domain in idkey order, its
-    slots in slot_key order.  All vertices of a product basis share one
+def _vertex_tables(a: SparseBlockOperator, table: Callable) -> Iterable[tuple]:
+    """(vertex, table(slots)) for every vertex of a's basis in idkey order,
+    its slots in slot_key order.  All vertices of a product basis share one
     table, built once; an explicit basis builds one per vertex, as the
-    writer reaches it."""
-    if isinstance(domain, ProductBasis):
-        vertices, slots = domain.ordered
+    writer reaches it, from the order a sorted on its first dump."""
+    if isinstance(a.domain, ProductBasis):
+        vertices, slots = a.domain.ordered
         shared = table(slots)
         return ((x, shared) for x in vertices)
-    by_vertex: dict = {}
-    for x, s in domain:
-        by_vertex.setdefault(x, []).append(s)
-    return (
-        (x, table(sorted(by_vertex[x], key=slot_key)))
-        for x in sorted(by_vertex, key=idkey)
-    )
+    return ((x, table(slots)) for x, slots in a._explicit_order)
 
 
 def _basis_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
@@ -491,7 +487,7 @@ def _basis_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
     def table(slots):
         return [f"{slot(s)}{end}" for s in slots]
 
-    for x, tails in _vertex_tables(a.domain, table):
+    for x, tails in _vertex_tables(a, table):
         head = f"{lead}{vertex(x)}{sep}"
         for i in range(0, len(tails), _CHUNK):
             yield head + head.join(tails[i : i + _CHUNK])
@@ -526,7 +522,7 @@ def _row_chunks(a: SparseBlockOperator, vertex, slot, lead, sep, end):
                 pieces += (f"{sep}{t}{sep}", f"{sep}{t}{sep}1{end}{lead}")
         return texts, {b: i for i, b in enumerate(slots)}, pieces
 
-    for x, (texts, places, pieces) in _vertex_tables(a.domain, table):
+    for x, (texts, places, pieces) in _vertex_tables(a, table):
         v = vertex(x)
 
         def run(i: int, j: int) -> str:

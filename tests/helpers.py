@@ -1,8 +1,12 @@
-"""Fixtures and JSON writers that only the tests use: small named graphs,
-and graph and chain files in the format the command line reads."""
+"""Fixtures, references and JSON writers that only the tests use: small
+named graphs, dense integer matrix algebra over the sparse Smith factors,
+per-block ranks, and graph and chain files in the format the command line
+reads."""
 
 from coarsek.chains import BandedZChain, Chain1
 from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
+from coarsek.intlinalg import Matrix, smith_normal_form
+from coarsek.operators import SparseBlockOperator, diagonal_block_ranks
 
 # ---------------------------------------------------------------------------
 # small named graphs
@@ -67,3 +71,96 @@ def chain_to_json(chain) -> dict:
         "degree": chain.degree,
         "coeffs": {str(k): v for k, v in sorted(chain.coeffs.items(), key=lambda kv: str(kv[0]))},
     }
+
+
+# ---------------------------------------------------------------------------
+# dense integer matrices
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if not a or not b:
+        return [[] for _ in a]
+    assert len(a[0]) == len(b), "inner dimensions must agree"
+    cols = len(b[0])
+    out = [[0] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k, av in enumerate(row):
+            if av:
+                brow = b[k]
+                orow = out[i]
+                for j in range(cols):
+                    orow[j] += av * brow[j]
+    return out
+
+
+def determinant(a: Matrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in a)
+    w = [list(map(int, row)) for row in a]
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if not w[c][c]:
+            piv = next((i for i in range(c + 1, n) if w[i][c]), None)
+            if piv is None:
+                return 0
+            w[c], w[piv] = w[piv], w[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                w[i][j] = (w[c][c] * w[i][j] - w[i][c] * w[c][j]) // prev
+            w[i][c] = 0
+        prev = w[c][c]
+    return sign * w[n - 1][n - 1]
+
+
+def dense_factors(factors: tuple) -> tuple[Matrix, Matrix, Matrix]:
+    """The dense (U, D, V) of smith_normal_form's sparse factors: U (m x m)
+    and D (m x n) from their {column: entry} rows, V (n x n) from its
+    {row: entry} columns."""
+    u, d, v = factors
+    m, n = len(u), len(v)
+
+    def dense_rows(rows, width):
+        return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+    return dense_rows(u, m), dense_rows(d, n), [[col.get(i, 0) for col in v] for i in range(n)]
+
+
+def kernel_basis(a: Matrix) -> list[list[int]]:
+    """Integer basis of the kernel lattice {x : a*x = 0}: the columns of V
+    past D's nonzero diagonal."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if n == 0:
+        return []
+    if m == 0:
+        return identity_matrix(n)
+    _, d, v = smith_normal_form(a)
+    return [
+        [col.get(i, 0) for i in range(n)]
+        for j, col in enumerate(v)
+        if j >= m or j not in d[j]
+    ]
+
+
+# ---------------------------------------------------------------------------
+# vertex blocks of operators
+
+
+def block_rank(a: SparseBlockOperator, x, y) -> int:
+    """Exact rank of the (x, y) vertex block of a - 1, one block at a time:
+    the reference for operators.block_ranks.
+
+    Off the diagonal a - 1 agrees with a, so the rank is the number of
+    columns at y moved into x; diagonal_block_ranks reads the diagonal."""
+    if x != y:
+        return sum(r is not None and (r.vertex, c.vertex) == (x, y) for c, r in a.moves.items())
+    return diagonal_block_ranks(a)[x]

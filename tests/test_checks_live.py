@@ -12,7 +12,7 @@ import pytest
 from coarsek import chains, cli, k0_map, k1_map, scenarios
 from coarsek.chains import Chain0, Chain1, is_cycle
 from coarsek.graphs import graph_from_json
-from coarsek.k0_map import expand_graph
+from coarsek.k0_map import boundary_witness, expand_graph
 from coarsek.operators import (
     BlockIndex,
     CopyEdge,
@@ -301,6 +301,59 @@ def test_k0_map_a_solver_that_misses_a_boundary_fails_only_the_obstruction(
     monkeypatch.setattr(scenarios, "solve_boundary_finite", lambda g, c: None)
     rc, verdicts = _run_cli(tmp_path, capsys, "k0-map", graph, chain)
     _only_failure(rc, verdicts, "chain does not bound (signature is the obstruction witness)")
+
+
+PATH4 = {
+    "kind": "finite",
+    "vertices": [0, 1, 2, 3],
+    "edges": [*PATH3["edges"], {"id": "c", "source": 2, "target": 3}],
+}
+
+
+def _rerouted_expansion(monkeypatch, targets: dict) -> None:
+    """expand_graph with the copies of each edge named in targets sent to
+    the vertex it names instead: the witness is built over a multigraph the
+    host does not contain."""
+    real = k0_map.expand_graph
+
+    def faulty(g, gamma):
+        ex = real(g, gamma)
+        edges = [e._replace(target=targets.get(e.id.edge, e.target)) for e in ex.edges]
+        return type(ex)._trusted(ex.vertices, tuple(edges))
+
+    monkeypatch.setattr(k0_map, "expand_graph", faulty)
+
+
+@pytest.mark.parametrize(
+    "targets, flipped",
+    [
+        # the copy of c ends at 0 instead of 3: 2 and 0 share no edge, and
+        # the in-counts at 0 and 3 no longer match the boundary
+        ({"c": 0}, {"adjacency", "rank_bookkeeping"}),
+        # a and c trade targets (0 -> 3, 2 -> 1): every in- and out-count
+        # holds, and 0 and 3 share no edge
+        ({"a": 3, "c": 1}, {"adjacency"}),
+    ],
+)
+def test_a_copy_between_non_adjacent_host_vertices_flips_the_witness_adjacency(
+    monkeypatch, targets, flipped
+):
+    g = graph_from_json(PATH4)
+    gamma = Chain1(g, {"a": 1, "b": 1, "c": 1})
+    assert boundary_witness(gamma).ok
+    _rerouted_expansion(monkeypatch, targets)
+    w = boundary_witness(gamma)
+    assert {name for name, ok in w.checks.items() if not ok} == flipped
+
+
+def test_k0_map_a_copy_between_non_adjacent_vertices_fails_only_the_witness(
+    tmp_path, capsys, monkeypatch
+):
+    _rerouted_expansion(monkeypatch, {"a": 3, "c": 1})
+    rc, verdicts = _run_cli(
+        tmp_path, capsys, "k0-map", PATH4, {"degree": 0, "coeffs": {"0": -1, "3": 1}}
+    )
+    _only_failure(rc, verdicts, "boundary witness identities")
 
 
 CYCLE5 = {

@@ -34,14 +34,13 @@ from coarsek.operators import (
     SparseBlockOperator,
     Window,
     block_key,
-    block_rank,
     dump_lines,
     index_pairing,
     is_unitary_on,
     operator_to_json,
     propagation,
 )
-from helpers import cycle_graph
+from helpers import block_rank, cycle_graph
 
 # ---------------------------------------------------------------------------
 # reference constructions over the full explicit basis

@@ -31,12 +31,11 @@ from coarsek.operators import (
     OperatorError,
     SparseBlockOperator,
     Window,
-    block_rank,
     block_ranks,
     index_pairing,
     is_unitary_on,
 )
-from helpers import cycle_graph, triangle_with_chord_orientation
+from helpers import block_rank, cycle_graph, triangle_with_chord_orientation
 
 
 # ---------------------------------------------------------------------------

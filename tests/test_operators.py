@@ -17,13 +17,14 @@ from coarsek.operators import (
     Window,
     bilateral_shift,
     block_key,
-    block_rank,
     dump_lines,
     index_pairing,
     is_unitary_on,
     operator_to_json,
     propagation,
 )
+
+from helpers import block_rank
 
 DOMAIN = frozenset(
     BlockIndex(x, Ordinal(i)) for x in range(4) for i in (1, 2)

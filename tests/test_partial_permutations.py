@@ -13,6 +13,7 @@ import io
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import block_rank
 from test_dump_streaming import reference_json, reference_text
 from test_unitarity import product_is_unitary_on
 
@@ -27,7 +28,6 @@ from coarsek.operators import (
     SparseBlockOperator,
     Window,
     block_key,
-    block_rank,
     diagonal_block_ranks,
     dump_lines,
     index_pairing,

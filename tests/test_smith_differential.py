@@ -3,9 +3,10 @@
 The oracle below is the earlier ``smith_normal_form``, kept verbatim: dense
 rows, a global pivot search over the whole tail block, full-height column
 operations, and a divisor-chain scan after every pivot.  The current
-function stores D, U and V sparsely and skips the work a unit pivot makes
-pointless; it must return the same ``(U, D, V)`` for every input, so the
-comparison is exact equality.  Incidence matrices of random multigraphs
+function stores D, U and V sparsely, skips the work a unit pivot makes
+pointless and returns the factors as stored; read densely through
+``dense_factors`` they must equal the oracle's ``(U, D, V)`` for every
+input, so the comparison is exact equality.  Incidence matrices of random multigraphs
 (mostly unit pivots) and small general integer matrices (non-unit pivots,
 torsion, the divisor-chain row drag) are both covered.
 """
@@ -15,9 +16,10 @@ import random
 
 import pytest
 
-from coarsek.chains import boundary_matrix, spanning_forest
+from coarsek.chains import boundary_matrix, homology_finite, spanning_forest
 from coarsek.graphs import Edge, OrientedGraph
-from coarsek.intlinalg import Matrix, identity_matrix, smith_normal_form
+from coarsek.intlinalg import Matrix, smith_normal_form
+from helpers import dense_factors, identity_matrix
 
 
 def reference_smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -138,7 +140,7 @@ def test_incidence_matrices_of_random_multigraphs():
         shapes["parallel"] += len(set(ends)) < len(ends)
         shapes["antiparallel"] += any((t, s) in ends for s, t in ends)
         mat = boundary_matrix(g)
-        assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+        assert dense_factors(smith_normal_form(mat)) == reference_smith_normal_form(mat)
     assert all(count >= 10 for count in shapes.values()), shapes
 
 
@@ -153,13 +155,13 @@ def connected_incidence_matrix(n: int, seed: int) -> Matrix:
 
 def test_connected_incidence_matrix_with_many_cycles():
     mat = connected_incidence_matrix(40, 7)
-    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+    assert dense_factors(smith_normal_form(mat)) == reference_smith_normal_form(mat)
 
 
 def test_connected_incidence_matrix_of_benchmark_size():
     """V = 160, E = 320: the largest homology request of the benchmark."""
     mat = connected_incidence_matrix(160, 160)
-    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+    assert dense_factors(smith_normal_form(mat)) == reference_smith_normal_form(mat)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +180,7 @@ def test_connected_incidence_matrix_of_benchmark_size():
 def test_multigraph_incidence_matrices(vertices, ends):
     g = OrientedGraph(vertices, [Edge(f"e{i}", s, t) for i, (s, t) in enumerate(ends)])
     mat = boundary_matrix(g)
-    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+    assert dense_factors(smith_normal_form(mat)) == reference_smith_normal_form(mat)
 
 
 def random_integer_matrix(rng):
@@ -200,7 +202,7 @@ def test_small_general_integer_matrices():
     non_unit = 0
     for _ in range(200):
         a = random_integer_matrix(rng)
-        u, d, v = smith_normal_form(a)
+        u, d, v = dense_factors(smith_normal_form(a))
         assert (u, d, v) == reference_smith_normal_form(a)
         non_unit += any(abs(row[i]) > 1 for i, row in enumerate(d) if i < len(row))
     assert non_unit >= 50
@@ -230,7 +232,7 @@ def test_small_general_integer_matrices():
     ],
 )
 def test_fixed_small_matrices(a):
-    assert smith_normal_form(a) == reference_smith_normal_form(a)
+    assert dense_factors(smith_normal_form(a)) == reference_smith_normal_form(a)
 
 
 def test_the_input_matrix_is_left_unchanged():
@@ -241,3 +243,44 @@ def test_the_input_matrix_is_left_unchanged():
         before = copy.deepcopy(a)
         smith_normal_form(a)
         assert a == before
+
+
+def test_homology_basis_is_the_one_the_reference_factors_give():
+    """homology_finite reads each H1 chain off a sparse column of V, entries
+    sorted by row; reading the oracle's dense V column by column past D's
+    nonzero diagonal gives the same chains, coefficient order included."""
+    rng = random.Random(4242)
+    shapes = {"disconnected": 0, "parallel": 0, "cycles": 0}
+    for _ in range(300):
+        g = random_multigraph(rng)
+        got = [list(b.coeffs.items()) for b in homology_finite(g).h1_basis]
+        expected = []
+        if g.edges:
+            _, d, v = reference_smith_normal_form(boundary_matrix(g))
+            rank = sum(1 for i, row in enumerate(d) if i < len(row) and row[i])
+            expected = [
+                [(e.id, row[j]) for e, row in zip(g.edges, v) if row[j]]
+                for j in range(rank, len(g.edges))
+            ]
+        assert got == expected
+        ends = [(e.source, e.target) for e in g.edges]
+        _, up = spanning_forest(g)
+        shapes["disconnected"] += sum(e is None for e in up.values()) > 1
+        shapes["parallel"] += len(set(ends)) < len(ends)
+        shapes["cycles"] += len(got) > 1
+    assert all(count >= 10 for count in shapes.values()), shapes
+
+
+def test_factors_of_a_long_path_store_only_the_nonzeros_touched():
+    """A path of 1,000 vertices, edge i from i to i + 1.  D stores its E unit pivots and V, which
+    no column operation touches, its E diagonal ones, where the dense V
+    alone held E^2 cells.  Each row operation adds the row of U above to
+    the next, so U is the full lower triangle: its V(V + 1)/2 stored
+    entries are exactly its nonzeros, and homology discards it."""
+    n = 1000
+    path = OrientedGraph(range(n), [Edge(i, i, i + 1) for i in range(n - 1)])
+    u, d, v = smith_normal_form(boundary_matrix(path))
+    assert all(x for rows in (u, d, v) for row in rows for x in row.values())
+    assert d == [{i: 1} for i in range(n - 1)] + [{}]
+    assert v == [{j: 1} for j in range(n - 1)]
+    assert [sorted(row) for row in u] == [list(range(i + 1)) for i in range(n)]

@@ -29,7 +29,8 @@ from coarsek.corpus import (
     random_cycle,
 )
 from coarsek.graphs import Edge, OrientedGraph
-from coarsek.intlinalg import determinant, smith_normal_form
+from coarsek.intlinalg import smith_normal_form
+from helpers import dense_factors, determinant
 
 
 def snf_solve_boundary(g, c):
@@ -40,7 +41,7 @@ def snf_solve_boundary(g, c):
     cvec = [c.coeff(v) for v in g.vertices]
     if ne == 0:
         return Chain1(g, {}) if c.is_zero() else None
-    u, d, v = smith_normal_form(mat)
+    u, d, v = dense_factors(smith_normal_form(mat))
     y = [sum(u[i][j] * cvec[j] for j in range(nv)) for i in range(nv)]
     z = [0] * ne
     for i in range(nv):

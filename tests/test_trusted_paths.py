@@ -424,7 +424,7 @@ def reference_witness(gamma: Chain1) -> tuple[dict, dict]:
             g.in_count(x) - g.out_count(x) == c.coeff(x) for x in g.vertices
         ),
         "adjacency": all(
-            r.vertex == col.vertex or g.adjacent(r.vertex, col.vertex)
+            r.vertex == col.vertex or r.vertex in gamma.graph.neighbors(col.vertex)
             for col, r in v.moves.items()
         ),
     }

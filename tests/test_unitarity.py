@@ -22,9 +22,10 @@ from coarsek.operators import (
     ProductBasis,
     SparseBlockOperator,
     block_key,
-    block_rank,
     is_unitary_on,
 )
+
+from helpers import block_rank
 
 DOMAIN = ProductBasis(range(3), (Ordinal(1), Ordinal(2)))
 BASIS = sorted(DOMAIN, key=block_key)
