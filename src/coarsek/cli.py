@@ -51,9 +51,9 @@ EXIT_INPUT = 2
 
 #: Largest work estimate that k0-map and k1-map accept (see _admit).
 #: A unit is one window vertex, ordinal slot or expanded edge copy.  Measured
-#: on a 2-vCPU Xeon, Python 3.11: requests near the limit take 13-26 s and
-#: 0.3-0.4 GB (k1-map on the line, k = 2000, radius 16, is 96k units, 18 s,
-#: 0.4 GB), against 577 units for the largest benchmark request.
+#: on a 2-vCPU Xeon, Python 3.11: requests near the limit take under 2 s and
+#: 0.2 GB (k1-map on the line, k = 2000, radius 16, is 96k units, 1.7 s,
+#: 161 MB), against 577 units for the largest benchmark request.
 MAX_WORK = 100_000
 
 
@@ -261,6 +261,8 @@ def _load_positions(path: str, g: OrientedGraph) -> dict:
 
 
 def cmd_k1(args) -> int:
+    if args.strict_matching and not args.matching:
+        raise InputError("--strict-matching needs a --matching file")
     g = _load_graph(args.graph)
     chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
     beta = None
@@ -279,6 +281,8 @@ def cmd_k1(args) -> int:
             except ValueError as exc:
                 raise _bad_matching(args.matching, exc)
     else:
+        if args.matching:
+            raise InputError(f"--matching: the line takes no matching file, got {args.matching}")
         if not isinstance(chain, BandedZChain) or chain.degree != 1:
             raise InputError("banded graphs need a banded degree-1 chain")
         if g.is_edgeless:

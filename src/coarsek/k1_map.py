@@ -413,12 +413,7 @@ def verify_matching_independence(
     unitary = collision is None
     matches_beta = (hybrid == u_b) if unitary else None
 
-    v_op = None
-    v_identity = None
-    v_obstruction = None
-    w_op = None
-    w_identity = None
-    w_obstruction = None
+    v_op = v_identity = v_obstruction = w_op = w_identity = w_obstruction = None
     types = (permutation_cycle_type(u_a), permutation_cycle_type(u_b))
     if unitary:
         if types[0] is not None and types[0] != types[1]:
@@ -476,17 +471,19 @@ def verify_matching_independence(
 
 @dataclass
 class CompressionResult:
-    """Conjugation of a cycle unitary u into the corner spanned by the first
-    n ordinal slots.  u_tilde carries ordinal slots numbered by the expanded
-    edges in (parent id, copy) order: ordinal i stands for slots[i - 1].
-    Both verdicts are read off the stored operators."""
+    """A cycle unitary u and its compression u_tilde into the corner spanned
+    by the first n ordinal slots: u relabelled by phi, a bijection from u's
+    basis onto u_tilde's that keeps every vertex.  At x, phi applies
+    involution[x] (only its moved slots are stored), then numbers the
+    expanded edges in (parent id, copy) order: ordinal i stands for
+    slots[i - 1].  phi costs one entry per expanded edge."""
 
     u: SparseBlockOperator = field(repr=False)
     u_tilde: SparseBlockOperator
-    t: SparseBlockOperator = field(repr=False)
     n: int
     max_valence: int
     slots: tuple = field(repr=False)
+    involution: dict = field(repr=False)
 
     @property
     def confinement_ok(self) -> bool:
@@ -503,31 +500,31 @@ class CompressionResult:
 
     @cached_property
     def round_trip_ok(self) -> bool:
-        """u_tilde, with its ordinal slots mapped back to the expanded edges
-        they number and conjugated back with t, is exactly u."""
-        number = {Ordinal(i): s for i, s in enumerate(self.slots, start=1)}
+        """u_tilde, with every vector mapped back through phi^-1 to the
+        expanded edge phi sends there, is exactly u."""
+        slots = self.slots
+        back = {x: {t: s for s, t in m.items()} for x, m in self.involution.items()}
 
         def edge(b: BlockIndex) -> BlockIndex:
-            return BlockIndex(b.vertex, number[b.slot])
+            s = slots[b.slot.index - 1]
+            return BlockIndex(b.vertex, back[b.vertex].get(s, s))
 
         # a relabelling of u_tilde's basis, so its moves stay valid as stored
-        conjugated = SparseBlockOperator._trusted(
+        restored = SparseBlockOperator._trusted(
             self.u.domain,
             {edge(c): None if r is None else edge(r) for c, r in self.u_tilde.moves.items()},
             self.u_tilde.scalar,
         )
-        t = self.t
-        return t.compose(conjugated).compose(t.adjoint()) == self.u
+        return restored == self.u
 
 
 def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> CompressionResult:
-    """Conjugate by the block-diagonal permutation that at each vertex swaps
-    the first in-count(x) expanded edges with the ingoing edges.
-    The conjugated operator differs from the identity only in ordinal slots
-    up to n, for any n at least the maximal valence."""
+    """Relabel u by phi: at each vertex swap the first in-count(x) expanded
+    edges with the ingoing edges, then number the expanded edges.  That is
+    conjugation by a permutation unitary, done in one pass over the moves of
+    u, and the result moves only ordinal slots up to n >= the max valence."""
     g = cu.expanded
     slots = tuple(e.id for e in g.edges)
-    number = {s: i for i, s in enumerate(slots, start=1)}
     max_valence = max((g.degree(x) for x in g.vertices), default=0)
     if n is None:
         n = max_valence
@@ -535,27 +532,23 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
         raise OperatorError(
             f"corner size {n} is smaller than the maximal valence {max_valence}"
         )
-    per_vertex = {}
-    for x in g.vertices:
-        i_x = g.in_count(x)
-        first = [g.edges[i].id for i in range(i_x)]
-        ins = [e.id for e in g.in_edges(x)]
-        per_vertex[x] = order_matched_involution(first, ins)
-    t = block_diagonal_slot_permutation(cu.u.domain, per_vertex)
-    conjugated = t.adjoint().compose(cu.u).compose(t)
+    involution = {
+        x: order_matched_involution(slots[: g.in_count(x)], [e.id for e in g.in_edges(x)])
+        for x in g.vertices
+    }
+    number = {s: Ordinal(i) for i, s in enumerate(slots, start=1)}
 
-    def relabel(b: BlockIndex) -> BlockIndex:
-        return BlockIndex(b.vertex, Ordinal(number[b.slot]))
+    def phi(b: BlockIndex) -> BlockIndex:
+        x, s = b
+        return BlockIndex(x, number[involution[x].get(s, s)])
 
     # a line window leaves zero columns at its far cut
     u_tilde = SparseBlockOperator(
-        ProductBasis(g.vertices, [Ordinal(number[s]) for s in slots]),
-        {relabel(c): None if r is None else relabel(r) for c, r in conjugated.moves.items()},
-        conjugated.scalar,
+        ProductBasis(g.vertices, number.values()),
+        {phi(c): None if r is None else phi(r) for c, r in cu.u.moves.items()},
+        cu.u.scalar,
     )
-    return CompressionResult(
-        u=cu.u, u_tilde=u_tilde, t=t, n=n, max_valence=max_valence, slots=slots
-    )
+    return CompressionResult(cu.u, u_tilde, n, max_valence, slots, involution)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,109 @@ def test_k0_map_a_copy_between_non_adjacent_vertices_fails_only_the_witness(
     _only_failure(rc, verdicts, "boundary witness identities")
 
 
+def _faulty_witness(monkeypatch, name: str, fault) -> None:
+    """scenarios.boundary_witness with fault applied, in place, to the
+    operator the real construction stores as name, as soon as it is built,
+    so the real checks read the faulty operator.  A clean run first finds
+    which of the operators built through _trusted that one is."""
+    real = scenarios.boundary_witness
+    trusted = SparseBlockOperator._trusted.__func__
+
+    def run(gamma, faulty_index):
+        built = []
+
+        def build(cls, domain, moves, scalar):
+            a = trusted(cls, domain, moves, scalar)
+            if len(built) == faulty_index:
+                fault(a)
+            built.append(a)
+            return a
+
+        with monkeypatch.context() as m:
+            m.setattr(SparseBlockOperator, "_trusted", classmethod(build))
+            return real(gamma), built
+
+    def faulty(gamma):
+        w, built = run(gamma, None)
+        return run(gamma, next(i for i, a in enumerate(built) if a is getattr(w, name)))[0]
+
+    monkeypatch.setattr(scenarios, "boundary_witness", faulty)
+
+
+def _first_move(a):
+    return min(a.moves.items(), key=repr)
+
+
+def column_to_another_slot(v):
+    """One source vector of V is replaced by ordinal slot 1 of its vertex:
+    V*V projects onto another vector of the same vertex, so its per-vertex
+    ranks hold."""
+    c, r = _first_move(v)
+    del v.moves[c]
+    v.moves[BlockIndex(c.vertex, Ordinal(1))] = r
+
+
+def row_to_another_slot(v):
+    """One source vector of V lands on ordinal slot 1 of its target vertex
+    instead of the target slot: VV* projects onto another vector of the same
+    vertex, so its per-vertex ranks hold."""
+    c, r = _first_move(v)
+    v.moves[c] = BlockIndex(r.vertex, Ordinal(1))
+
+
+def one_swap_undone(exchange):
+    """The exchange leaves one ordinal slot and the edge slot it traded with
+    in place: still an involution, but it no longer carries every edge slot
+    onto the ordinal ranks."""
+    c, r = _first_move(exchange)
+    del exchange.moves[c], exchange.moves[r]
+
+
+def _failed_witness_checks(tmp_path, capsys) -> set:
+    """The witness checks that fail when k0-map certifies the boundary of
+    the path a + b, whose only failing verdict must be the witness."""
+    rc = cli.main(
+        ["k0-map", "--graph", _write(tmp_path, "graph.json", PATH3),
+         "--chain", _write(tmp_path, "chain.json", BOUNDARY), "--json"]
+    )
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    _only_failure(rc, {c["name"]: c["passed"] for c in checks}, scenarios.WITNESS)
+    details = next(c["details"] for c in checks if c["name"] == scenarios.WITNESS)
+    return {name for name, ok in details["checks"].items() if not ok}
+
+
+@pytest.mark.parametrize(
+    "check, operator, fault",
+    [
+        ("initial_projection", "v", column_to_another_slot),
+        ("final_projection", "v", row_to_another_slot),
+        ("in_exchange", "exchange_in", one_swap_undone),
+        ("out_exchange", "exchange_out", one_swap_undone),
+    ],
+    ids=["initial_projection", "final_projection", "in_exchange", "out_exchange"],
+)
+def test_k0_map_a_faulty_witness_operator_fails_only_its_check(
+    tmp_path, capsys, monkeypatch, check, operator, fault
+):
+    _faulty_witness(monkeypatch, operator, fault)
+    assert _failed_witness_checks(tmp_path, capsys) == {check}
+
+
+def test_k0_map_a_boundary_off_at_one_vertex_fails_only_the_rank_bookkeeping(
+    tmp_path, capsys, monkeypatch
+):
+    # the witness reads its own boundary of gamma; one unit more at vertex 1
+    # breaks in(x) - out(x) = c(x) there and touches no operator
+    real = k0_map.boundary
+
+    def off_by_one(gamma):
+        c = real(gamma)
+        return Chain0(c.graph, {**c.coeffs, 1: c.coeff(1) + 1})
+
+    monkeypatch.setattr(k0_map, "boundary", off_by_one)
+    assert _failed_witness_checks(tmp_path, capsys) == {"rank_bookkeeping"}
+
+
 CYCLE5 = {
     "kind": "finite",
     "vertices": list(range(5)),
@@ -578,22 +681,25 @@ def test_k0_map_a_pair_over_the_uniform_bound_fails_only_the_corner(
 # the compression checks, through run_random_finite and k1-map
 
 
+def _back(res, b):
+    """The vector of u's basis that phi sends to b, a vector of u_tilde's."""
+    e = res.slots[b.slot.index - 1]
+    back = {t: s for s, t in res.involution[b.vertex].items()}
+    return BlockIndex(b.vertex, back.get(e, e))
+
+
 def _on_u_basis(res, op):
-    """op, an operator over u_tilde's basis, over u's basis: each ordinal
-    slot replaced by the expanded edge it numbers."""
-
-    def edge(b):
-        return BlockIndex(b.vertex, res.slots[b.slot.index - 1])
-
-    moves = {edge(c): None if r is None else edge(r) for c, r in op.moves.items()}
+    """op, an operator over u_tilde's basis, over u's basis: each vector
+    mapped back through phi^-1."""
+    moves = {_back(res, c): None if r is None else _back(res, r) for c, r in op.moves.items()}
     return SparseBlockOperator(res.u.domain, moves, op.scalar)
 
 
 def moved_above_the_corner(res):
-    """t also swaps, at one vertex, a corner slot that u_tilde moves with a
-    slot beyond the corner, and u_tilde is the conjugation by that t: still
-    a permutation of the same index that conjugates back to u, but it moves
-    a vector beyond the corner."""
+    """phi is followed by a swap, at one vertex, of a corner slot that
+    u_tilde moves with a slot beyond the corner, and u_tilde is relabelled
+    by that swap: still a permutation of the same index that maps back to
+    u, but it moves a vector beyond the corner."""
     u = res.u_tilde
     beyond = [s for s in u.domain.slots if s.index > res.n]
     c = next((c for c in u.moves if c.slot.index <= res.n), None)
@@ -601,9 +707,13 @@ def moved_above_the_corner(res):
         return res
     q = BlockIndex(c.vertex, beyond[0])
     swap = SparseBlockOperator(u.domain, {c: q, q: c}, 1)
+    # the slots phi sent to c and q trade ordinals
+    sc, sq = (_back(res, b).slot for b in (c, q))
+    ec, eq = (res.slots[b.slot.index - 1] for b in (c, q))
+    m = {**res.involution[c.vertex], sc: eq, sq: ec}
     return dataclasses.replace(
         res,
-        t=res.t.compose(_on_u_basis(res, swap)),
+        involution={**res.involution, c.vertex: {s: t for s, t in m.items() if s != t}},
         u_tilde=swap.compose(u).compose(swap),
     )
 
@@ -611,7 +721,7 @@ def moved_above_the_corner(res):
 def swapped_in_the_corner(res):
     """u_tilde also swaps a vector it moves with another corner slot of its
     vertex: still a permutation inside the corner, of the same index, but no
-    longer the conjugation of u by t."""
+    longer the relabelling of u by phi."""
     u = res.u_tilde
     c = next(c for c, r in u.moves.items() if r is not None)
     other = next(s for s in u.domain.slots if s.index <= res.n and s != c.slot)
@@ -620,23 +730,29 @@ def swapped_in_the_corner(res):
 
 
 def t_losing_a_vector(res):
-    """t also sends to zero the vector it carries onto a column u moves:
-    u_tilde is unchanged, but conjugating back no longer recovers u."""
-    c = next(c for c, r in res.u.moves.items() if r is not None)
-    b = res.t.adjoint().moves.get(c, c)
-    return dataclasses.replace(res, t=res.t.compose(SparseBlockOperator(res.t.domain, {b: None}, 1)))
+    """phi forgets where it sends the slot of a column c that u moves: that
+    slot goes to its own ordinal, which phi also gives another slot, so phi
+    is lossy.  u_tilde is unchanged, but mapping it back through phi^-1 no
+    longer puts c's column at c."""
+    x, s = next(c for c, r in res.u.moves.items() if r is not None)
+    m = dict(res.involution[x])
+    if m.pop(s, s) == s:
+        m[next(e for e in res.slots if e != s)] = s
+    return dataclasses.replace(res, involution={**res.involution, x: m})
 
 
 def shifted_lane(res):
     """u_tilde followed by a shift of the slot-1 lane one vertex up, cut at
-    the window's end, and u followed by the same shift conjugated back: the
-    compression of another operator, consistent and inside the corner, but
-    its index is one lower than that of the unitary it was handed."""
+    the window's end, and u followed by the same shift mapped back through
+    phi^-1: the compression of another operator, consistent and inside the
+    corner, but its index is one lower than that of the unitary it was
+    handed."""
     u = res.u_tilde
     lane = [BlockIndex(x, Ordinal(1)) for x in u.domain.vertices]
     shift = SparseBlockOperator(u.domain, dict(zip(lane, lane[1:] + [None])), 1)
-    back = res.t.compose(_on_u_basis(res, shift)).compose(res.t.adjoint())
-    return dataclasses.replace(res, u=res.u.compose(back), u_tilde=u.compose(shift))
+    return dataclasses.replace(
+        res, u=res.u.compose(_on_u_basis(res, shift)), u_tilde=u.compose(shift)
+    )
 
 
 def _faulty_compression(monkeypatch, module, fault, line_only=False) -> None:

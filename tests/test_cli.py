@@ -416,35 +416,51 @@ FIGURE_EIGHT_GRAPH = {
 FIGURE_EIGHT_CHAIN = {"degree": 1, "coeffs": {"f1": 1, "g1": 1, "f2": 1, "g2": 1}}
 
 
+LINE_GRAPH = {"kind": "banded_z", "edges_per_cell": 1}
+LINE_CYCLE = {"degree": 1, "tail_left": 1, "tail_right": 1}
+MISSING = object()  # a --matching path with no file
+
+
 @pytest.mark.parametrize(
-    "graph, chain, matching, message",
+    "graph, chain, matching, message, flags",
     [
-        ([], FIGURE_EIGHT_CHAIN, None, "top level must be a JSON object"),
-        (FIGURE_EIGHT_GRAPH, [], None, "top level must be a JSON object"),
-        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, [], "top level must be a JSON object"),
-        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"position": {"z": [1, 0]}}, "bad matching override: the top-level object has no key 'positions'"),
-        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": []}, "positions must be an object"),
-        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": 5}}, "positions['z'] must be a list"),
-        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [0.0, 1]}}, "positions['z'][0] must be an integer"),
-        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"a": [False]}}, "positions['a'][0] must be an integer"),
-        ({"kind": "banded_z", "edges_per_cell": True}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer"),
-        ({"kind": "banded_z", "edges_per_cell": 1.0}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer"),
-        ({"kind": "banded_z"}, {"degree": True, "tail_left": 1, "tail_right": 1}, None, "degree must be an integer, got True"),
-        (FIGURE_EIGHT_GRAPH, dict(FIGURE_EIGHT_CHAIN, degree=True), None, "degree must be an integer, got True"),
+        ([], FIGURE_EIGHT_CHAIN, None, "top level must be a JSON object", ()),
+        (FIGURE_EIGHT_GRAPH, [], None, "top level must be a JSON object", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, [], "top level must be a JSON object", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"position": {"z": [1, 0]}}, "bad matching override: the top-level object has no key 'positions'", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": []}, "positions must be an object", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": 5}}, "positions['z'] must be a list", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [0.0, 1]}}, "positions['z'][0] must be an integer", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"a": [False]}}, "positions['a'][0] must be an integer", ()),
+        ({"kind": "banded_z", "edges_per_cell": True}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer", ()),
+        ({"kind": "banded_z", "edges_per_cell": 1.0}, {"degree": 1, "tail_left": 1, "tail_right": 1}, None, "edges_per_cell must be an integer", ()),
+        ({"kind": "banded_z"}, {"degree": True, "tail_left": 1, "tail_right": 1}, None, "degree must be an integer, got True", ()),
+        (FIGURE_EIGHT_GRAPH, dict(FIGURE_EIGHT_CHAIN, degree=True), None, "degree must be an integer, got True", ()),
+        (LINE_GRAPH, LINE_CYCLE, MISSING, "--matching: the line takes no matching file", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, None, "--strict-matching needs a --matching file", ("--strict-matching",)),
+        (LINE_GRAPH, LINE_CYCLE, None, "--strict-matching needs a --matching file", ("--strict-matching",)),
     ],
     ids=[
         "graph-list", "chain-list", "matching-list", "positions-missing", "positions-list",
         "permutation-int", "permutation-float", "permutation-bool",
         "edges-per-cell-bool", "edges-per-cell-float",
-        "degree-bool-banded", "degree-bool-coeffs",
+        "degree-bool-banded", "degree-bool-coeffs", "matching-on-the-line",
+        "strict-without-matching-finite", "strict-without-matching-line",
     ],
 )
 def test_malformed_input_files_are_input_errors(
-    tmp_path, capsys, graph, chain, matching, message
+    tmp_path, capsys, monkeypatch, graph, chain, matching, message, flags
 ):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the options were checked")
+
+    monkeypatch.setattr(cli, "cycle_unitary", refuse)
+    monkeypatch.setattr(cli, "line_cycle_unitary", refuse)
     argv = ["k1-map", "--graph", write(tmp_path, "g.json", graph),
-            "--chain", write(tmp_path, "c.json", chain)]
-    if matching is not None:
+            "--chain", write(tmp_path, "c.json", chain), *flags]
+    if matching is MISSING:
+        argv += ["--matching", str(tmp_path / "m.json")]
+    elif matching is not None:
         argv += ["--matching", write(tmp_path, "m.json", matching)]
     assert main(argv) == 2
     captured = capsys.readouterr()

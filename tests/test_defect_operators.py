@@ -97,6 +97,24 @@ def reference_hybrid(g, alpha, beta):
     return SparseBlockOperator(domain, mapping), None
 
 
+def reference_compression_swap(g) -> dict:
+    """Entries of the conjugator of the compression, from its definition: at
+    each vertex x the first in-count(x) expanded edges that are not ingoing
+    trade places, in edge order, with the ingoing edges that are not among
+    the first."""
+    position = {e.id: i for i, e in enumerate(g.edges)}
+    entries = {}
+    for x in g.vertices:
+        ins = {e.id for e in g.edges if e.target == x}
+        first = {e.id for e in g.edges[: len(ins)]}
+        out_of_place = sorted(first - ins, key=position.get)
+        incoming = sorted(ins - first, key=position.get)
+        swap = {**dict(zip(out_of_place, incoming)), **dict(zip(incoming, out_of_place))}
+        for e in g.edges:
+            entries[BlockIndex(x, swap.get(e.id, e.id)), BlockIndex(x, e.id)] = 1
+    return entries
+
+
 def reference_line_unitary(k, window, copy_permutations) -> SparseBlockOperator:
     lo, hi = window.lo, window.hi
     g = line_expansion(k, lo, hi)
@@ -276,7 +294,7 @@ def test_compression_matches_dense_conjugation(seed):
     res = compress_to_uniform(cu)
     ex = cu.expanded
     number = {e.id: i for i, e in enumerate(ex.edges, start=1)}
-    t = res.t.entries
+    t = reference_compression_swap(ex)
     conj = dense_compose(dense_compose(dense_adjoint(t), cu.u.entries), t)
 
     def relabel(b):
