@@ -13,6 +13,7 @@ here uses floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
 Label = Union[int, str, tuple]
@@ -51,7 +52,10 @@ class OrientedGraph:
     this library produces or consumes one.
 
     The constructor checks its input (distinct ids, endpoints in the graph,
-    no loop) and sorts it; _trusted does neither, for derived graphs.
+    no loop) and sorts it; _trusted does neither, for derived graphs.  The
+    edge and adjacency indexes are built on first use, so a graph that is
+    only iterated, as a line window handed to expand_graph, never pays for
+    them.
     """
 
     kind = "finite"
@@ -70,46 +74,56 @@ class OrientedGraph:
                 raise GraphError(f"edge {e.id!r} has endpoint outside the graph")
             if e.source == e.target:
                 raise GraphError(f"edge {e.id!r} is a loop")
-        edges = tuple(sorted(es, key=lambda e: idkey(e.id)))
-        self._index(tuple(sorted(vs, key=idkey)), edges)
+        self.vertices = tuple(sorted(vs, key=idkey))
+        self.edges = tuple(sorted(es, key=lambda e: idkey(e.id)))
 
     @classmethod
     def _trusted(cls, vertices: tuple, edges: tuple) -> "OrientedGraph":
         """The graph on valid vertices and edges, each sorted by idkey."""
         g = cls.__new__(cls)
-        g._index(vertices, edges)
+        g.vertices, g.edges = vertices, edges
         return g
 
-    def _index(self, vertices: tuple, edges: tuple) -> None:
-        self.vertices, self.edges = vertices, edges
-        self._by_id = {e.id: e for e in edges}
-        self._out: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
-        self._in: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
-        for e in edges:
-            self._out[e.source].append(e)
-            self._in[e.target].append(e)
-        self._near: dict = {}
+    @cached_property
+    def _by_id(self) -> dict[Label, Edge]:
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def _ends(self) -> tuple[dict[Label, list[Edge]], dict[Label, list[Edge]]]:
+        """The ingoing and the outgoing edges of every vertex, in edge order."""
+        ins: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
+        outs: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            outs[e.source].append(e)
+            ins[e.target].append(e)
+        return ins, outs
+
+    @cached_property
+    def _near(self) -> dict[Label, set[Label]]:
+        return {}
 
     def edge(self, edge_id: Label) -> Edge:
         return self._by_id[edge_id]
 
     def has_vertex(self, v: Label) -> bool:
-        return v in self._out
+        return v in self._ends[1]
 
     def has_edge_id(self, edge_id: Label) -> bool:
         return edge_id in self._by_id
 
     def out_edges(self, v: Label) -> list[Edge]:
-        return self._out[v]
+        return self._ends[1][v]
 
     def in_edges(self, v: Label) -> list[Edge]:
-        return self._in[v]
+        return self._ends[0][v]
 
     def degree(self, v: Label) -> int:
-        return len(self._out[v]) + len(self._in[v])
+        ins, outs = self._ends
+        return len(outs[v]) + len(ins[v])
 
     def neighbors(self, v: Label) -> set[Label]:
-        return {e.target for e in self._out[v]} | {e.source for e in self._in[v]}
+        ins, outs = self._ends
+        return {e.target for e in outs[v]} | {e.source for e in ins[v]}
 
     def adjacent(self, x: Label, y: Label) -> bool:
         # the neighbours of x are memoised: collecting them costs O(valence)
@@ -166,12 +180,15 @@ class BandedZGraph:
     def window(self, lo: int, hi: int) -> OrientedGraph:
         """Materialize the subgraph on vertices lo..hi as a finite graph.
         It is valid by construction: the int ids ascend, which is idkey
-        order, every cell joins two window vertices and none is a loop."""
+        order, every cell joins two window vertices and none is a loop.
+        tuple.__new__ builds each Edge without the NamedTuple's Python-level
+        constructor."""
         if lo > hi:
             raise GraphError("empty window")
         cells = range(lo, hi) if self.edges_per_cell else ()
+        new = tuple.__new__
         return OrientedGraph._trusted(
-            tuple(range(lo, hi + 1)), tuple([Edge(n, n, n + 1) for n in cells])
+            tuple(range(lo, hi + 1)), tuple([new(Edge, (n, n, n + 1)) for n in cells])
         )
 
 

@@ -36,7 +36,6 @@ from .operators import (
     ProductBasis,
     SparseBlockOperator,
     Window,
-    slot_key,
 )
 
 
@@ -55,16 +54,19 @@ class ExpandedGraph(OrientedGraph):
 def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
     """Replace each edge by |gamma_e| parallel copies, flipping orientation
     where the coefficient is negative.  The copies inherit the host's
-    checks and come out in idkey order, so nothing is checked or sorted."""
-    if gamma.graph != g:
+    checks and come out in idkey order, so nothing is checked or sorted.
+    Each copy costs two tuples: tuple.__new__ builds the NamedTuples without
+    their Python-level constructors."""
+    if gamma.graph is not g and gamma.graph != g:
         raise ChainError("chain does not live over this graph")
+    new, coeffs = tuple.__new__, gamma.coeffs
     edges = []
     for e in g.edges:
-        coeff = gamma.coeffs.get(e.id)
+        coeff = coeffs.get(e.id)
         if coeff:
-            src, tgt = (e.source, e.target) if coeff > 0 else (e.target, e.source)
+            eid, src, tgt = e if coeff > 0 else (e.id, e.target, e.source)
             for c in range(1, abs(coeff) + 1):
-                edges.append(Edge(CopyEdge(e.id, c), src, tgt))
+                edges.append(new(Edge, (new(CopyEdge, (eid, c)), src, tgt)))
     return ExpandedGraph._trusted(g.vertices, tuple(edges))
 
 
@@ -166,10 +168,15 @@ def order_matched_involution(s1, s2) -> dict:
     """Involution of slots exchanging sorted(s1 minus s2) with
     sorted(s2 minus s1) position by position, fixing the intersection.
     Requires both differences to have equal size.  Only moved slots appear
-    in the result."""
+    in the result.
+
+    Both s1 and s2 must list distinct slots in slot_key order, as both
+    callers hand them: the first ordinals or expanded edges, and the
+    ingoing or outgoing edges of a vertex, all in expand_graph's order.  So
+    the differences are order-preserving filters, and nothing is sorted."""
     set1, set2 = set(s1), set(s2)
-    d1 = sorted(set1 - set2, key=slot_key)
-    d2 = sorted(set2 - set1, key=slot_key)
+    d1 = [s for s in s1 if s not in set2]
+    d2 = [s for s in s2 if s not in set1]
     if len(d1) != len(d2):
         raise ValueError("slot sets are not exchangeable")
     out = {}

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Optional
 
 from .chains import Chain1, is_cycle, json_int
@@ -107,24 +108,29 @@ def permuted_matching(g: ExpandedGraph, positions: dict) -> EdgeMatching:
     for x in g.vertices:
         if g.in_count(x) != g.out_count(x):
             raise NonCycleError(x, g.in_count(x), g.out_count(x))
-        perm = positions.get(x)
-        if perm is not None and sorted(perm) != list(range(g.out_count(x))):
-            raise ValueError(f"bad permutation at vertex {x!r}")
     return EdgeMatching(g, _routes(g, positions))
 
 
-def _routes(g: ExpandedGraph, positions: dict) -> dict:
+def _routes(g: ExpandedGraph, positions: dict, copies: Optional[int] = None) -> dict:
     """Per-vertex routes {x: {ingoing edge: outgoing edge or None}}: the j-th
     sorted ingoing edge at x goes to the positions[x][j]-th sorted outgoing
     edge (the j-th when x has no entry), and to None when x has no outgoing
-    edge, as at the far end of a line window."""
+    edge, as at the far end of a line window.
+
+    positions[x] must permute range(n), n the out-count at x, or copies when
+    given: the copies per cell of a line window, whose end vertices have
+    edges on one side only.  Each vertex's routes are one C-level dict
+    build; the check comes first, as zip would cut a short permutation."""
     routes = {}
     for x in g.vertices:
-        outs = g.out_edges(x)
-        perm = positions.get(x, range(g.in_count(x)))
-        routes[x] = {
-            e: outs[perm[j]] if outs else None for j, e in enumerate(g.in_edges(x))
-        }
+        ins, outs = g.in_edges(x), g.out_edges(x)
+        perm = positions.get(x)
+        if perm is not None:
+            if sorted(perm) != list(range(len(outs) if copies is None else copies)):
+                raise ValueError(f"bad permutation at vertex {x!r}")
+            if outs:
+                outs = [outs[p] for p in perm]
+        routes[x] = dict(zip(ins, outs)) if outs else dict.fromkeys(ins)
     return routes
 
 
@@ -147,10 +153,19 @@ def _full_domain(g: ExpandedGraph) -> ProductBasis:
 def _track_map(routes: dict) -> dict:
     """The moved vectors of the basis bijection: the ingoing vector of e at x
     advances along its route, or leaves a zero column when the route is
-    None; everything else stays put."""
+    None; everything else stays put.
+
+    Every expanded edge e is ingoing at its target, so its head vector
+    (target of e, e) is both the column of e and the image of the edge
+    routed into e; it is built once per edge, by tuple.__new__ without the
+    NamedTuple's Python-level constructor."""
+    new = tuple.__new__
+    head = {
+        e: new(BlockIndex, (e.target, e.id)) for route in routes.values() for e in route
+    }
     return {
-        BlockIndex(x, e.id): None if out is None else BlockIndex(out.target, out.id)
-        for x, route in routes.items()
+        head[e]: None if out is None else head[out]
+        for route in routes.values()
         for e, out in route.items()
     }
 
@@ -563,7 +578,7 @@ def line_expansion(k: int, lo: int, hi: int) -> ExpandedGraph:
     graph = BandedZGraph().window(lo, hi)
     if lo < hi:
         json_int(k, f"coefficient on edge {lo!r}")
-    gamma = Chain1._trusted(graph, ((n, k) for n in range(lo, hi)))
+    gamma = Chain1._trusted(graph, zip(range(lo, hi), repeat(k)))
     return expand_graph(graph, gamma)
 
 
@@ -585,7 +600,7 @@ def line_cycle_unitary(
     there.
     """
     g = line_expansion(k, window.lo, window.hi)
-    routes = _routes(g, copy_permutations or {})
+    routes = _routes(g, copy_permutations or {}, abs(k))
     u = SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
     return CycleUnitary(expanded=g, matching=None, u=u, window=window)
 
@@ -611,7 +626,7 @@ def line_matching_independence(
     cu_a = line_cycle_unitary(k, window)
     cu_b = line_cycle_unitary(k, window, copy_permutations)
     g = cu_a.expanded
-    correction = _route_correction(g, _routes(g, {}), _routes(g, copy_permutations))
+    correction = _route_correction(g, _routes(g, {}), _routes(g, copy_permutations, abs(k)))
     identity_holds = cu_a.u.compose(correction) == cu_b.u
     idx_a = index_pairing(cu_a.u, window)
     idx_b = index_pairing(cu_b.u, window)

@@ -24,10 +24,11 @@ model; for a partial permutation that trace is the net flow across the cut.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Set as AbstractSet
+from collections.abc import Collection, Set as AbstractSet
 from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
+from operator import countOf, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
 from .graphs import idkey
@@ -101,6 +102,25 @@ class ProductBasis(AbstractSet):
             for s in self.slots:
                 yield BlockIndex(x, s)
 
+    def issuperset(self, vectors: Collection) -> bool:
+        """Whether every item of vectors is in the basis, as for a frozenset.
+        When every item is a BlockIndex this is three C-level subset tests,
+        of the item types and of the vertex and slot factors; otherwise
+        each item is tested alone."""
+        if {BlockIndex}.issuperset(map(type, vectors)):
+            vertices, slots = map(itemgetter(0), vectors), map(itemgetter(1), vectors)
+            return self._vertex_set.issuperset(vertices) and self._slot_set.issuperset(slots)
+        return all(map(self.__contains__, vectors))
+
+    def _with_vertices(self, vertices: Iterable) -> "ProductBasis":
+        """The basis on some of its own vertices, sharing this one's slot
+        factor and slot set rather than hashing every slot again."""
+        b = ProductBasis.__new__(ProductBasis)
+        b.vertices = tuple(vertices)
+        b._vertex_set = frozenset(b.vertices)
+        b.slots, b._slot_set = self.slots, self._slot_set
+        return b
+
     def __le__(self, other) -> bool:
         if isinstance(other, ProductBasis) and self:
             return (
@@ -141,8 +161,29 @@ def _as_basis(domain: Iterable[BlockIndex]) -> Basis:
 def _restrict(domain: Basis, keep: Callable[[object], bool]) -> Basis:
     """The basis vectors of domain whose vertex satisfies keep."""
     if isinstance(domain, ProductBasis):
-        return ProductBasis([x for x in domain.vertices if keep(x)], domain.slots)
+        return domain._with_vertices(filter(keep, domain.vertices))
     return frozenset(b for b in domain if keep(b.vertex))
+
+
+def _check_each(dom: Basis, moves: dict, scalar: int) -> None:
+    """The constructor's checks one column at a time: raise its error for
+    the first column of moves whose column or row is out of place, or
+    return if there is none."""
+    rows = set()
+    for c, r in moves.items():
+        if c not in dom:
+            raise OperatorError(f"column {c} outside the declared basis")
+        if r is None:
+            continue
+        if r in rows:
+            raise OperatorError(f"two columns are sent into row {r}")
+        rows.add(r)
+        # with scalar 1 every row must be a moved column, whose key is
+        # checked against the basis: any other holds a fixed vector's 1
+        if not (r in moves if scalar else r in dom):
+            if r not in dom:
+                raise OperatorError(f"row {r} outside the declared basis")
+            raise OperatorError(f"column {c} is sent into row {r} of a fixed vector")
 
 
 class SparseBlockOperator:
@@ -155,35 +196,34 @@ class SparseBlockOperator:
 
     The constructor checks the scalar, every column and row against the
     basis, and that no two columns share a row; compose and adjoint skip
-    that through _trusted."""
+    that through _trusted.  The columns and rows are checked all at once,
+    by set operations (issuperset); only a refusal walks them one by one,
+    to name the first offender."""
 
     def __init__(self, domain: Iterable[BlockIndex], moves: Mapping = (), scalar: int = 0):
         if type(scalar) is not int or scalar not in (0, 1):
             raise OperatorError(f"scalar must be the integer 0 or 1, got {scalar!r}")
         self.domain = dom = _as_basis(domain)
         self.scalar = scalar
-        if not isinstance(moves, Mapping):
+        if not isinstance(moves, dict):
             moves = dict(moves)
-        self.moves: dict[BlockIndex, Optional[BlockIndex]] = {}
-        rows = set()
-        for c, r in moves.items():
-            if c not in dom:
-                raise OperatorError(f"column {c} outside the declared basis")
-            if r is None:
-                if scalar:
-                    self.moves[c] = None
-                continue
-            if r in rows:
-                raise OperatorError(f"two columns are sent into row {r}")
-            rows.add(r)
-            # with scalar 1 every row must be a moved column, whose key is
-            # checked against the basis: any other holds a fixed vector's 1
-            if not (r in moves if scalar else r in dom):
-                if r not in dom:
-                    raise OperatorError(f"row {r} outside the declared basis")
-                raise OperatorError(f"column {c} is sent into row {r} of a fixed vector")
-            if r != c or not scalar:
-                self.moves[c] = r
+        try:
+            rows = set(moves.values())
+            rows.discard(None)
+            valid = (
+                len(rows) == len(moves) - countOf(moves.values(), None)
+                and dom.issuperset(moves)
+                and (moves.keys() >= rows if scalar else dom.issuperset(rows))
+            )
+        except TypeError:  # an unhashable key or row
+            valid = False
+        if not valid:
+            _check_each(dom, moves, scalar)
+        # a copy keeps the hashes moves has computed; then the entries that
+        # the scalar already holds go: fixed columns with 1, zero ones with 0
+        self.moves = dict(moves)
+        for c in [c for c, r in moves.items() if (r == c if scalar else r is None)]:
+            del self.moves[c]
 
     @classmethod
     def _trusted(cls, domain: Basis, moves: dict, scalar: int) -> "SparseBlockOperator":
@@ -328,14 +368,19 @@ def is_unitary_on(
     a*a = 1 on column b says that column b is not zero, and aa* = 1 on b
     that row b is not empty.  Nothing is multiplied.  With scalar 1 only a
     moved column can fail: it is zero when its image is None, and its row
-    is empty when no column lands on it."""
+    is empty when no column lands on it.  Those columns are found by set
+    operations over the moves, and only they are looked up in the region."""
     region = a.domain if interior is None else _as_basis(interior)
     if not region <= a.domain:
         raise OperatorError("interior is not contained in the ambient basis")
-    rows = set(a.moves.values())
+    moves = a.moves
+    rows = set(moves.values())
     if a.scalar:
-        return all(r is not None and c in rows for c, r in a.moves.items() if c in region)
-    return sum(c in region for c in a.moves) == sum(r in region for r in rows) == len(region)
+        failing = moves.keys() - rows
+        if None in rows:
+            failing.update(c for c, r in moves.items() if r is None)
+        return not any(map(region.__contains__, failing))
+    return sum(c in region for c in moves) == sum(r in region for r in rows) == len(region)
 
 
 @dataclass(frozen=True)
@@ -388,6 +433,10 @@ def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     moved vectors out of the half line across the cut: the index of a
     one-dimensional locality-preserving unitary (D. Gross, V. Nesme,
     H. Vogts and R. F. Werner, Commun. Math. Phys. 310, 2012).
+
+    The flow is one step per move: a column lies in the basis, so whether it
+    is interior is read off its vertex, and the interior shares u's slot
+    set rather than hashing every slot again.
     """
     window.require_margin(propagation(u))
     interior = window.interior(u.domain)
@@ -397,9 +446,13 @@ def index_pairing(u: SparseBlockOperator, window: Window) -> int:
     # [c >= 0] from P; with scalar 1 a column left alone cancels itself
     s = u.scalar
     total = 0 if s else len(_restrict(interior, lambda x: x >= 0))
+    # every column lies in the basis, so it is interior exactly when its
+    # vertex is central, abs(vertex) <= radius (Window.is_central)
+    radius = window.radius
     for c, r in u.moves.items():
-        if c in interior:
-            total += s * (c.vertex >= 0) - (r is not None and r.vertex >= 0)
+        x = c.vertex
+        if -radius <= x <= radius:
+            total += s * (x >= 0) - (r is not None and r.vertex >= 0)
     return total
 
 

@@ -10,8 +10,8 @@ import json
 import pytest
 
 from coarsek import chains, cli, k0_map, k1_map, scenarios
-from coarsek.chains import Chain0, Chain1, is_cycle
-from coarsek.graphs import graph_from_json
+from coarsek.chains import BandedZChain, Chain0, Chain1, is_cycle
+from coarsek.graphs import BandedZGraph, graph_from_json
 from coarsek.k0_map import boundary_witness, expand_graph
 from coarsek.operators import (
     BlockIndex,
@@ -940,3 +940,128 @@ def test_k1_map_a_wrong_conjugator_fails_only_the_two_conjugation_route(
     _faulty(monkeypatch, "_block_conjugator", identity_conjugator)
     rc, verdicts = _k1_matching(tmp_path, capsys)
     _only_failure(rc, verdicts, MATCHING_CHECKS[1])
+
+
+# ---------------------------------------------------------------------------
+# the line, edgeless-line and homology-engine checks, through verify
+
+
+def _failed_verify_checks() -> list:
+    """The checks of every verify scenario that fail, the advisory
+    two-conjugation route aside."""
+    return [
+        c.name
+        for report in scenarios.run_all(SEED)
+        for c in report.checks
+        if not c.passed and not c.advisory
+    ]
+
+
+def test_verify_passes_every_line_and_engine_check_on_the_real_objects():
+    assert _failed_verify_checks() == []
+
+
+def test_a_line_witness_off_at_one_cell_fails_only_the_h0_quotient(monkeypatch):
+    # the bounded solution of d(gamma) = c is off by one on the cell after
+    # its window: still bounded, but its boundary is no longer c
+    real = scenarios.solve_boundary_on_z
+
+    def one_cell_off(c):
+        sol = real(c)
+        if sol.gamma is None:
+            return sol
+        g = sol.gamma
+        values = (*g.window_values, g.tail_right + 1)
+        return dataclasses.replace(
+            sol, gamma=BandedZChain(1, g.tail_left, g.tail_right, g.window_start, values)
+        )
+
+    monkeypatch.setattr(scenarios, "solve_boundary_on_z", one_cell_off)
+    assert _failed_verify_checks() == ["degree-0 quotient certificates"]
+    out = scenarios.check_line_h0_quotient(SEED)
+    assert [f["kind"] for f in out["failures"]] == ["no bounded witness"] * out["count"]
+    assert out["classes_separated"] and out["constant_one_unbounded"] and out["step_unbounded"]
+
+
+EDGELESS = "edgeless line scenario"
+
+
+def test_an_edgeless_line_with_its_cell_edges_fails_only_the_edgeless_check(monkeypatch):
+    monkeypatch.setattr(scenarios, "BandedZGraph", lambda edges_per_cell: BandedZGraph(1))
+    assert _failed_verify_checks() == [EDGELESS]
+    out = scenarios.check_edgeless_line()
+    assert not out["no_edges"] and out["h1_rank"] == 0
+    assert out["translate_distinct_in_homology"] and out["shift_conjugation_matches"]
+
+
+def test_a_translate_one_step_too_far_fails_only_the_edgeless_shift(monkeypatch):
+    real = BandedZChain.shifted
+    monkeypatch.setattr(BandedZChain, "shifted", lambda c, n: real(c, n + 1))
+    assert _failed_verify_checks() == [EDGELESS]
+    out = scenarios.check_edgeless_line()
+    assert not out["shift_conjugation_matches"]
+    assert out["no_edges"] and out["translate_distinct_in_homology"]
+
+
+def test_a_non_cycle_in_the_h1_basis_fails_only_the_homology_engine(monkeypatch):
+    # the first basis vector keeps only its first edge: same rank, same
+    # number of basis vectors, but no longer a cycle
+    real = scenarios.homology_finite
+
+    def one_edge_of_the_first_cycle(g):
+        res = real(g)
+        if not res.h1_basis:
+            return res
+        first, *rest = res.h1_basis
+        eid, value = next(iter(first.coeffs.items()))
+        broken = Chain1(g, {eid: value})
+        return dataclasses.replace(res, h1_basis=(broken, *rest))
+
+    monkeypatch.setattr(scenarios, "homology_finite", one_edge_of_the_first_cycle)
+    assert _failed_verify_checks() == ["homology engine cross-check"]
+    assert scenarios.check_homology_engine(SEED)["failures"]
+
+
+LINE_HOMOLOGY = "banded 1-cycles are the constants"
+CYCLE_VERDICTS = ("constant_is_cycle", "constant_class", "nonconstant_is_cycle")
+
+
+def _failed_cycle_verdicts() -> set:
+    """The cycle verdicts of check_line_homology that do not hold, once
+    verify has failed that check alone."""
+    assert _failed_verify_checks() == [LINE_HOMOLOGY]
+    out = scenarios.check_line_homology()
+    assert out["uniform_corner"] and not out["ok"]
+    holds = {
+        "constant_is_cycle": out["constant_is_cycle"],
+        "constant_class": out["constant_class"] == 2,
+        "nonconstant_is_cycle": not out["nonconstant_is_cycle"],
+    }
+    return {v for v in CYCLE_VERDICTS if not holds[v]}
+
+
+def _banded_is_cycle(monkeypatch, verdict) -> None:
+    """scenarios.is_cycle with verdict(chain) on banded chains; finite ones,
+    the homology engine's, keep the real test."""
+    real = scenarios.is_cycle
+    monkeypatch.setattr(
+        scenarios,
+        "is_cycle",
+        lambda gamma: verdict(gamma) if isinstance(gamma, BandedZChain) else real(gamma),
+    )
+
+
+def test_a_cycle_test_that_refuses_every_chain_fails_only_constant_is_cycle(monkeypatch):
+    _banded_is_cycle(monkeypatch, lambda gamma: False)
+    assert _failed_cycle_verdicts() == {"constant_is_cycle"}
+
+
+def test_a_class_off_by_one_fails_only_constant_class(monkeypatch):
+    real = scenarios.banded_cycle_value
+    monkeypatch.setattr(scenarios, "banded_cycle_value", lambda gamma: real(gamma) + 1)
+    assert _failed_cycle_verdicts() == {"constant_class"}
+
+
+def test_a_cycle_test_that_passes_every_chain_fails_only_nonconstant_is_cycle(monkeypatch):
+    _banded_is_cycle(monkeypatch, lambda gamma: True)
+    assert _failed_cycle_verdicts() == {"nonconstant_is_cycle"}

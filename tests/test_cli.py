@@ -497,6 +497,22 @@ def test_bad_matching_file_exits_2_before_building(tmp_path, capsys, monkeypatch
     assert not dump.exists()  # read before the request is admitted
 
 
+@pytest.mark.parametrize("perm", [[1, 0, 2], [-1, 0], [0], [2, 1]])
+def test_a_bad_permutation_in_a_matching_file_exits_2_naming_its_vertex(
+    tmp_path, capsys, perm
+):
+    matching = write(tmp_path, "m.json", {"positions": {"z": perm}})
+    argv = ["k1-map", "--graph", write(tmp_path, "g.json", FIGURE_EIGHT_GRAPH),
+            "--chain", write(tmp_path, "c.json", FIGURE_EIGHT_CHAIN),
+            "--matching", matching]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {matching}: bad matching override: bad permutation at vertex 'z'\n"
+    )
+    assert captured.out == ""
+
+
 def test_matching_file_with_no_permutations_keeps_the_canonical_matching(tmp_path, capsys):
     argv = ["k1-map", "--graph", write(tmp_path, "g.json", FIGURE_EIGHT_GRAPH),
             "--chain", write(tmp_path, "c.json", FIGURE_EIGHT_CHAIN),

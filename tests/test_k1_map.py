@@ -377,3 +377,26 @@ def test_constant_cycle_additive_and_symmetric():
     for k in range(-3, 4):
         assert vals[k] == -k
         assert vals[k] == -vals[-k]
+
+
+@pytest.mark.parametrize(
+    "perm", [(1, 0, 2), (-1, 0), (0,), (2, 1)], ids=["long", "negative", "short", "out-of-range"]
+)
+def test_line_copy_permutations_are_checked_like_finite_ones(perm):
+    # the same refusal as permuted_matching on a finite cycle, not a
+    # silently truncated or wrapped permutation and not a bare IndexError
+    with pytest.raises(ValueError, match=r"^bad permutation at vertex 0$"):
+        line_cycle_unitary(2, Window(4, 2), {0: perm})
+    with pytest.raises(ValueError, match=r"^bad permutation at vertex 0$"):
+        line_matching_independence(2, Window(4, 2), {0: perm})
+    # the center of the figure eight has in- and out-flow 2, as each line
+    # vertex of the window interior has
+    with pytest.raises(ValueError, match=r"^bad permutation at vertex 'z'$"):
+        permuted_matching(expand_graph(*figure_eight()), {"z": perm})
+
+
+def test_line_copy_permutations_of_every_copy_are_accepted_at_both_window_ends():
+    window = Window(3, 2)
+    for x in (window.lo, window.hi, 0):
+        cu = line_cycle_unitary(2, window, {x: (1, 0)})
+        assert index_pairing(cu.u, window) == -2
