@@ -48,7 +48,6 @@ from .k0_map import (
 from .k1_map import (
     CompressionResult,
     CycleUnitary,
-    EdgeMatching,
     MatchingIndependenceReport,
     NonCycleError,
     canonical_matching,

@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 from .chains import Chain0, Chain1, fundamental_cycle, spanning_forest
 from .graphs import Edge, OrientedGraph
 from .k0_map import expand_graph
-from .k1_map import EdgeMatching, canonical_matching, permuted_matching
+from .k1_map import canonical_matching, permuted_matching
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +113,9 @@ def random_chain0(rng: random.Random, g: OrientedGraph, bound: int = 3) -> Chain
     )
 
 
-def random_matching_pair(
-    rng: random.Random, gamma: Chain1
-) -> tuple[EdgeMatching, EdgeMatching]:
-    """Canonical matching and an independent uniformly random one."""
+def random_matching_pair(rng: random.Random, gamma: Chain1) -> tuple[dict, dict]:
+    """Routes of the canonical matching and of an independent uniformly
+    random one."""
     g = expand_graph(gamma.graph, gamma)
     alpha = canonical_matching(g)
     positions = {}

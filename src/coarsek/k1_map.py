@@ -2,8 +2,9 @@
 
 A cycle has equal in-flow and out-flow at every vertex of its expanded
 multigraph, so the ingoing edges at each vertex can be matched bijectively
-with the outgoing ones.  The matching routes every (vertex, ingoing-edge)
-basis vector one step along the cycle; all other basis vectors stay fixed.
+with the outgoing ones.  A matching is its routes, the map {x: {ingoing
+edge: outgoing edge or None}}: it sends every (vertex, ingoing-edge) basis
+vector one step along the cycle, and all other basis vectors stay fixed.
 The resulting operator is an exact permutation matrix, differs from the
 identity only between adjacent vertices, and on the integer line its index
 pairing recovers the cycle's integer class.  The line uses the same route
@@ -16,8 +17,10 @@ Two matchings of the same cycle differ by the exact product identity
 
 where R is a block-diagonal slot permutation: propagation zero, every block
 a finite permutation, hence connected to the identity.  That identity is the
-verifiable content of matching independence.  The classical two-conjugation
-route through the hybrid intermediate
+verifiable content of matching independence.  It is checked on a built
+cycle unitary, whose routes are alpha, against the unitary of beta on the
+same expanded graph.  The classical two-conjugation route through the
+hybrid intermediate
 
     U'(x, e) = (target of alpha_x(e), slot of beta_x(e))   for ingoing e
 
@@ -70,45 +73,20 @@ class NonCycleError(ValueError):
         )
 
 
-class EdgeMatching:
-    """Per-vertex bijection from ingoing to outgoing expanded edges."""
-
-    def __init__(self, expanded: ExpandedGraph, per_vertex: dict):
-        self.expanded = expanded
-        self.per_vertex = {x: dict(m) for x, m in per_vertex.items()}
-        for x in expanded.vertices:
-            m = self.per_vertex.setdefault(x, {})
-            ins = set(expanded.in_edges(x))
-            outs = set(expanded.out_edges(x))
-            if set(m) != ins or set(m.values()) != outs or len(m) != len(ins):
-                raise NonCycleError(x, len(ins), len(outs))
-
-    @classmethod
-    def _trusted(cls, expanded: ExpandedGraph, routes: dict) -> "EdgeMatching":
-        """The matching of routes, a bijection at every vertex of expanded;
-        nothing is checked or copied."""
-        m = cls.__new__(cls)
-        m.expanded, m.per_vertex = expanded, routes
-        return m
-
-    def at(self, x) -> dict:
-        return self.per_vertex[x]
-
-
-def canonical_matching(g: ExpandedGraph) -> EdgeMatching:
+def canonical_matching(g: ExpandedGraph) -> dict:
     """Sort ingoing and outgoing edges by (parent id, copy) and match in
     order; fails naming the first vertex where the flows disagree."""
     return permuted_matching(g, {})
 
 
-def permuted_matching(g: ExpandedGraph, positions: dict) -> EdgeMatching:
+def permuted_matching(g: ExpandedGraph, positions: dict) -> dict:
     """Canonical matching with the outgoing side reordered: positions[x][j]
     is the index into the sorted outgoing list that the j-th sorted ingoing
     edge should map to."""
     for x in g.vertices:
         if g.in_count(x) != g.out_count(x):
             raise NonCycleError(x, g.in_count(x), g.out_count(x))
-    return EdgeMatching(g, _routes(g, positions))
+    return _routes(g, positions)
 
 
 def _routes(g: ExpandedGraph, positions: dict, copies: Optional[int] = None) -> dict:
@@ -120,7 +98,12 @@ def _routes(g: ExpandedGraph, positions: dict, copies: Optional[int] = None) -> 
     positions[x] must permute range(n), n the out-count at x, or copies when
     given: the copies per cell of a line window, whose end vertices have
     edges on one side only.  Each vertex's routes are one C-level dict
-    build; the check comes first, as zip would cut a short permutation."""
+    build; the check comes first, as zip would cut a short permutation.
+    A key of positions that is no vertex of g is refused by name."""
+    vertices = set(g.vertices) if positions else ()
+    for x in positions:
+        if x not in vertices:
+            raise ValueError(f"not a vertex: {x!r}")
     routes = {}
     for x in g.vertices:
         ins, outs = g.in_edges(x), g.out_edges(x)
@@ -137,11 +120,11 @@ def _routes(g: ExpandedGraph, positions: dict, copies: Optional[int] = None) -> 
 @dataclass
 class CycleUnitary:
     """Permutation unitary of a cycle together with its expanded graph and
-    the matching that produced it.  For line windows the operator is the
+    the routes that produced it.  For line windows the operator is the
     restriction of the infinite one, exact on the window interior."""
 
     expanded: ExpandedGraph
-    matching: Optional[EdgeMatching]
+    matching: dict
     u: SparseBlockOperator
     window: Optional[Window] = None
 
@@ -170,20 +153,23 @@ def _track_map(routes: dict) -> dict:
     }
 
 
-def cycle_unitary(
-    gamma: Chain1, matching: Optional[EdgeMatching] = None
-) -> CycleUnitary:
-    """Build the permutation unitary of a finite-support cycle."""
+def _unitary(g: ExpandedGraph, routes: dict) -> SparseBlockOperator:
+    """The unitary of routes on g, through the checking constructor."""
+    return SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
+
+
+def cycle_unitary(gamma: Chain1, matching: Optional[dict] = None) -> CycleUnitary:
+    """Build the permutation unitary of a finite-support cycle, by the
+    canonical matching or by the given routes of its expanded graph."""
     g = expand_graph(gamma.graph, gamma)
     if not is_cycle(gamma):
         # this raises, naming the first unbalanced vertex
-        matching = canonical_matching(g)
-    elif matching is None:
+        canonical_matching(g)
+    if matching is None:
         # a cycle balances the flows at every vertex, so the canonical
         # routes are a matching without the checks of permuted_matching
-        matching = EdgeMatching._trusted(g, _routes(g, {}))
-    u = SparseBlockOperator(_full_domain(g), _track_map(matching.per_vertex), 1)
-    return CycleUnitary(expanded=g, matching=matching, u=u)
+        matching = _routes(g, {})
+    return CycleUnitary(expanded=g, matching=matching, u=_unitary(g, matching))
 
 
 def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]:
@@ -219,15 +205,8 @@ def _cycles(mapping: dict) -> Iterator[tuple[object, int]]:
 # matching independence
 
 
-def matching_correction(
-    g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching
-) -> SparseBlockOperator:
-    """Block-diagonal slot permutation R with U_beta = U_alpha * R."""
-    return _route_correction(g, alpha.per_vertex, beta.per_vertex)
-
-
-def _route_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockOperator:
-    """R with U_beta = U_alpha * R for the unitaries of two route maps.
+def matching_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockOperator:
+    """Block-diagonal slot permutation R with U_beta = U_alpha * R.
 
     At each vertex R reroutes ingoing slots by alpha_x^{-1} o beta_x, so the
     alpha-route of the rerouted slot is exactly the beta-route of the
@@ -244,7 +223,7 @@ def _route_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockO
 
 
 def _hybrid_intermediate(
-    g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching
+    g: ExpandedGraph, alpha: dict, beta: dict
 ) -> tuple[Optional[SparseBlockOperator], Optional[tuple]]:
     """The classical intermediate: ingoing vectors go to the alpha target
     vertex but the beta slot.  Returns the matrix when it is a basis
@@ -253,9 +232,7 @@ def _hybrid_intermediate(
     moves = {}
     for x in g.vertices:
         for e in g.in_edges(x):
-            a_out = alpha.at(x)[e]
-            b_out = beta.at(x)[e]
-            moves[BlockIndex(x, e.id)] = BlockIndex(a_out.target, b_out.id)
+            moves[BlockIndex(x, e.id)] = BlockIndex(alpha[x][e].target, beta[x][e].id)
     # a collision needs a moved vector: among the fixed ones only those a
     # moved vector lands on can take part, so the first collision in block
     # order over these candidates is the first over the whole basis
@@ -291,7 +268,7 @@ def _least_rotation(word: list) -> int:
     return k
 
 
-def _block_conjugator(g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching):
+def _block_conjugator(g: ExpandedGraph, alpha: dict, beta: dict):
     """Decide whether per-vertex permutations pi_x of the ingoing edges with
 
         alpha_x(pi_x(e)) = pi_y(beta_x(e)),   y = target(beta_x(e)),
@@ -312,7 +289,7 @@ def _block_conjugator(g: ExpandedGraph, alpha: EdgeMatching, beta: EdgeMatching)
         colour.setdefault((e.source, e.target), len(colour))
     tracks = []
     for m in (alpha, beta):
-        sigma = {e: m.at(e.target)[e] for e in g.edges}
+        sigma = {e: m[e.target][e] for e in g.edges}
         by_word: dict = {}
         for start, n in _cycles(sigma):
             walk = [start]
@@ -407,13 +384,11 @@ class MatchingIndependenceReport:
         }
 
 
-def verify_matching_independence(
-    gamma: Chain1, alpha: EdgeMatching, beta: EdgeMatching
-) -> MatchingIndependenceReport:
-    g = alpha.expanded
-    cu_a = cycle_unitary(gamma, alpha)
-    cu_b = cycle_unitary(gamma, beta)
-    u_a, u_b = cu_a.u, cu_b.u
+def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndependenceReport:
+    """Compare the cycle unitary cu, built by the matching alpha, with the
+    unitary of the routes beta on the same expanded graph."""
+    g, alpha, u_a = cu.expanded, cu.matching, cu.u
+    u_b = _unitary(g, beta)
 
     correction = matching_correction(g, alpha, beta)
     correction_identity = u_a.compose(correction) == u_b
@@ -517,12 +492,13 @@ class CompressionResult:
     def round_trip_ok(self) -> bool:
         """u_tilde, with every vector mapped back through phi^-1 to the
         expanded edge phi sends there, is exactly u."""
-        slots = self.slots
+        slots, new = self.slots, tuple.__new__
         back = {x: {t: s for s, t in m.items()} for x, m in self.involution.items()}
 
         def edge(b: BlockIndex) -> BlockIndex:
-            s = slots[b.slot.index - 1]
-            return BlockIndex(b.vertex, back[b.vertex].get(s, s))
+            x, (i,) = b
+            s = slots[i - 1]
+            return new(BlockIndex, (x, back[x].get(s, s)))
 
         # a relabelling of u_tilde's basis, so its moves stay valid as stored
         restored = SparseBlockOperator._trusted(
@@ -551,11 +527,12 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
         x: order_matched_involution(slots[: g.in_count(x)], [e.id for e in g.in_edges(x)])
         for x in g.vertices
     }
-    number = {s: Ordinal(i) for i, s in enumerate(slots, start=1)}
+    new = tuple.__new__  # NamedTuples without their Python-level constructors
+    number = {s: new(Ordinal, (i,)) for i, s in enumerate(slots, start=1)}
 
     def phi(b: BlockIndex) -> BlockIndex:
         x, s = b
-        return BlockIndex(x, number[involution[x].get(s, s)])
+        return new(BlockIndex, (x, number[involution[x].get(s, s)]))
 
     # a line window leaves zero columns at its far cut
     u_tilde = SparseBlockOperator(
@@ -601,8 +578,7 @@ def line_cycle_unitary(
     """
     g = line_expansion(k, window.lo, window.hi)
     routes = _routes(g, copy_permutations or {}, abs(k))
-    u = SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
-    return CycleUnitary(expanded=g, matching=None, u=u, window=window)
+    return CycleUnitary(expanded=g, matching=routes, u=_unitary(g, routes), window=window)
 
 
 def constant_cycle_index(k: int, window: Window) -> int:
@@ -625,8 +601,7 @@ def line_matching_independence(
         raise ValueError("needs a nonzero cycle")
     cu_a = line_cycle_unitary(k, window)
     cu_b = line_cycle_unitary(k, window, copy_permutations)
-    g = cu_a.expanded
-    correction = _route_correction(g, _routes(g, {}), _routes(g, copy_permutations, abs(k)))
+    correction = matching_correction(cu_a.expanded, cu_a.matching, cu_b.matching)
     identity_holds = cu_a.u.compose(correction) == cu_b.u
     idx_a = index_pairing(cu_a.u, window)
     idx_b = index_pairing(cu_b.u, window)

@@ -33,14 +33,12 @@ from .k0_map import (
     boundary_witness,
     build_projection_pair,
     component_signatures,
-    expand_graph,
     k0_signature,
     slot_ceiling,
     uniform_corner_holds,
     witness_report_json,
 )
 from .k1_map import (
-    canonical_matching,
     compress_to_uniform,
     constant_cycle_index,
     cycle_unitary,
@@ -249,7 +247,7 @@ def certify_k1(chain, cu, beta=None, strict_matching: bool = False) -> tuple[Rep
             add(COMPRESSION, comp.ok, {"corner": comp.n, "max_valence": comp.max_valence})
             dumps["u_tilde"] = comp.u_tilde
         if beta is not None:
-            rep = verify_matching_independence(chain, canonical_matching(ex), beta)
+            rep = verify_matching_independence(cu, beta)
             add(PRODUCT_ROUTE, rep.content_ok, rep.to_json())
             add(LITERAL_ROUTE, rep.literal_route_ok, rep.to_json(), advisory=not strict_matching)
     dumps["u"] = cu.u
@@ -361,20 +359,17 @@ def check_matching_independence(
     literal_failures = []
     tested = 0
     # the fixed wedge of two 2-gons, with the crossing matching
-    g8, gamma8 = corpus.figure_eight()
-    ex8 = expand_graph(g8, gamma8)
-    cases = [
-        (gamma8, canonical_matching(ex8), permuted_matching(ex8, {"z": (1, 0)}))
-    ]
+    cu8 = cycle_unitary(corpus.figure_eight()[1])
+    cases = [(cu8, permuted_matching(cu8.expanded, {"z": (1, 0)}))]
     while len(cases) < pairs:
         g = corpus.random_graph(rng, max_vertices=12, max_edges=24)
         gamma = corpus.random_multiplicity_cycle(rng, g)
         if gamma is None:
             continue
         alpha, beta = corpus.random_matching_pair(rng, gamma)
-        cases.append((gamma, alpha, beta))
-    for i, (gamma, alpha, beta) in enumerate(cases):
-        rep = verify_matching_independence(gamma, alpha, beta)
+        cases.append((cycle_unitary(gamma, alpha), beta))
+    for i, (cu, beta) in enumerate(cases):
+        rep = verify_matching_independence(cu, beta)
         tested += 1
         if not rep.content_ok:
             content_failures.append({"case": i})

@@ -25,6 +25,7 @@ from coarsek.operators import (
 from coarsek.k1_map import (
     CycleUnitary,
     canonical_matching,
+    cycle_unitary,
     line_cycle_unitary,
     permuted_matching,
     verify_matching_independence,
@@ -98,7 +99,7 @@ def rank_over_valence(cu: CycleUnitary) -> CycleUnitary:
 
 def _corpus_checks(monkeypatch, fault) -> tuple[dict, dict]:
     real = scenarios.cycle_unitary
-    monkeypatch.setattr(scenarios, "cycle_unitary", lambda gamma: fault(real(gamma)))
+    monkeypatch.setattr(scenarios, "cycle_unitary", lambda *args: fault(real(*args)))
     return (
         scenarios.check_unitarity_corpus(SEED, COUNT),
         scenarios.check_propagation_corpus(SEED, COUNT),
@@ -134,7 +135,7 @@ def _random_finite_checks(monkeypatch, fault) -> tuple[dict, dict]:
     """The two cycle checks as verify runs them: one shared pass inside
     run_random_finite."""
     real = scenarios.cycle_unitary
-    monkeypatch.setattr(scenarios, "cycle_unitary", lambda gamma: fault(real(gamma)))
+    monkeypatch.setattr(scenarios, "cycle_unitary", lambda *args: fault(real(*args)))
     report = scenarios.run_random_finite(SEED, COUNT)
     assert not report.passed
     checks = {c.name: c for c in report.checks}
@@ -474,7 +475,7 @@ def test_k1_map_passes_on_the_real_unitary(tmp_path, capsys):
 
 def test_k1_map_a_moved_column_fails_only_unitarity(tmp_path, capsys, monkeypatch):
     real = cli.cycle_unitary
-    monkeypatch.setattr(cli, "cycle_unitary", lambda gamma: column_moved(real(gamma)))
+    monkeypatch.setattr(cli, "cycle_unitary", lambda *args: column_moved(real(*args)))
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
     _only_failure(rc, verdicts, "cycle unitary is exactly unitary")
 
@@ -483,7 +484,7 @@ def test_k1_map_a_move_between_non_adjacent_vertices_fails_only_adjacency(
     tmp_path, capsys, monkeypatch
 ):
     real = cli.cycle_unitary
-    monkeypatch.setattr(cli, "cycle_unitary", lambda gamma: non_adjacent_move(real(gamma)))
+    monkeypatch.setattr(cli, "cycle_unitary", lambda *args: non_adjacent_move(real(*args)))
     rc, verdicts = _run_cli(tmp_path, capsys, "k1-map", CYCLE5, AROUND5)
     _only_failure(rc, verdicts, "entries join adjacent vertices only")
 
@@ -851,7 +852,7 @@ def _bigon_report():
     gamma = Chain1(g, TWICE_AROUND["coeffs"])
     ex = expand_graph(g, gamma)
     beta = permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
-    return verify_matching_independence(gamma, canonical_matching(ex), beta)
+    return verify_matching_independence(cycle_unitary(gamma, canonical_matching(ex)), beta)
 
 
 def _verdicts(rep) -> dict:

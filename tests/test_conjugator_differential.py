@@ -1,5 +1,7 @@
 """Differential tests: the exact block-conjugator decision of the
-two-conjugation route against the backtracking search it replaced.
+two-conjugation route against the backtracking search it replaced, and the
+comparison of a built cycle unitary with a second matching against the
+comparison of two unitaries built each from its own expansion.
 
 The search assigns per-vertex slot permutations one ingoing edge at a time,
 propagates each choice along both matchings and backtracks on a conflict.
@@ -8,20 +10,26 @@ budget and is run only on small cases; whenever it finishes, the decision
 must give the same existence verdict, and every conjugator the decision
 returns must satisfy V* U_alpha V = U_beta."""
 
+import json
 import random
 
+from coarsek import cli, corpus, k0_map, k1_map, scenarios
 from coarsek.chains import Chain1
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.k0_map import block_diagonal_slot_permutation, expand_graph
 from coarsek.k1_map import (
+    MatchingIndependenceReport,
     _block_conjugator,
     _hybrid_intermediate,
     _least_rotation,
     canonical_matching,
     cycle_unitary,
+    matching_correction,
+    permutation_cycle_type,
     permuted_matching,
     verify_matching_independence,
 )
+from coarsek.operators import SparseBlockOperator, diagonal_block_ranks
 
 SEARCH_BUDGET = 200_000  # propagation steps before the search gives up
 
@@ -35,8 +43,8 @@ def search_block_conjugator(g, alpha, beta):
     (None, "exhausted") or (None, "budget")."""
     pi: dict = {x: {} for x in g.vertices}
     used: dict = {x: set() for x in g.vertices}
-    alpha_inv = {x: {v: k for k, v in alpha.at(x).items()} for x in g.vertices}
-    beta_inv = {x: {v: k for k, v in beta.at(x).items()} for x in g.vertices}
+    alpha_inv = {x: {v: k for k, v in alpha[x].items()} for x in g.vertices}
+    beta_inv = {x: {v: k for k, v in beta[x].items()} for x in g.vertices}
     points = [(x, e) for x in g.vertices for e in g.in_edges(x)]
     steps = 0
 
@@ -55,14 +63,14 @@ def search_block_conjugator(g, alpha, beta):
                 continue
             if p in used[x] or p.target != x or p.source != e.source:
                 return False
-            if alpha.at(x)[p].target != beta.at(x)[e].target:
+            if alpha[x][p].target != beta[x][e].target:
                 return False
             pi[x][e] = p
             used[x].add(p)
             trail.append((x, e, p))
             # forward: the constraint attached to the edge beta_x(e)
-            f = beta.at(x)[e]
-            stack.append((f.target, f, alpha.at(x)[p]))
+            f = beta[x][e]
+            stack.append((f.target, f, alpha[x][p]))
             # backward: the constraint attached to the edge e itself
             s = e.source
             e0 = beta_inv[s].get(e)
@@ -176,7 +184,7 @@ def test_decision_agrees_with_the_search_on_random_pairs():
         if reason == "budget":
             continue
         compared += 1
-        assert (got is None) == (want is None), (gamma.coeffs, alpha.per_vertex, beta.per_vertex)
+        assert (got is None) == (want is None), (gamma.coeffs, alpha, beta)
         if got is None:
             assert obstruction.startswith("closed walk ")
             continue
@@ -221,10 +229,144 @@ def test_equal_cycle_types_without_a_conjugator_carry_the_walk_certificate():
     alpha = canonical_matching(ex)
     beta = permuted_matching(ex, POSITIONS)
     assert search_block_conjugator(ex, alpha, beta) == (None, "exhausted")
-    rep = verify_matching_independence(gamma, alpha, beta)
+    rep = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
     assert rep.content_ok
     assert rep.literal_intermediate_unitary
     assert rep.cycle_types[0] == rep.cycle_types[1]
     assert rep.literal_v is None and rep.literal_v_identity is None
     assert rep.literal_v_obstruction == CERTIFICATE
     assert not rep.literal_route_ok
+
+
+# ---------------------------------------------------------------------------
+# a built cycle unitary against two independent builds
+
+
+def comparison_of_two_builds(gamma, alpha, beta) -> MatchingIndependenceReport:
+    """The comparison as it was made from gamma and two matchings: the
+    unitaries of alpha and beta each built by cycle_unitary from its own
+    expansion of gamma, and the correction, hybrid and conjugator on a
+    third expansion."""
+    g = expand_graph(gamma.graph, gamma)
+    u_a, u_b = cycle_unitary(gamma, alpha).u, cycle_unitary(gamma, beta).u
+    correction = matching_correction(g, alpha, beta)
+    hybrid, collision = _hybrid_intermediate(g, alpha, beta)
+    types = (permutation_cycle_type(u_a), permutation_cycle_type(u_b))
+    v_op = v_identity = v_obstruction = w_op = w_identity = w_obstruction = None
+    if collision is None:
+        if types[0] is not None and types[0] != types[1]:
+            v_obstruction = (
+                f"cycle types differ ({types[0]} vs {types[1]}): "
+                "no unitary conjugation can exist"
+            )
+        else:
+            per_vertex, v_obstruction = _block_conjugator(g, alpha, beta)
+            if per_vertex is not None:
+                v_op = block_diagonal_slot_permutation(u_a.domain, per_vertex)
+                v_identity = v_op.adjoint().compose(u_a).compose(v_op) == hybrid
+        w_op = SparseBlockOperator.identity(u_a.domain)
+        w_identity = w_op.adjoint().compose(hybrid).compose(w_op) == u_b
+    else:
+        v_obstruction = (
+            "hybrid intermediate is not injective: columns "
+            f"{collision[0]} and {collision[1]} share the image {collision[2]}"
+        )
+        w_obstruction = (
+            "no unitary W exists: W*U'W would be non-injective like U', "
+            "but U_beta is a permutation"
+        )
+    return MatchingIndependenceReport(
+        u_alpha=u_a,
+        u_beta=u_b,
+        correction=correction,
+        correction_identity=u_a.compose(correction) == u_b,
+        correction_is_permutation=correction.adjoint().compose(correction)
+        == SparseBlockOperator.identity(correction.domain),
+        correction_propagation_zero=all(
+            r is None or r.vertex == c.vertex for c, r in correction.moves.items()
+        ),
+        correction_block_ranks=dict(diagonal_block_ranks(correction)),
+        literal_intermediate_unitary=collision is None,
+        literal_collision=collision,
+        literal_matches_beta=(hybrid == u_b) if collision is None else None,
+        literal_v=v_op,
+        literal_v_identity=v_identity,
+        literal_v_obstruction=v_obstruction,
+        literal_w=w_op,
+        literal_w_identity=w_identity,
+        literal_w_obstruction=w_obstruction,
+        cycle_types=types,
+    )
+
+
+def scenario_pairs(monkeypatch) -> list:
+    """(gamma, alpha, beta) of every pair that check_matching_independence
+    compares at the default seed; alpha is None for the canonical matching."""
+    sources, pairs = {}, []
+    real_build, real_verify = scenarios.cycle_unitary, scenarios.verify_matching_independence
+
+    def building(gamma, alpha=None):
+        cu = real_build(gamma, alpha)
+        # cu is kept so that its id names no later unitary
+        sources[id(cu)] = (cu, gamma, alpha)
+        return cu
+
+    def verifying(cu, beta):
+        pairs.append((*sources[id(cu)][1:], beta))
+        return real_verify(cu, beta)
+
+    monkeypatch.setattr(scenarios, "cycle_unitary", building)
+    monkeypatch.setattr(scenarios, "verify_matching_independence", verifying)
+    scenarios.check_matching_independence(scenarios.DEFAULT_SEED)
+    monkeypatch.undo()
+    return pairs
+
+
+def test_a_built_unitary_compares_as_two_independent_builds(monkeypatch):
+    pairs = scenario_pairs(monkeypatch)
+    assert len(pairs) == 50
+    assert pairs[0][0].coeffs == corpus.figure_eight()[1].coeffs
+    hybrids = set()
+    for gamma, alpha, beta in pairs:
+        if alpha is None:
+            alpha = canonical_matching(expand_graph(gamma.graph, gamma))
+        got = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
+        want = comparison_of_two_builds(gamma, alpha, beta)
+        assert got.to_json() == want.to_json()
+        assert got.u_beta == want.u_beta
+        assert got.correction == want.correction
+        assert got.literal_v == want.literal_v
+        assert got.literal_w == want.literal_w
+        hybrids.add(got.literal_intermediate_unitary)
+    # both branches of the literal route are compared
+    assert hybrids == {True, False}
+
+
+def test_a_matching_request_expands_the_graph_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = k0_map.expand_graph
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (k0_map, k1_map, corpus, scenarios, cli):
+        if hasattr(module, "expand_graph"):
+            monkeypatch.setattr(module, "expand_graph", counting)
+    files = {
+        "graph": {
+            "kind": "finite",
+            "vertices": [0, 1],
+            "edges": [{"id": "a", "source": 0, "target": 1}, {"id": "b", "source": 1, "target": 0}],
+        },
+        "chain": {"degree": 1, "coeffs": {"a": 2, "b": 2}},
+        "matching": {"positions": {"0": [1, 0], "1": [1, 0]}},
+    }
+    argv = ["k1-map", "--json"]
+    for name, payload in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        argv += [f"--{name}", str(path)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(calls) == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from coarsek import corpus
 from coarsek.intlinalg import rank as matrix_rank
+from coarsek.k0_map import expand_graph
 from coarsek.k1_map import (
     _hybrid_intermediate,
     compress_to_uniform,
@@ -53,7 +54,7 @@ def reference_domain(g) -> frozenset:
 def reference_track_map(g, matching) -> dict:
     mapping = {}
     for x in g.vertices:
-        route = matching.at(x)
+        route = matching[x]
         for e in g.edges:
             b = BlockIndex(x, e.id)
             if e.target == x:
@@ -84,7 +85,7 @@ def reference_hybrid(g, alpha, beta):
         if e is None:
             mapping[b] = b
         else:
-            mapping[b] = BlockIndex(alpha.at(b.vertex)[e].target, beta.at(b.vertex)[e].id)
+            mapping[b] = BlockIndex(alpha[b.vertex][e].target, beta[b.vertex][e].id)
     collision = None
     seen = {}
     for b in sorted(mapping, key=block_key):
@@ -261,14 +262,14 @@ def test_rerouted_matchings_and_corrections_match_full_construction(seed):
     if gamma is None or not gamma.coeffs:
         gamma = corpus.figure_eight()[1]
     alpha, beta = corpus.random_matching_pair(rng, gamma)
-    ex = alpha.expanded
+    ex = expand_graph(gamma.graph, gamma)
     u_beta = cycle_unitary(gamma, beta).u
     assert_same_operator(u_beta, reference_cycle_unitary(ex, beta))
     correction = matching_correction(ex, alpha, beta)
     per_vertex = {}
     for x in ex.vertices:
-        alpha_inv = {out: e for e, out in alpha.at(x).items()}
-        per_vertex[x] = {e.id: alpha_inv[beta.at(x)[e]].id for e in ex.in_edges(x)}
+        alpha_inv = {out: e for e, out in alpha[x].items()}
+        per_vertex[x] = {e.id: alpha_inv[beta[x][e]].id for e in ex.in_edges(x)}
     ref_corr = reference_slot_permutation(reference_domain(ex), per_vertex)
     assert_same_operator(correction, ref_corr)
     assert_same_algebra(correction, ref_corr)

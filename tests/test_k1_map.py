@@ -47,7 +47,7 @@ def test_canonical_matching_on_triangle_is_forced():
     ex = expand_graph(g, gamma)
     m = canonical_matching(ex)
     for x in ex.vertices:
-        assert len(m.at(x)) == 1
+        assert len(m[x]) == 1
 
 
 def test_canonical_matching_reports_noncycle_vertex():
@@ -64,7 +64,7 @@ def test_figure_eight_has_two_matchings_at_center():
     assert ex.in_count("z") == 2
     a = canonical_matching(ex)
     b = permuted_matching(ex, {"z": (1, 0)})
-    assert a.at("z") != b.at("z")
+    assert a["z"] != b["z"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,8 @@ def test_block_ranks_equal_block_rank_on_every_block():
 def test_correction_ranks_equal_elimination_on_the_scenario_pairs(monkeypatch):
     reports = []
 
-    def recording(gamma, alpha, beta):
-        reports.append(verify_matching_independence(gamma, alpha, beta))
+    def recording(cu, beta):
+        reports.append(verify_matching_independence(cu, beta))
         return reports[-1]
 
     monkeypatch.setattr(scenarios, "verify_matching_independence", recording)
@@ -196,7 +196,7 @@ def test_correction_ranks_of_a_large_rerouting_need_no_elimination(monkeypatch):
     ex = expand_graph(g, gamma)
     reversal = tuple(reversed(range(300)))
     rep = verify_matching_independence(
-        gamma, canonical_matching(ex), permuted_matching(ex, {0: reversal})
+        cycle_unitary(gamma, canonical_matching(ex)), permuted_matching(ex, {0: reversal})
     )
     assert rep.content_ok
     # reversing 300 slots makes 150 transpositions, each of rank 1
@@ -207,7 +207,7 @@ def test_identical_matchings_make_the_literal_route_trivial():
     g, gamma = figure_eight()
     ex = expand_graph(g, gamma)
     a = canonical_matching(ex)
-    rep = verify_matching_independence(gamma, a, a)
+    rep = verify_matching_independence(cycle_unitary(gamma, a), a)
     assert rep.content_ok
     assert rep.literal_route_ok
     assert rep.correction == SparseBlockOperator.identity(rep.correction.domain)
@@ -220,7 +220,7 @@ def test_figure_eight_crossing_matchings():
     ex = expand_graph(g, gamma)
     a = canonical_matching(ex)
     b = permuted_matching(ex, {"z": (1, 0)})
-    rep = verify_matching_independence(gamma, a, b)
+    rep = verify_matching_independence(cycle_unitary(gamma, a), b)
     # the product identity holds exactly, with a propagation-zero unitary
     assert rep.content_ok
     assert rep.correction_block_ranks["z"] >= 1
@@ -243,7 +243,7 @@ def test_parallel_copies_make_the_hybrid_unitary_but_not_conjugate():
     ex = expand_graph(g, gamma)
     a = canonical_matching(ex)
     b = permuted_matching(ex, {0: (1, 0)})
-    rep = verify_matching_independence(gamma, a, b)
+    rep = verify_matching_independence(cycle_unitary(gamma, a), b)
     assert rep.literal_intermediate_unitary
     assert rep.literal_matches_beta
     assert rep.literal_w_identity  # W = 1 conjugates the hybrid to U_beta
@@ -261,7 +261,7 @@ def test_double_bigon_with_swaps_at_both_vertices_conjugates():
     ex = expand_graph(g, gamma)
     alpha = canonical_matching(ex)
     beta = permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
-    rep = verify_matching_independence(gamma, alpha, beta)
+    rep = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
     assert rep.cycle_types[0] == rep.cycle_types[1] == (2, 2)
     assert rep.literal_intermediate_unitary
     assert rep.literal_v is not None and rep.literal_v_identity
@@ -280,7 +280,7 @@ def test_random_pairs_satisfy_the_product_identity():
         if gamma is None:
             continue
         alpha, beta = random_matching_pair(rng, gamma)
-        rep = verify_matching_independence(gamma, alpha, beta)
+        rep = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
         assert rep.content_ok
         assert rep.u_alpha.compose(rep.correction) == rep.u_beta
         done += 1
@@ -393,6 +393,19 @@ def test_line_copy_permutations_are_checked_like_finite_ones(perm):
     # vertex of the window interior has
     with pytest.raises(ValueError, match=r"^bad permutation at vertex 'z'$"):
         permuted_matching(expand_graph(*figure_eight()), {"z": perm})
+
+
+def test_a_line_permutation_off_the_window_is_refused_by_name():
+    # it used to be dropped, so the comparison matched the canonical
+    # matching with itself and passed vacuously
+    with pytest.raises(ValueError, match=r"^not a vertex: 100$"):
+        line_matching_independence(2, Window(8, 4), {100: (1, 0)})
+
+
+def test_a_permutation_at_no_vertex_is_refused_by_name():
+    ex = expand_graph(*figure_eight())
+    with pytest.raises(ValueError, match=r"^not a vertex: 'nowhere'$"):
+        permuted_matching(ex, {"nowhere": (1, 0)})
 
 
 def test_line_copy_permutations_of_every_copy_are_accepted_at_both_window_ends():
