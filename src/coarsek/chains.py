@@ -210,8 +210,9 @@ def boundary(gamma: Union[Chain1, BandedZChain]) -> Union[Chain0, BandedZChain]:
     """Linear extension of d(e) = t(e) - s(e)."""
     if isinstance(gamma, Chain1):
         out: dict[Label, int] = {}
+        by_id = gamma.graph._by_id
         for eid, coeff in gamma.coeffs.items():
-            e = gamma.graph.edge(eid)
+            e = by_id[eid]
             out[e.target] = out.get(e.target, 0) + coeff
             out[e.source] = out.get(e.source, 0) - coeff
         return Chain0._trusted(gamma.graph, out.items())
@@ -237,13 +238,14 @@ def is_cycle(gamma: Union[Chain1, BandedZChain]) -> bool:
     via_boundary = boundary(gamma).is_zero()
     # the flows walk the adjacency lists where boundary walks the coefficients
     g, coeff = gamma.graph, gamma.coeffs.get
+    ins, outs = g._ends
     net = 0  # in-flow minus out-flow of a vertex, up to the first unbalanced one
     for x in g.vertices:
         if net:
             break
-        for e in g.in_edges(x):
+        for e in ins[x]:
             net += coeff(e.id, 0)
-        for e in g.out_edges(x):
+        for e in outs[x]:
             net -= coeff(e.id, 0)
     via_flows = not net
     if via_boundary != via_flows:
@@ -388,7 +390,8 @@ def fundamental_cycle(g: OrientedGraph, up: dict, extra: Edge) -> Chain1:
         coeffs[up[x].id] = 1 if up[x].target == x else -1
     for x in reversed(from_target):
         coeffs[up[x].id] = 1 if up[x].source == x else -1
-    return Chain1(g, coeffs)
+    # every key is an edge of g and every coefficient +-1
+    return Chain1._trusted(g, coeffs.items())
 
 
 def solve_boundary_finite(g: OrientedGraph, c: Chain0) -> Optional[Chain1]:

@@ -56,6 +56,10 @@ EXIT_INPUT = 2
 #: 161 MB), against 577 units for the largest benchmark request.
 MAX_WORK = 100_000
 
+#: The window radius and margin on the line when --window or --margin is not
+#: given.
+LINE_RADIUS, LINE_MARGIN = 16, 8
+
 
 class InputError(Exception):
     pass
@@ -114,8 +118,23 @@ def _finite_work(g: OrientedGraph, chain, spread: bool) -> int:
     return n * (1 + copies) if spread else n + copies
 
 
-def _window_vertices(args) -> int:
-    return 2 * (args.window + args.margin) + 1
+def _refuse_window_options(args) -> None:
+    """--window and --margin size the window of the line; a finite graph
+    has none, so either one given with it is an input error."""
+    for flag, value in (("--window", args.window), ("--margin", args.margin)):
+        if value is not None:
+            raise InputError(f"{flag}: a finite graph takes no window, got {value}")
+
+
+def _line_window(args) -> Window:
+    """The window of a request on the line: radius 16 and margin 8 unless
+    --window or --margin says otherwise."""
+    radius = LINE_RADIUS if args.window is None else args.window
+    return Window(radius=radius, margin=LINE_MARGIN if args.margin is None else args.margin)
+
+
+def _window_vertices(window: Window) -> int:
+    return window.hi - window.lo + 1
 
 
 def _dump_operators(directory: str, named_ops: dict) -> None:
@@ -210,14 +229,15 @@ def cmd_k0(args) -> int:
     chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
     window = None
     if isinstance(g, OrientedGraph):
+        _refuse_window_options(args)
         if not isinstance(chain, Chain0):
             raise InputError("the degree-0 map needs a degree-0 chain")
         _admit(_finite_work(g, chain, spread=True), args.dump)
     else:
         if not isinstance(chain, BandedZChain) or chain.degree != 0:
             raise InputError("banded graphs need a banded degree-0 chain")
-        _admit(_window_vertices(args) * uniform_bound(chain), args.dump)
-        window = Window(radius=args.window, margin=args.margin)
+        window = _line_window(args)
+        _admit(_window_vertices(window) * uniform_bound(chain), args.dump)
     return _emit(args, *certify_k0(g, chain, window))
 
 
@@ -267,6 +287,7 @@ def cmd_k1(args) -> int:
     chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
     beta = None
     if isinstance(g, OrientedGraph):
+        _refuse_window_options(args)
         if not isinstance(chain, Chain1):
             raise InputError("the degree-1 map needs a degree-1 chain")
         positions = _load_positions(args.matching, g) if args.matching else None
@@ -293,9 +314,10 @@ def cmd_k1(args) -> int:
                 f"not a cycle: the boundary is nonzero at vertex "
                 f"{_named_noncycle_vertex(chain)}"
             )
-        n = _window_vertices(args)
+        window = _line_window(args)
+        n = _window_vertices(window)
         _admit(n + abs(k) * (n - 1), args.dump)
-        cu = line_cycle_unitary(k, Window(radius=args.window, margin=args.margin))
+        cu = line_cycle_unitary(k, window)
     return _emit(args, *certify_k1(chain, cu, beta, args.strict_matching))
 
 
@@ -349,9 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True)
         p.add_argument("--chain", required=True)
         p.add_argument(
-            "--window", type=_nonnegative, default=16, help="central radius"
+            "--window", type=_nonnegative, help=f"central radius on the line (default {LINE_RADIUS})"
         )
-        p.add_argument("--margin", type=_nonnegative, default=8)
+        p.add_argument(
+            "--margin", type=_nonnegative, help=f"window margin on the line (default {LINE_MARGIN})"
+        )
         p.add_argument("--dump", metavar="DIR", help="write operator dumps")
         p.add_argument("--json", action="store_true")
         if name == "k1-map":

@@ -11,8 +11,8 @@ from typing import Iterator, Optional
 
 from .chains import Chain0, Chain1, fundamental_cycle, spanning_forest
 from .graphs import Edge, OrientedGraph
-from .k0_map import expand_graph
-from .k1_map import canonical_matching, permuted_matching
+from .k0_map import ExpandedGraph
+from .k1_map import permuted_matching
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,15 @@ def figure_eight() -> tuple[OrientedGraph, Chain1]:
 # random corpora
 
 
+def _graph(n: int, edges: list) -> OrientedGraph:
+    """The graph on vertices 0..n-1 and the given edges, valid by
+    construction: distinct string ids, endpoints among the vertices and no
+    loop.  Vertices ascend and a string sort is idkey order; the ids are
+    distinct, so sorting the edge tuples sorts them by id."""
+    edges.sort()
+    return OrientedGraph._trusted(tuple(range(n)), tuple(edges))
+
+
 def random_graph(
     rng: random.Random, max_vertices: int = 30, max_edges: int = 60
 ) -> OrientedGraph:
@@ -46,12 +55,13 @@ def random_graph(
     cap = min(max_edges, len(pairs))
     m = rng.randint(min(1, cap), cap)
     chosen = rng.sample(pairs, m)
+    new = tuple.__new__  # NamedTuples without their Python-level constructors
     edges = []
     for i, (u, v) in enumerate(sorted(chosen)):
         if rng.random() < 0.5:
             u, v = v, u
-        edges.append(Edge(f"e{i}", u, v))
-    return OrientedGraph(range(n), edges)
+        edges.append(new(Edge, (f"e{i}", u, v)))
+    return _graph(n, edges)
 
 
 def _non_tree_edges(g: OrientedGraph) -> tuple[dict, list[Edge]]:
@@ -69,7 +79,7 @@ def random_cycle(
     """Random integer combination of fundamental cycles with all
     coefficients bounded by the given strict bound in magnitude."""
     up, extras = _non_tree_edges(g)
-    zero = Chain1(g, {})
+    zero = Chain1._trusted(g, ())
     if not extras:
         return zero
     # drawing edges takes the same random numbers as drawing their cycles
@@ -97,27 +107,23 @@ def random_multiplicity_cycle(rng: random.Random, g: OrientedGraph) -> Optional[
 
 def random_chain1(rng: random.Random, g: OrientedGraph, bound: int = 3) -> Chain1:
     if not g.edges:
-        return Chain1(g, {})
+        return Chain1._trusted(g, ())
     m = rng.randint(1, min(len(g.edges), 8))
     picked = rng.sample(list(g.edges), m)
-    return Chain1(
-        g, {e.id: rng.choice([v for v in range(-bound, bound + 1) if v]) for e in picked}
-    )
+    values = [v for v in range(-bound, bound + 1) if v]
+    return Chain1._trusted(g, [(e.id, rng.choice(values)) for e in picked])
 
 
 def random_chain0(rng: random.Random, g: OrientedGraph, bound: int = 3) -> Chain0:
     m = rng.randint(1, min(len(g.vertices), 8))
     picked = rng.sample(list(g.vertices), m)
-    return Chain0(
-        g, {v: rng.choice([x for x in range(-bound, bound + 1) if x]) for v in picked}
-    )
+    values = [x for x in range(-bound, bound + 1) if x]
+    return Chain0._trusted(g, [(v, rng.choice(values)) for v in picked])
 
 
-def random_matching_pair(rng: random.Random, gamma: Chain1) -> tuple[dict, dict]:
-    """Routes of the canonical matching and of an independent uniformly
-    random one."""
-    g = expand_graph(gamma.graph, gamma)
-    alpha = canonical_matching(g)
+def random_matching(rng: random.Random, g: ExpandedGraph) -> dict:
+    """Routes of a uniformly random matching of g, the expanded graph of a
+    cycle."""
     positions = {}
     for x in g.vertices:
         n_x = g.in_count(x)
@@ -125,31 +131,35 @@ def random_matching_pair(rng: random.Random, gamma: Chain1) -> tuple[dict, dict]
             perm = list(range(n_x))
             rng.shuffle(perm)
             positions[x] = tuple(perm)
-    beta = permuted_matching(g, positions)
-    return alpha, beta
+    return permuted_matching(g, positions)
 
 
-def random_tree(rng: random.Random, n: int) -> OrientedGraph:
+def _tree_edges(rng: random.Random, n: int) -> list[Edge]:
+    new = tuple.__new__
     edges = []
     for i in range(1, n):
         p = rng.randrange(i)
         u, v = (p, i) if rng.random() < 0.5 else (i, p)
-        edges.append(Edge(f"t{i}", u, v))
-    return OrientedGraph(range(n), edges)
+        edges.append(new(Edge, (f"t{i}", u, v)))
+    return edges
+
+
+def random_tree(rng: random.Random, n: int) -> OrientedGraph:
+    return _graph(n, _tree_edges(rng, n))
 
 
 def tree_plus_edges(rng: random.Random, n: int, extra: int) -> OrientedGraph:
     """Connected graph: a random tree plus the given number of extra edges
     (parallel edges permitted), so the cycle rank is exactly `extra`."""
-    tree = random_tree(rng, n)
-    edges = list(tree.edges)
+    edges = _tree_edges(rng, n)
+    new = tuple.__new__
     for i in range(extra):
         u = rng.randrange(n)
         v = rng.randrange(n)
         while v == u:
             v = rng.randrange(n)
-        edges.append(Edge(f"x{i}", u, v))
-    return OrientedGraph(range(n), edges)
+        edges.append(new(Edge, (f"x{i}", u, v)))
+    return _graph(n, edges)
 
 
 def _connects(n: int, pairs: list) -> bool:
@@ -168,11 +178,10 @@ def all_connected_graphs(n: int) -> Iterator[OrientedGraph]:
     """Every simple connected graph on vertices 0..n-1 (canonical
     orientation: lower endpoint is the source).  Feasible for small n."""
     pairs = list(combinations(range(n), 2))
+    new = tuple.__new__
     for mask in range(1 << len(pairs)):
         chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
         if n > 1 and len(chosen) < n - 1:
             continue
         if _connects(n, chosen):
-            yield OrientedGraph(
-                range(n), [Edge(f"e{u}-{v}", u, v) for u, v in chosen]
-            )
+            yield _graph(n, [new(Edge, (f"e{u}-{v}", u, v)) for u, v in chosen])

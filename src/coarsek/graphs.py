@@ -141,7 +141,7 @@ class OrientedGraph:
         ]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, OrientedGraph)
             and self.vertices == other.vertices
             and self.edges == other.edges

@@ -88,12 +88,14 @@ class ProjectionPair:
 
 def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
     ceiling = max((abs(v) for v in values.values()), default=0)
-    dom = ProductBasis(values, [Ordinal(i) for i in range(1, ceiling + 1)])
+    new = tuple.__new__  # NamedTuples without their Python-level constructors
+    ordinals = [new(Ordinal, (i,)) for i in range(1, ceiling + 1)]
+    dom = ProductBasis(values, ordinals)
     f_moves = {}
     g_moves = {}
     for x, cx in values.items():
-        for i in range(1, abs(cx) + 1):
-            b = BlockIndex(x, Ordinal(i))
+        for o in ordinals[: abs(cx)]:
+            b = new(BlockIndex, (x, o))
             if cx > 0:
                 f_moves[b] = b
             else:
@@ -245,11 +247,12 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
     ins = Counter(e.target for e in g.edges)
     outs = Counter(e.source for e in g.edges)
     ceiling = max([*ins.values(), *outs.values()], default=0)
-    ordinals = [Ordinal(i) for i in range(1, ceiling + 1)]
-    sources = [BlockIndex(e.source, e.id) for e in g.edges]
-    targets = [BlockIndex(e.target, e.id) for e in g.edges]
+    new = tuple.__new__  # NamedTuples without their Python-level constructors
+    ordinals = [new(Ordinal, (i,)) for i in range(1, ceiling + 1)]
+    sources = [new(BlockIndex, (e.source, e.id)) for e in g.edges]
+    targets = [new(BlockIndex, (e.target, e.id)) for e in g.edges]
     dom = frozenset(
-        [BlockIndex(x, o) for x in g.vertices for o in ordinals] + sources + targets
+        [new(BlockIndex, (x, o)) for x in g.vertices for o in ordinals] + sources + targets
     )
 
     def op(moves, scalar=0):
@@ -259,7 +262,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         return op({b: b for b in blocks})
 
     def ranks(counts):
-        return diag(BlockIndex(x, o) for x, n in counts.items() for o in ordinals[:n])
+        return diag(new(BlockIndex, (x, o)) for x, n in counts.items() for o in ordinals[:n])
 
     def exchange(counts, edges_at):
         # at each vertex x, ordinal slot i and the slot of the i-th edge of
@@ -268,7 +271,7 @@ def boundary_witness(gamma: Chain1) -> BoundaryWitness:
         for x, n in counts.items():
             swaps = order_matched_involution(ordinals[:n], [e.id for e in edges_at(x)])
             for a, b in swaps.items():
-                moves[BlockIndex(x, a)] = BlockIndex(x, b)
+                moves[new(BlockIndex, (x, a))] = new(BlockIndex, (x, b))
         return op(moves, 1)
 
     v = op(dict(zip(sources, targets)))

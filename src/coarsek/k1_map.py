@@ -158,9 +158,29 @@ def _unitary(g: ExpandedGraph, routes: dict) -> SparseBlockOperator:
     return SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
 
 
+def _check_routes(g: ExpandedGraph, routes: dict) -> None:
+    """Refuse, naming the vertex, routes that are no matching of g: they
+    must cover exactly the vertices, and at each one map its ingoing edges
+    to distinct outgoing edges.  g expands a cycle, so a vertex that no
+    edge leaves has no ingoing edge either and no route."""
+    for x in routes:
+        if not g.has_vertex(x):
+            raise ValueError(f"routes at {x!r}, which is not a vertex")
+    for x in g.vertices:
+        route = routes.get(x)
+        if route is None:
+            raise ValueError(f"no routes at vertex {x!r}")
+        if route.keys() != set(g.in_edges(x)):
+            raise ValueError(f"the routes at vertex {x!r} are not keyed by its ingoing edges")
+        targets = set(route.values())
+        if len(targets) != len(route) or not targets <= set(g.out_edges(x)):
+            raise ValueError(f"the routes at vertex {x!r} are not distinct outgoing edges")
+
+
 def cycle_unitary(gamma: Chain1, matching: Optional[dict] = None) -> CycleUnitary:
     """Build the permutation unitary of a finite-support cycle, by the
-    canonical matching or by the given routes of its expanded graph."""
+    canonical matching or by the given routes of its expanded graph, which
+    are checked first."""
     g = expand_graph(gamma.graph, gamma)
     if not is_cycle(gamma):
         # this raises, naming the first unbalanced vertex
@@ -169,6 +189,8 @@ def cycle_unitary(gamma: Chain1, matching: Optional[dict] = None) -> CycleUnitar
         # a cycle balances the flows at every vertex, so the canonical
         # routes are a matching without the checks of permuted_matching
         matching = _routes(g, {})
+    else:
+        _check_routes(g, matching)
     return CycleUnitary(expanded=g, matching=matching, u=_unitary(g, matching))
 
 

@@ -366,8 +366,8 @@ def check_matching_independence(
         gamma = corpus.random_multiplicity_cycle(rng, g)
         if gamma is None:
             continue
-        alpha, beta = corpus.random_matching_pair(rng, gamma)
-        cases.append((cycle_unitary(gamma, alpha), beta))
+        cu = cycle_unitary(gamma)
+        cases.append((cu, corpus.random_matching(rng, cu.expanded)))
     for i, (cu, beta) in enumerate(cases):
         rep = verify_matching_independence(cu, beta)
         tested += 1
@@ -616,9 +616,8 @@ def _homology_agrees(g, expected_rank=None) -> bool:
         if not is_cycle(gamma):
             return False
     if res.h1_basis:
-        cols = [
-            [gamma.coeff(e.id) for gamma in res.h1_basis] for e in g.edges
-        ]
+        gets = [gamma.coeffs.get for gamma in res.h1_basis]
+        cols = [[get(e.id, 0) for get in gets] for e in g.edges]
         if matrix_rank(cols) != res.h1_rank:
             return False
     return True

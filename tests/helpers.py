@@ -1,12 +1,20 @@
 """Fixtures, references and JSON writers that only the tests use: small
 named graphs, dense integer matrix algebra over the sparse Smith factors,
-per-block ranks, and graph and chain files in the format the command line
-reads."""
+per-block ranks, graph and chain files in the format the command line
+reads, and the boundary witness through the checking constructor."""
 
-from coarsek.chains import BandedZChain, Chain1
+from collections import Counter
+
+from coarsek.chains import BandedZChain, Chain1, boundary
 from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
 from coarsek.intlinalg import Matrix, smith_normal_form
-from coarsek.operators import SparseBlockOperator, diagonal_block_ranks
+from coarsek.k0_map import expand_graph, order_matched_involution
+from coarsek.operators import (
+    BlockIndex,
+    Ordinal,
+    SparseBlockOperator,
+    diagonal_block_ranks,
+)
 
 # ---------------------------------------------------------------------------
 # small named graphs
@@ -164,3 +172,78 @@ def block_rank(a: SparseBlockOperator, x, y) -> int:
     if x != y:
         return sum(r is not None and (r.vertex, c.vertex) == (x, y) for c, r in a.moves.items())
     return diagonal_block_ranks(a)[x]
+
+
+# ---------------------------------------------------------------------------
+# the boundary witness
+
+
+def reference_witness(gamma: Chain1) -> tuple[dict, dict]:
+    """The witness operators through the checking constructor, and the
+    checks walking every vertex of the host."""
+    g = expand_graph(gamma.graph, gamma)
+    c = boundary(gamma)
+    ceiling = max(
+        (max(g.in_count(x), g.out_count(x)) for x in g.vertices), default=0
+    )
+    dom = frozenset(
+        {BlockIndex(e.source, e.id) for e in g.edges}
+        | {BlockIndex(e.target, e.id) for e in g.edges}
+        | {BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, ceiling + 1)}
+    )
+
+    def diag(blocks):
+        return SparseBlockOperator(dom, {b: b for b in blocks})
+
+    def exchange(count, edges_at):
+        moves = {}
+        for x in g.vertices:
+            ordinals = [Ordinal(i) for i in range(1, count(x) + 1)]
+            swaps = order_matched_involution(ordinals, [e.id for e in edges_at(x)])
+            moves.update({BlockIndex(x, a): BlockIndex(x, b) for a, b in swaps.items()})
+        return SparseBlockOperator(dom, moves, 1)
+
+    ops = {
+        "v": SparseBlockOperator(
+            dom,
+            {BlockIndex(e.source, e.id): BlockIndex(e.target, e.id) for e in g.edges},
+        ),
+        "source_projection": diag(BlockIndex(e.source, e.id) for e in g.edges),
+        "target_projection": diag(BlockIndex(e.target, e.id) for e in g.edges),
+        "in_rank_projection": diag(
+            BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, g.in_count(x) + 1)
+        ),
+        "out_rank_projection": diag(
+            BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, g.out_count(x) + 1)
+        ),
+        "exchange_in": exchange(g.in_count, g.in_edges),
+        "exchange_out": exchange(g.out_count, g.out_edges),
+    }
+    v = ops["v"]
+    vv, ww = v.adjoint().compose(v), v.compose(v.adjoint())
+    in_ranks = Counter(b.vertex for b, r in ww.moves.items() if r == b)
+    out_ranks = Counter(b.vertex for b, r in vv.moves.items() if r == b)
+
+    def conjugates(t, p, q):
+        return t.compose(p).compose(t.adjoint()) == q
+
+    checks = {
+        "initial_projection": vv == ops["source_projection"],
+        "final_projection": ww == ops["target_projection"],
+        "in_ranks": all(in_ranks[x] == g.in_count(x) for x in g.vertices),
+        "out_ranks": all(out_ranks[x] == g.out_count(x) for x in g.vertices),
+        "in_exchange": conjugates(
+            ops["exchange_in"], ops["target_projection"], ops["in_rank_projection"]
+        ),
+        "out_exchange": conjugates(
+            ops["exchange_out"], ops["source_projection"], ops["out_rank_projection"]
+        ),
+        "rank_bookkeeping": all(
+            g.in_count(x) - g.out_count(x) == c.coeff(x) for x in g.vertices
+        ),
+        "adjacency": all(
+            r.vertex == col.vertex or r.vertex in gamma.graph.neighbors(col.vertex)
+            for col, r in v.moves.items()
+        ),
+    }
+    return ops, checks

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from coarsek import cli, scenarios
 from coarsek.cli import MAX_WORK, main
+from coarsek.operators import Window
 
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
 
@@ -280,6 +281,43 @@ def test_negative_window_is_input_error(line_file, tmp_path, capsys, command, fl
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--window", "--margin"])
+def test_k0_map_on_a_finite_graph_refuses_window_options(
+    triangle_file, tmp_path, capsys, monkeypatch, flag
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the options were checked")
+
+    monkeypatch.setattr(cli, "certify_k0", refuse)
+    chain = write(tmp_path, "c.json", {"degree": 0, "coeffs": {"0": 1}})
+    assert main(["k0-map", "--graph", triangle_file, "--chain", chain, flag, "8"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: a finite graph takes no window, got 8" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["k0-map", "k1-map"])
+@pytest.mark.parametrize(
+    "flags, window",
+    [([], (16, 8)), (["--window", "3"], (3, 8)), (["--margin", "2"], (16, 2))],
+    ids=["defaults", "window-only", "margin-only"],
+)
+def test_the_line_window_defaults_to_radius_16_and_margin_8(
+    line_file, tmp_path, capsys, monkeypatch, command, flags, window
+):
+    made = []
+
+    def record(radius, margin):
+        made.append((radius, margin))
+        return Window(radius=radius, margin=margin)
+
+    monkeypatch.setattr(cli, "Window", record)
+    chain = write(tmp_path, "c.json", {"degree": int(command == "k1-map"),
+                                       "tail_left": 1, "tail_right": 1})
+    assert main([command, "--graph", line_file, "--chain", chain, *flags]) == 0
+    assert made == [window]
+
+
 def test_strict_matching_belongs_to_k1_map_only(triangle_file, tmp_path):
     chain = write(tmp_path, "c.json", {"degree": 0, "coeffs": {"0": 1}})
     with pytest.raises(SystemExit) as exc:
@@ -439,6 +477,9 @@ MISSING = object()  # a --matching path with no file
         (LINE_GRAPH, LINE_CYCLE, MISSING, "--matching: the line takes no matching file", ()),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, None, "--strict-matching needs a --matching file", ("--strict-matching",)),
         (LINE_GRAPH, LINE_CYCLE, None, "--strict-matching needs a --matching file", ("--strict-matching",)),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, None, "--window: a finite graph takes no window, got 4", ("--window", "4")),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, None, "--margin: a finite graph takes no window, got 0", ("--margin", "0")),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [1, 0]}}, "--window: a finite graph takes no window, got 16", ("--window", "16")),
     ],
     ids=[
         "graph-list", "chain-list", "matching-list", "positions-missing", "positions-list",
@@ -446,6 +487,7 @@ MISSING = object()  # a --matching path with no file
         "edges-per-cell-bool", "edges-per-cell-float",
         "degree-bool-banded", "degree-bool-coeffs", "matching-on-the-line",
         "strict-without-matching-finite", "strict-without-matching-line",
+        "window-on-finite", "margin-on-finite", "window-on-finite-with-matching",
     ],
 )
 def test_malformed_input_files_are_input_errors(

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from coarsek import corpus
 from coarsek.intlinalg import rank as matrix_rank
-from coarsek.k0_map import expand_graph
 from coarsek.k1_map import (
     _hybrid_intermediate,
     compress_to_uniform,
@@ -261,8 +260,9 @@ def test_rerouted_matchings_and_corrections_match_full_construction(seed):
         gamma = corpus.random_cycle(rng, g, nonzero=True)
     if gamma is None or not gamma.coeffs:
         gamma = corpus.figure_eight()[1]
-    alpha, beta = corpus.random_matching_pair(rng, gamma)
-    ex = expand_graph(gamma.graph, gamma)
+    cu = cycle_unitary(gamma)
+    ex, alpha = cu.expanded, cu.matching
+    beta = corpus.random_matching(rng, ex)
     u_beta = cycle_unitary(gamma, beta).u
     assert_same_operator(u_beta, reference_cycle_unitary(ex, beta))
     correction = matching_correction(ex, alpha, beta)

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from coarsek import intlinalg, operators, scenarios
+from coarsek import corpus, intlinalg, k0_map, k1_map, operators, scenarios
 from coarsek.chains import Chain1
 from coarsek.corpus import (
     figure_eight,
     random_cycle,
     random_graph,
-    random_matching_pair,
+    random_matching,
     random_multiplicity_cycle,
 )
 from coarsek.graphs import Edge, OrientedGraph
@@ -279,8 +279,8 @@ def test_random_pairs_satisfy_the_product_identity():
         gamma = random_multiplicity_cycle(rng, g)
         if gamma is None:
             continue
-        alpha, beta = random_matching_pair(rng, gamma)
-        rep = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
+        cu = cycle_unitary(gamma)
+        rep = verify_matching_independence(cu, random_matching(rng, cu.expanded))
         assert rep.content_ok
         assert rep.u_alpha.compose(rep.correction) == rep.u_beta
         done += 1
@@ -413,3 +413,65 @@ def test_line_copy_permutations_of_every_copy_are_accepted_at_both_window_ends()
     for x in (window.lo, window.hi, 0):
         cu = line_cycle_unitary(2, window, {x: (1, 0)})
         assert index_pairing(cu.u, window) == -2
+
+
+def _figure_eight_routes():
+    g, gamma = figure_eight()
+    return gamma, canonical_matching(expand_graph(g, gamma))
+
+
+def test_routes_missing_an_ingoing_edge_are_refused_by_vertex():
+    gamma, routes = _figure_eight_routes()
+    first = next(iter(routes["z"]))
+    del routes["z"][first]
+    with pytest.raises(ValueError, match=r"^the routes at vertex 'z' are not keyed by its ingoing edges$"):
+        cycle_unitary(gamma, routes)
+
+
+def test_routes_joining_two_ingoing_edges_are_refused_by_vertex():
+    gamma, routes = _figure_eight_routes()
+    (e1, out), (e2, _) = routes["z"].items()
+    routes["z"] = {e1: out, e2: out}
+    with pytest.raises(ValueError, match=r"^the routes at vertex 'z' are not distinct outgoing edges$"):
+        cycle_unitary(gamma, routes)
+
+
+def test_routes_must_cover_exactly_the_vertices():
+    gamma, routes = _figure_eight_routes()
+    with pytest.raises(ValueError, match=r"^routes at 'q', which is not a vertex$"):
+        cycle_unitary(gamma, {**routes, "q": {}})
+    del routes["a"]
+    with pytest.raises(ValueError, match=r"^no routes at vertex 'a'$"):
+        cycle_unitary(gamma, routes)
+
+
+def test_routes_to_an_edge_that_does_not_leave_the_vertex_are_refused():
+    gamma, routes = _figure_eight_routes()
+    (e_a,) = routes["a"]
+    routes["a"] = {e_a: next(iter(routes["z"].values()))}
+    with pytest.raises(ValueError, match=r"^the routes at vertex 'a' are not distinct outgoing edges$"):
+        cycle_unitary(gamma, routes)
+
+
+def test_every_matching_the_package_builds_passes_the_routes_check():
+    gamma, routes = _figure_eight_routes()
+    ex = expand_graph(gamma.graph, gamma)
+    for m in (routes, permuted_matching(ex, {"z": (1, 0)})):
+        assert cycle_unitary(gamma, m).matching is m
+
+
+def test_matching_independence_expands_each_case_once(monkeypatch):
+    # the figure eight, 49 random cases and two line comparisons of two
+    # windows each: 1 + 49 + 4
+    calls = []
+    real = expand_graph
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (k0_map, k1_map, corpus, scenarios):
+        if hasattr(module, "expand_graph"):
+            monkeypatch.setattr(module, "expand_graph", counting)
+    assert scenarios.check_matching_independence()["content_ok"]
+    assert len(calls) == 54

@@ -10,7 +10,6 @@ matching of a cycle unchecked.  Each result must equal, field by field,
 what the checking constructor makes of a reference computation."""
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +18,7 @@ from hypothesis import strategies as st
 from coarsek.chains import Chain0, Chain1, ChainError, boundary, is_cycle
 from coarsek.corpus import random_cycle
 from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
-from coarsek.k0_map import (
-    ExpandedGraph,
-    boundary_witness,
-    expand_graph,
-    order_matched_involution,
-)
+from coarsek.k0_map import ExpandedGraph, boundary_witness, expand_graph
 from coarsek.k1_map import (
     NonCycleError,
     canonical_matching,
@@ -40,6 +34,7 @@ from coarsek.operators import (
     SparseBlockOperator,
     block_key,
 )
+from helpers import reference_witness
 
 LABELS = st.recursive(
     st.integers(-3, 3) | st.text(alphabet="ab1", max_size=2),
@@ -357,77 +352,6 @@ def test_cycle_unitary_matching_equals_the_checked_construction(case, seed):
 # boundary_witness
 
 ISOLATED = ("isolated", 99)  # no label of LABELS
-
-
-def reference_witness(gamma: Chain1) -> tuple[dict, dict]:
-    """The witness operators through the checking constructor, and the
-    checks walking every vertex of the host."""
-    g = expand_graph(gamma.graph, gamma)
-    c = boundary(gamma)
-    ceiling = max(
-        (max(g.in_count(x), g.out_count(x)) for x in g.vertices), default=0
-    )
-    dom = frozenset(
-        {BlockIndex(e.source, e.id) for e in g.edges}
-        | {BlockIndex(e.target, e.id) for e in g.edges}
-        | {BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, ceiling + 1)}
-    )
-
-    def diag(blocks):
-        return SparseBlockOperator(dom, {b: b for b in blocks})
-
-    def exchange(count, edges_at):
-        moves = {}
-        for x in g.vertices:
-            ordinals = [Ordinal(i) for i in range(1, count(x) + 1)]
-            swaps = order_matched_involution(ordinals, [e.id for e in edges_at(x)])
-            moves.update({BlockIndex(x, a): BlockIndex(x, b) for a, b in swaps.items()})
-        return SparseBlockOperator(dom, moves, 1)
-
-    ops = {
-        "v": SparseBlockOperator(
-            dom,
-            {BlockIndex(e.source, e.id): BlockIndex(e.target, e.id) for e in g.edges},
-        ),
-        "source_projection": diag(BlockIndex(e.source, e.id) for e in g.edges),
-        "target_projection": diag(BlockIndex(e.target, e.id) for e in g.edges),
-        "in_rank_projection": diag(
-            BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, g.in_count(x) + 1)
-        ),
-        "out_rank_projection": diag(
-            BlockIndex(x, Ordinal(i)) for x in g.vertices for i in range(1, g.out_count(x) + 1)
-        ),
-        "exchange_in": exchange(g.in_count, g.in_edges),
-        "exchange_out": exchange(g.out_count, g.out_edges),
-    }
-    v = ops["v"]
-    vv, ww = v.adjoint().compose(v), v.compose(v.adjoint())
-    in_ranks = Counter(b.vertex for b, r in ww.moves.items() if r == b)
-    out_ranks = Counter(b.vertex for b, r in vv.moves.items() if r == b)
-
-    def conjugates(t, p, q):
-        return t.compose(p).compose(t.adjoint()) == q
-
-    checks = {
-        "initial_projection": vv == ops["source_projection"],
-        "final_projection": ww == ops["target_projection"],
-        "in_ranks": all(in_ranks[x] == g.in_count(x) for x in g.vertices),
-        "out_ranks": all(out_ranks[x] == g.out_count(x) for x in g.vertices),
-        "in_exchange": conjugates(
-            ops["exchange_in"], ops["target_projection"], ops["in_rank_projection"]
-        ),
-        "out_exchange": conjugates(
-            ops["exchange_out"], ops["source_projection"], ops["out_rank_projection"]
-        ),
-        "rank_bookkeeping": all(
-            g.in_count(x) - g.out_count(x) == c.coeff(x) for x in g.vertices
-        ),
-        "adjacency": all(
-            r.vertex == col.vertex or r.vertex in gamma.graph.neighbors(col.vertex)
-            for col, r in v.moves.items()
-        ),
-    }
-    return ops, checks
 
 
 @settings(max_examples=200, deadline=None)
