@@ -24,8 +24,9 @@ class FiniteChain:
     vertices (degree 0) or on edge ids (degree 1).
 
     The constructor checks every coefficient: an int (never truncated) on a
-    cell of the graph.  +, -, Chain1.scaled and boundary derive their keys
-    from checked chains over the same graph and skip that, via _trusted."""
+    cell of the graph.  +, unary -, Chain1.scaled and boundary derive their
+    keys from checked chains over the same graph and skip that, via
+    _trusted."""
 
     degree: int
     cell: str
@@ -66,9 +67,6 @@ class FiniteChain:
 
     def __neg__(self):
         return self._trusted(self.graph, ((k, -v) for k, v in self.coeffs.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         return (
@@ -148,9 +146,6 @@ class BandedZChain:
         """First position at or beyond which the right tail holds."""
         return self.window_start + len(self.window_values)
 
-    def is_zero(self) -> bool:
-        return self.tail_left == 0 == self.tail_right and not self.window_values
-
     def is_constant(self) -> bool:
         return self.tail_left == self.tail_right and not self.window_values
 
@@ -163,32 +158,6 @@ class BandedZChain:
             self.window_start - k,
             self.window_values,
         )
-
-    def __add__(self, other: "BandedZChain") -> "BandedZChain":
-        if self.degree != other.degree:
-            raise ChainError("degrees differ")
-        lo = min(self.window_start, other.window_start)
-        hi = max(self.window_end, other.window_end)
-        vals = [self.value(i) + other.value(i) for i in range(lo, hi)]
-        return BandedZChain(
-            self.degree,
-            self.tail_left + other.tail_left,
-            self.tail_right + other.tail_right,
-            lo,
-            tuple(vals),
-        )
-
-    def __neg__(self) -> "BandedZChain":
-        return BandedZChain(
-            self.degree,
-            -self.tail_left,
-            -self.tail_right,
-            self.window_start,
-            tuple(-v for v in self.window_values),
-        )
-
-    def __sub__(self, other: "BandedZChain") -> "BandedZChain":
-        return self + (-other)
 
     @classmethod
     def from_finite_values(cls, degree: int, values: Mapping[int, int]) -> "BandedZChain":

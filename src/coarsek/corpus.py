@@ -144,13 +144,12 @@ def _tree_edges(rng: random.Random, n: int) -> list[Edge]:
     return edges
 
 
-def random_tree(rng: random.Random, n: int) -> OrientedGraph:
-    return _graph(n, _tree_edges(rng, n))
-
-
 def tree_plus_edges(rng: random.Random, n: int, extra: int) -> OrientedGraph:
     """Connected graph: a random tree plus the given number of extra edges
-    (parallel edges permitted), so the cycle rank is exactly `extra`."""
+    (parallel edges permitted), so the cycle rank is exactly `extra`.  An
+    extra edge joins two distinct vertices, so it needs n >= 2."""
+    if extra > 0 and n < 2:
+        raise ValueError(f"tree_plus_edges: extra = {extra} needs n >= 2, got n = {n}")
     edges = _tree_edges(rng, n)
     new = tuple.__new__
     for i in range(extra):

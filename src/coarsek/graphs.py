@@ -58,8 +58,6 @@ class OrientedGraph:
     them.
     """
 
-    kind = "finite"
-
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
         vs = list(vertices)
         if len(set(vs)) != len(vs):
@@ -101,9 +99,6 @@ class OrientedGraph:
     @cached_property
     def _near(self) -> dict[Label, set[Label]]:
         return {}
-
-    def edge(self, edge_id: Label) -> Edge:
-        return self._by_id[edge_id]
 
     def has_vertex(self, v: Label) -> bool:
         return v in self._ends[1]
@@ -164,8 +159,6 @@ class BandedZGraph:
     """
 
     edges_per_cell: int = 1
-
-    kind = "banded_z"
 
     def __post_init__(self):
         if self.edges_per_cell not in (0, 1):

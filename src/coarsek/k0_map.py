@@ -16,7 +16,7 @@ explicit slot-exchange permutations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .chains import (
@@ -82,7 +82,6 @@ class ProjectionPair:
 
     f: SparseBlockOperator
     g: SparseBlockOperator
-    values: dict = field(repr=False)
     host_kind: str = "finite"
 
 
@@ -103,7 +102,6 @@ def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
     return ProjectionPair(
         f=SparseBlockOperator(dom, f_moves),
         g=SparseBlockOperator(dom, g_moves),
-        values=dict(values),
         host_kind=host_kind,
     )
 

@@ -353,7 +353,6 @@ class MatchingIndependenceReport:
     block-diagonal slot permutation can reconcile).
     """
 
-    u_alpha: SparseBlockOperator = field(repr=False)
     u_beta: SparseBlockOperator = field(repr=False)
     correction: SparseBlockOperator = field(repr=False)
     correction_identity: bool
@@ -362,11 +361,9 @@ class MatchingIndependenceReport:
     correction_block_ranks: dict
     literal_intermediate_unitary: bool
     literal_collision: Optional[tuple]
-    literal_matches_beta: Optional[bool]
     literal_v: Optional[SparseBlockOperator] = field(repr=False)
     literal_v_identity: Optional[bool]
     literal_v_obstruction: Optional[str]
-    literal_w: Optional[SparseBlockOperator] = field(repr=False)
     literal_w_identity: Optional[bool]
     literal_w_obstruction: Optional[str]
     cycle_types: tuple
@@ -423,9 +420,8 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
 
     hybrid, collision = _hybrid_intermediate(g, alpha, beta)
     unitary = collision is None
-    matches_beta = (hybrid == u_b) if unitary else None
 
-    v_op = v_identity = v_obstruction = w_op = w_identity = w_obstruction = None
+    v_op = v_identity = v_obstruction = w_identity = w_obstruction = None
     types = (permutation_cycle_type(u_a), permutation_cycle_type(u_b))
     if unitary:
         if types[0] is not None and types[0] != types[1]:
@@ -442,10 +438,9 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
                 v_identity = (
                     v_op.adjoint().compose(u_a).compose(v_op) == hybrid
                 )
-        # a unitary hybrid always equals U_beta, so the identity is the
-        # correct slot-preserving conjugator
-        w_op = SparseBlockOperator.identity(u_a.domain)
-        w_identity = w_op.adjoint().compose(hybrid).compose(w_op) == u_b
+        # the slot-preserving conjugator W is the identity: a unitary hybrid
+        # always equals U_beta, so W*U'W = U' is compared with U_beta once
+        w_identity = hybrid == u_b
     else:
         v_obstruction = (
             "hybrid intermediate is not injective: columns "
@@ -457,7 +452,6 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
         )
 
     return MatchingIndependenceReport(
-        u_alpha=u_a,
         u_beta=u_b,
         correction=correction,
         correction_identity=correction_identity,
@@ -466,11 +460,9 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
         correction_block_ranks=block_ranks,
         literal_intermediate_unitary=unitary,
         literal_collision=collision,
-        literal_matches_beta=matches_beta,
         literal_v=v_op,
         literal_v_identity=v_identity,
         literal_v_obstruction=v_obstruction,
-        literal_w=w_op,
         literal_w_identity=w_identity,
         literal_w_obstruction=w_obstruction,
         cycle_types=types,

@@ -248,8 +248,9 @@ def certify_k1(chain, cu, beta=None, strict_matching: bool = False) -> tuple[Rep
             dumps["u_tilde"] = comp.u_tilde
         if beta is not None:
             rep = verify_matching_independence(cu, beta)
-            add(PRODUCT_ROUTE, rep.content_ok, rep.to_json())
-            add(LITERAL_ROUTE, rep.literal_route_ok, rep.to_json(), advisory=not strict_matching)
+            details = rep.to_json()
+            add(PRODUCT_ROUTE, rep.content_ok, details)
+            add(LITERAL_ROUTE, rep.literal_route_ok, details, advisory=not strict_matching)
     dumps["u"] = cu.u
     return report, dumps
 

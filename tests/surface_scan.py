@@ -1,0 +1,149 @@
+"""Which package functions do the commands never reach?
+
+Runs tests/test_cli.py and tests/test_golden_outputs.py in this process
+with a profile hook that records every function entered while
+coarsek.cli.main runs, then lists each function defined in src/coarsek that
+was never entered and is not on the allowlist below.  The Hypothesis fuzz
+tests are left out, so the result does not depend on random draws.
+
+    PYTHONPATH=src python tests/surface_scan.py
+
+Exits 0 when every function off the allowlist was entered, 1 naming the
+others, and with pytest's code when the tests themselves fail.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import sys
+import types
+from functools import cached_property
+from pathlib import Path
+
+import pytest
+
+import coarsek
+import coarsek.cli
+
+TESTS = Path(__file__).resolve().parent
+SUITES = ("test_cli.py", "test_golden_outputs.py")
+
+# functions the commands need not enter, and the functions nested in them,
+# each with the reason it stays
+ALLOWED = {
+    "operators.SparseBlockOperator.entries": "perfbench reads it to count entries",
+    "intlinalg": "perfbench requires smith_normal_form and rank; all of it goes with them",
+    "k1_map._check_routes": (
+        "checks a hand-built matching on the independent U_beta build that "
+        "the differential tests compare against"
+    ),
+    "operators._check_each": "the constructor's refusal path",
+    "scenarios._timed": "it decorates the checks at import",
+}
+ALLOWED_NAMES = ("__repr__", "__hash__")
+
+
+def _codes(prefix: str, fn) -> dict:
+    """The code of fn and of every named function nested in it."""
+    fn = inspect.unwrap(fn)
+    out = {}
+    stack = [(prefix, fn.__code__)]
+    while stack:
+        name, code = stack.pop()
+        out[code] = name
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                stack.append((f"{name}.{const.co_name}", const))
+    return out
+
+
+def _members(owner) -> list:
+    """(name, function) of each function, method, property and cached
+    property defined on owner."""
+    out = []
+    for name, obj in vars(owner).items():
+        if isinstance(obj, (staticmethod, classmethod)):
+            obj = obj.__func__
+        if isinstance(obj, property):
+            out += [(name, f) for f in (obj.fget, obj.fset, obj.fdel) if f]
+        elif isinstance(obj, cached_property):
+            out.append((name, obj.func))
+        elif inspect.isfunction(obj):
+            out.append((name, obj))
+    return out
+
+
+def package_functions() -> dict:
+    """Code object -> dotted name (module.qualname) of every function
+    written in a module of the package."""
+    found = {}
+    for info in pkgutil.iter_modules(coarsek.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        mod = importlib.import_module(f"coarsek.{info.name}")
+        here = {}
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, fn in _members(obj):
+                    here.update(_codes(f"{info.name}.{name}.{attr}", fn))
+            elif inspect.isfunction(obj):
+                here.update(_codes(f"{info.name}.{name}", obj))
+        # generated methods (dataclass, NamedTuple) have no source here
+        found.update((c, n) for c, n in here.items() if c.co_filename == mod.__file__)
+    return found
+
+
+def entered_under_main(args: list) -> tuple[int, set]:
+    """Run pytest on args; return its exit code and the code objects
+    entered while coarsek.cli.main was on the stack."""
+    main_code = coarsek.cli.main.__code__
+    entered: set = set()
+    depth = 0
+
+    def hook(frame, event, arg):
+        nonlocal depth
+        if event == "call":
+            if frame.f_code is main_code:
+                depth += 1
+            if depth:
+                entered.add(frame.f_code)
+        elif event == "return" and frame.f_code is main_code:
+            depth -= 1
+
+    sys.setprofile(hook)
+    try:
+        code = pytest.main(args)
+    finally:
+        sys.setprofile(None)
+    return int(code), entered
+
+
+def allowed(name: str) -> bool:
+    return name.rpartition(".")[2] in ALLOWED_NAMES or any(
+        name == a or name.startswith(a + ".") for a in ALLOWED
+    )
+
+
+def main() -> int:
+    funcs = package_functions()
+    code, entered = entered_under_main(
+        [str(TESTS / s) for s in SUITES] + ["-q", "-p", "no:cacheprovider"]
+    )
+    if code:
+        print(f"surface scan: the tests failed (pytest exit {code})", file=sys.stderr)
+        return code
+    unentered = [name for c, name in funcs.items() if c not in entered]
+    missed = sorted(n for n in unentered if not allowed(n))
+    allowed_names = sorted(n for n in unentered if allowed(n))
+    print(f"surface scan: {len(funcs)} package functions, {len(entered & funcs.keys())} entered by cli.main")
+    for name in allowed_names:
+        print(f"  allowed, not entered: {name}")
+    for name in missed:
+        print(f"  never entered: {name}")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

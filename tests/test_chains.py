@@ -50,16 +50,17 @@ def test_boundary_of_unit_cell_on_line():
 def test_boundary_of_zero():
     g = path_graph(3)
     assert boundary(Chain1(g, {})).is_zero()
-    assert boundary(BandedZChain(1, 0, 0)).is_zero()
+    assert boundary(BandedZChain(1, 0, 0)) == BandedZChain(0, 0, 0)
 
 
 def test_boundary_telescopes_on_path():
     # checked by direct evaluation edge by edge
     g = path_graph(3)
     gamma = Chain1(g, {"e0": 1, "e1": 1})
+    by_id = {e.id: e for e in g.edges}
     expected = {}
     for eid in ("e0", "e1"):
-        e = g.edge(eid)
+        e = by_id[eid]
         expected[e.target] = expected.get(e.target, 0) + 1
         expected[e.source] = expected.get(e.source, 0) - 1
     expected = {k: v for k, v in expected.items() if v}
@@ -105,7 +106,11 @@ def test_boundary_is_additive(c1, c2):
 def test_boundary_additive_banded():
     a = BandedZChain(1, 1, 2, 0, (5, -1))
     b = BandedZChain(1, -1, 3, -2, (0, 4))
-    assert boundary(a + b) == boundary(a) + boundary(b)
+    # a + b, summed pointwise over both windows and the tails
+    total = BandedZChain(1, 0, 5, -2, tuple(a.value(i) + b.value(i) for i in range(-2, 2)))
+    da, db, dt = boundary(a), boundary(b), boundary(total)
+    for i in range(-6, 6):  # both tails and every window position
+        assert dt.value(i) == da.value(i) + db.value(i)
 
 
 def test_boundary_sums_to_zero_per_component():

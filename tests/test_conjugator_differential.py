@@ -1,7 +1,8 @@
 """Differential tests: the exact block-conjugator decision of the
 two-conjugation route against the backtracking search it replaced, and the
 comparison of a built cycle unitary with a second matching against the
-comparison of two unitaries built each from its own expansion.
+comparison of two unitaries built each from its own expansion, which also
+conjugates the hybrid by the identity W that the report leaves out.
 
 The search assigns per-vertex slot permutations one ingoing edge at a time,
 propagates each choice along both matchings and backtracks on a conflict.
@@ -276,7 +277,6 @@ def comparison_of_two_builds(gamma, alpha, beta) -> MatchingIndependenceReport:
             "but U_beta is a permutation"
         )
     return MatchingIndependenceReport(
-        u_alpha=u_a,
         u_beta=u_b,
         correction=correction,
         correction_identity=u_a.compose(correction) == u_b,
@@ -288,15 +288,42 @@ def comparison_of_two_builds(gamma, alpha, beta) -> MatchingIndependenceReport:
         correction_block_ranks=dict(diagonal_block_ranks(correction)),
         literal_intermediate_unitary=collision is None,
         literal_collision=collision,
-        literal_matches_beta=(hybrid == u_b) if collision is None else None,
         literal_v=v_op,
         literal_v_identity=v_identity,
         literal_v_obstruction=v_obstruction,
-        literal_w=w_op,
         literal_w_identity=w_identity,
         literal_w_obstruction=w_obstruction,
         cycle_types=types,
     )
+
+
+def w_step_is_the_identity(g, alpha, beta, u_b) -> bool:
+    """The facts the report's W step rests on: the hybrid of alpha and beta
+    is injective exactly when both route every ingoing edge to the same
+    target vertex, and then it equals U_beta, so W = 1 and W*U'W = U'.
+    Returns whether the hybrid is injective."""
+    hybrid, collision = _hybrid_intermediate(g, alpha, beta)
+    two_targets = any(
+        alpha[x][e].target != beta[x][e].target for x in g.vertices for e in g.in_edges(x)
+    )
+    assert (collision is None) != two_targets
+    if collision is None:
+        assert hybrid == u_b
+    return collision is None
+
+
+def test_the_hybrid_is_u_beta_or_routes_an_edge_to_two_targets():
+    rng = random.Random(7)
+    injective = colliding = 0
+    while injective + colliding < 2000:
+        gamma, ex, alpha, beta = random_pair(rng)
+        if not ex.edges:
+            continue
+        if w_step_is_the_identity(ex, alpha, beta, cycle_unitary(gamma, beta).u):
+            injective += 1
+        else:
+            colliding += 1
+    assert injective > 1000 and colliding > 100
 
 
 def scenario_pairs(monkeypatch) -> list:
@@ -330,14 +357,14 @@ def test_a_built_unitary_compares_as_two_independent_builds(monkeypatch):
     for gamma, alpha, beta in pairs:
         if alpha is None:
             alpha = canonical_matching(expand_graph(gamma.graph, gamma))
-        got = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
+        cu = cycle_unitary(gamma, alpha)
+        got = verify_matching_independence(cu, beta)
         want = comparison_of_two_builds(gamma, alpha, beta)
         assert got.to_json() == want.to_json()
         assert got.u_beta == want.u_beta
         assert got.correction == want.correction
         assert got.literal_v == want.literal_v
-        assert got.literal_w == want.literal_w
-        hybrids.add(got.literal_intermediate_unitary)
+        hybrids.add(w_step_is_the_identity(cu.expanded, alpha, beta, want.u_beta))
     # both branches of the literal route are compared
     assert hybrids == {True, False}
 

@@ -294,7 +294,7 @@ def test_a_lazily_indexed_graph_answers_as_an_eager_one(g, data):
         assert g.neighbors(v) == ref.neighbors(v)
         assert {y for y in g.vertices if g.adjacent(v, y)} == ref.neighbors(v)
     for e in g.edges:
-        assert g.has_edge_id(e.id) and g.edge(e.id) is ref.by_id[e.id]
+        assert g.has_edge_id(e.id) and g._by_id[e.id] is ref.by_id[e.id]
     assert not g.has_vertex(("absent",)) and not g.has_edge_id(("absent",))
 
 

@@ -245,7 +245,6 @@ def test_parallel_copies_make_the_hybrid_unitary_but_not_conjugate():
     b = permuted_matching(ex, {0: (1, 0)})
     rep = verify_matching_independence(cycle_unitary(gamma, a), b)
     assert rep.literal_intermediate_unitary
-    assert rep.literal_matches_beta
     assert rep.literal_w_identity  # W = 1 conjugates the hybrid to U_beta
     assert rep.content_ok
     assert not rep.literal_route_ok  # the V step is impossible
@@ -282,7 +281,7 @@ def test_random_pairs_satisfy_the_product_identity():
         cu = cycle_unitary(gamma)
         rep = verify_matching_independence(cu, random_matching(rng, cu.expanded))
         assert rep.content_ok
-        assert rep.u_alpha.compose(rep.correction) == rep.u_beta
+        assert cu.u.compose(rep.correction) == rep.u_beta
         done += 1
 
 
