@@ -272,10 +272,12 @@ def _load_positions(path: str, g: OrientedGraph) -> dict:
         for key, val in data.items():
             if not isinstance(val, list):
                 raise ValueError(f"positions[{key!r}] must be a list, got {val!r}")
+            if key not in lookup:
+                raise ValueError(f"not a vertex: {key!r}")
             positions[lookup[key]] = tuple(
                 json_int(p, f"positions[{key!r}][{j}]") for j, p in enumerate(val)
             )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise _bad_matching(path, exc)
     return positions
 

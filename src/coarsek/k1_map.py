@@ -54,7 +54,6 @@ from .k0_map import (
 from .operators import (
     BlockIndex,
     Ordinal,
-    OperatorError,
     ProductBasis,
     SparseBlockOperator,
     Window,
@@ -353,15 +352,11 @@ class MatchingIndependenceReport:
     block-diagonal slot permutation can reconcile).
     """
 
-    u_beta: SparseBlockOperator = field(repr=False)
-    correction: SparseBlockOperator = field(repr=False)
     correction_identity: bool
     correction_is_permutation: bool
     correction_propagation_zero: bool
     correction_block_ranks: dict
     literal_intermediate_unitary: bool
-    literal_collision: Optional[tuple]
-    literal_v: Optional[SparseBlockOperator] = field(repr=False)
     literal_v_identity: Optional[bool]
     literal_v_obstruction: Optional[str]
     literal_w_identity: Optional[bool]
@@ -421,7 +416,7 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
     hybrid, collision = _hybrid_intermediate(g, alpha, beta)
     unitary = collision is None
 
-    v_op = v_identity = v_obstruction = w_identity = w_obstruction = None
+    v_identity = v_obstruction = w_identity = w_obstruction = None
     types = (permutation_cycle_type(u_a), permutation_cycle_type(u_b))
     if unitary:
         if types[0] is not None and types[0] != types[1]:
@@ -452,15 +447,11 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
         )
 
     return MatchingIndependenceReport(
-        u_beta=u_b,
-        correction=correction,
         correction_identity=correction_identity,
         correction_is_permutation=corr_ok,
         correction_propagation_zero=prop_zero,
         correction_block_ranks=block_ranks,
         literal_intermediate_unitary=unitary,
-        literal_collision=collision,
-        literal_v=v_op,
         literal_v_identity=v_identity,
         literal_v_obstruction=v_obstruction,
         literal_w_identity=w_identity,
@@ -476,23 +467,22 @@ def verify_matching_independence(cu: CycleUnitary, beta: dict) -> MatchingIndepe
 @dataclass
 class CompressionResult:
     """A cycle unitary u and its compression u_tilde into the corner spanned
-    by the first n ordinal slots: u relabelled by phi, a bijection from u's
-    basis onto u_tilde's that keeps every vertex.  At x, phi applies
+    by the first max_valence ordinal slots: u relabelled by phi, a bijection
+    from u's basis onto u_tilde's that keeps every vertex.  At x, phi applies
     involution[x] (only its moved slots are stored), then numbers the
     expanded edges in (parent id, copy) order: ordinal i stands for
     slots[i - 1].  phi costs one entry per expanded edge."""
 
     u: SparseBlockOperator = field(repr=False)
     u_tilde: SparseBlockOperator
-    n: int
     max_valence: int
     slots: tuple = field(repr=False)
     involution: dict = field(repr=False)
 
     @property
     def confinement_ok(self) -> bool:
-        """u_tilde moves no vector from or into a slot beyond n."""
-        n = self.n
+        """u_tilde moves no vector from or into a slot beyond max_valence."""
+        n = self.max_valence
         return all(
             c.slot.index <= n and (r is None or r.slot.index <= n)
             for c, r in self.u_tilde.moves.items()
@@ -523,20 +513,14 @@ class CompressionResult:
         return restored == self.u
 
 
-def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> CompressionResult:
+def compress_to_uniform(cu: CycleUnitary) -> CompressionResult:
     """Relabel u by phi: at each vertex swap the first in-count(x) expanded
     edges with the ingoing edges, then number the expanded edges.  That is
     conjugation by a permutation unitary, done in one pass over the moves of
-    u, and the result moves only ordinal slots up to n >= the max valence."""
+    u, and the result moves only ordinal slots up to the maximal valence."""
     g = cu.expanded
     slots = tuple(e.id for e in g.edges)
     max_valence = max((g.degree(x) for x in g.vertices), default=0)
-    if n is None:
-        n = max_valence
-    if n < max_valence:
-        raise OperatorError(
-            f"corner size {n} is smaller than the maximal valence {max_valence}"
-        )
     involution = {
         x: order_matched_involution(slots[: g.in_count(x)], [e.id for e in g.in_edges(x)])
         for x in g.vertices
@@ -554,7 +538,7 @@ def compress_to_uniform(cu: CycleUnitary, n: Optional[int] = None) -> Compressio
         {phi(c): None if r is None else phi(r) for c, r in cu.u.moves.items()},
         cu.u.scalar,
     )
-    return CompressionResult(cu.u, u_tilde, n, max_valence, slots, involution)
+    return CompressionResult(cu.u, u_tilde, max_valence, slots, involution)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def certify_k1(chain, cu, beta=None, strict_matching: bool = False) -> tuple[Rep
         add("entries join adjacent vertices only", not ex.far_moves(cu.u))
         if ex.edges:
             comp = compress_to_uniform(cu)
-            add(COMPRESSION, comp.ok, {"corner": comp.n, "max_valence": comp.max_valence})
+            add(COMPRESSION, comp.ok, {"corner": comp.max_valence, "max_valence": comp.max_valence})
             dumps["u_tilde"] = comp.u_tilde
         if beta is not None:
             rep = verify_matching_independence(cu, beta)
@@ -436,7 +436,7 @@ def check_compression(
         line[k] = {
             "confinement": res.confinement_ok,
             "round_trip": res.round_trip_ok,
-            "n": res.n,
+            "n": res.max_valence,
             "index_original": idx_u,
             "index_compressed": idx_t,
             "index_equal": idx_u == idx_t,

@@ -1,4 +1,5 @@
-"""Which package functions do the commands never reach?
+"""Which package functions do the commands never reach, and which result
+fields does no code read?
 
 Runs tests/test_cli.py and tests/test_golden_outputs.py in this process
 with a profile hook that records every function entered while
@@ -6,12 +7,20 @@ coarsek.cli.main runs, then lists each function defined in src/coarsek that
 was never entered and is not on the allowlist below.  The Hypothesis fuzz
 tests are left out, so the result does not depend on random draws.
 
+Two checks read the source instead: coarsek/__init__.py imports nothing
+from the package (each module is its own import path), and every field of
+a package dataclass or NamedTuple is read as `.field` somewhere in
+src/coarsek or perfbench, unless the field allowlist names it.
+
     PYTHONPATH=src python tests/surface_scan.py
 
-Exits 0 when every function off the allowlist was entered, 1 naming the
-others, and with pytest's code when the tests themselves fail.
+Exits 0 when every function off the allowlist was entered and both source
+checks pass, 1 naming what failed, and with pytest's code when the tests
+themselves fail.
 """
 
+import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -27,6 +36,8 @@ import coarsek.cli
 
 TESTS = Path(__file__).resolve().parent
 SUITES = ("test_cli.py", "test_golden_outputs.py")
+PACKAGE = Path(coarsek.__file__).resolve().parent
+READERS = (PACKAGE, TESTS.parent / "perfbench")  # whose `.field` reads count
 
 # functions the commands need not enter, and the functions nested in them,
 # each with the reason it stays
@@ -41,6 +52,24 @@ ALLOWED = {
     "scenarios._timed": "it decorates the checks at import",
 }
 ALLOWED_NAMES = ("__repr__", "__hash__")
+
+# result fields that no package or perfbench code need read, with reasons
+WITNESS_OPERATOR = (
+    "the differential tests compare each trusted witness with "
+    "helpers.reference_witness through it, and the live checks pick the "
+    "operator to fault through it"
+)
+FIELDS_ALLOWED = {
+    f"k0_map.BoundaryWitness.{name}": WITNESS_OPERATOR
+    for name in (
+        "source_projection",
+        "target_projection",
+        "in_rank_projection",
+        "out_rank_projection",
+        "exchange_in",
+        "exchange_out",
+    )
+}
 
 
 def _codes(prefix: str, fn) -> dict:
@@ -120,6 +149,50 @@ def entered_under_main(args: list) -> tuple[int, set]:
     return int(code), entered
 
 
+def reexports() -> list:
+    """The names coarsek/__init__.py imports from the package."""
+    out = []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").startswith("coarsek"):
+                out += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [a.asname or a.name for a in node.names if a.name.startswith("coarsek")]
+    return out
+
+
+def result_fields() -> list:
+    """Dotted name (module.class.field) of every field of a dataclass or
+    NamedTuple written in a module of the package."""
+    out = []
+    for info in pkgutil.iter_modules(coarsek.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"coarsek.{info.name}")
+        for name, obj in vars(mod).items():
+            if not inspect.isclass(obj) or obj.__module__ != mod.__name__:
+                continue
+            if dataclasses.is_dataclass(obj):
+                names = [f.name for f in dataclasses.fields(obj)]
+            elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                names = list(obj._fields)
+            else:
+                continue
+            out += [f"{info.name}.{name}.{f}" for f in names]
+    return out
+
+
+def attributes_read() -> set:
+    """Every attribute name loaded as `x.name` in the package and perfbench."""
+    return {
+        node.attr
+        for root in READERS
+        for path in root.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def allowed(name: str) -> bool:
     return name.rpartition(".")[2] in ALLOWED_NAMES or any(
         name == a or name.startswith(a + ".") for a in ALLOWED
@@ -127,6 +200,19 @@ def allowed(name: str) -> bool:
 
 
 def main() -> int:
+    bound = reexports()
+    read = attributes_read()
+    fields = result_fields()
+    unread = [f for f in fields if f.rpartition(".")[2] not in read]
+    print(f"surface scan: __init__.py re-exports {len(bound)} names")
+    for name in bound:
+        print(f"  re-exported: {name}")
+    print(f"surface scan: {len(fields)} result fields, {len(fields) - len(unread)} read as .field")
+    for name in unread:
+        state = "allowed, not read" if name in FIELDS_ALLOWED else "never read"
+        print(f"  {state}: {name}")
+    static_faults = bool(bound) or any(f not in FIELDS_ALLOWED for f in unread)
+
     funcs = package_functions()
     code, entered = entered_under_main(
         [str(TESTS / s) for s in SUITES] + ["-q", "-p", "no:cacheprovider"]
@@ -142,7 +228,7 @@ def main() -> int:
         print(f"  allowed, not entered: {name}")
     for name in missed:
         print(f"  never entered: {name}")
-    return 1 if missed else 0
+    return 1 if missed or static_faults else 0
 
 
 if __name__ == "__main__":

@@ -702,8 +702,8 @@ def moved_above_the_corner(res):
     by that swap: still a permutation of the same index that maps back to
     u, but it moves a vector beyond the corner."""
     u = res.u_tilde
-    beyond = [s for s in u.domain.slots if s.index > res.n]
-    c = next((c for c in u.moves if c.slot.index <= res.n), None)
+    beyond = [s for s in u.domain.slots if s.index > res.max_valence]
+    c = next((c for c in u.moves if c.slot.index <= res.max_valence), None)
     if not beyond or c is None:
         return res
     q = BlockIndex(c.vertex, beyond[0])
@@ -725,7 +725,7 @@ def swapped_in_the_corner(res):
     longer the relabelling of u by phi."""
     u = res.u_tilde
     c = next(c for c, r in u.moves.items() if r is not None)
-    other = next(s for s in u.domain.slots if s.index <= res.n and s != c.slot)
+    other = next(s for s in u.domain.slots if s.index <= res.max_valence and s != c.slot)
     q = BlockIndex(c.vertex, other)
     return dataclasses.replace(res, u_tilde=u.compose(SparseBlockOperator(u.domain, {c: q, q: c}, 1)))
 

@@ -514,7 +514,7 @@ def test_malformed_input_files_are_input_errors(
 BAD_MATCHINGS = {
     "missing-file": (None, "file not found"),
     "positions-missing": ({"position": {"z": [1, 0]}}, "no key 'positions'"),
-    "unknown-vertex": ({"positions": {"q": [0]}}, "bad matching override: 'q'"),
+    "unknown-vertex": ({"positions": {"q": [0]}}, "bad matching override: not a vertex: 'q'"),
 }
 
 

@@ -234,7 +234,8 @@ def test_equal_cycle_types_without_a_conjugator_carry_the_walk_certificate():
     assert rep.content_ok
     assert rep.literal_intermediate_unitary
     assert rep.cycle_types[0] == rep.cycle_types[1]
-    assert rep.literal_v is None and rep.literal_v_identity is None
+    assert _block_conjugator(ex, alpha, beta) == (None, CERTIFICATE)
+    assert rep.literal_v_identity is None
     assert rep.literal_v_obstruction == CERTIFICATE
     assert not rep.literal_route_ok
 
@@ -243,11 +244,13 @@ def test_equal_cycle_types_without_a_conjugator_carry_the_walk_certificate():
 # a built cycle unitary against two independent builds
 
 
-def comparison_of_two_builds(gamma, alpha, beta) -> MatchingIndependenceReport:
+def comparison_of_two_builds(gamma, alpha, beta) -> tuple:
     """The comparison as it was made from gamma and two matchings: the
     unitaries of alpha and beta each built by cycle_unitary from its own
     expansion of gamma, and the correction, hybrid and conjugator on a
-    third expansion."""
+    third expansion.  Returns the report with the operators it is decided
+    by: U_beta, the correction and the conjugator V (None when none is
+    built)."""
     g = expand_graph(gamma.graph, gamma)
     u_a, u_b = cycle_unitary(gamma, alpha).u, cycle_unitary(gamma, beta).u
     correction = matching_correction(g, alpha, beta)
@@ -276,9 +279,7 @@ def comparison_of_two_builds(gamma, alpha, beta) -> MatchingIndependenceReport:
             "no unitary W exists: W*U'W would be non-injective like U', "
             "but U_beta is a permutation"
         )
-    return MatchingIndependenceReport(
-        u_beta=u_b,
-        correction=correction,
+    report = MatchingIndependenceReport(
         correction_identity=u_a.compose(correction) == u_b,
         correction_is_permutation=correction.adjoint().compose(correction)
         == SparseBlockOperator.identity(correction.domain),
@@ -287,14 +288,13 @@ def comparison_of_two_builds(gamma, alpha, beta) -> MatchingIndependenceReport:
         ),
         correction_block_ranks=dict(diagonal_block_ranks(correction)),
         literal_intermediate_unitary=collision is None,
-        literal_collision=collision,
-        literal_v=v_op,
         literal_v_identity=v_identity,
         literal_v_obstruction=v_obstruction,
         literal_w_identity=w_identity,
         literal_w_obstruction=w_obstruction,
         cycle_types=types,
     )
+    return report, u_b, correction, v_op
 
 
 def w_step_is_the_identity(g, alpha, beta, u_b) -> bool:
@@ -359,12 +359,16 @@ def test_a_built_unitary_compares_as_two_independent_builds(monkeypatch):
             alpha = canonical_matching(expand_graph(gamma.graph, gamma))
         cu = cycle_unitary(gamma, alpha)
         got = verify_matching_independence(cu, beta)
-        want = comparison_of_two_builds(gamma, alpha, beta)
+        want, u_b, correction, v = comparison_of_two_builds(gamma, alpha, beta)
         assert got.to_json() == want.to_json()
-        assert got.u_beta == want.u_beta
-        assert got.correction == want.correction
-        assert got.literal_v == want.literal_v
-        hybrids.add(w_step_is_the_identity(cu.expanded, alpha, beta, want.u_beta))
+        # the operators the package decides by, built on cu's expansion
+        ex = cu.expanded
+        assert k1_map._unitary(ex, beta) == u_b
+        assert matching_correction(ex, alpha, beta) == correction
+        if v is not None:
+            per_vertex, _ = _block_conjugator(ex, alpha, beta)
+            assert block_diagonal_slot_permutation(cu.u.domain, per_vertex) == v
+        hybrids.add(w_step_is_the_identity(ex, alpha, beta, u_b))
     # both branches of the literal route are compared
     assert hybrids == {True, False}
 

@@ -12,15 +12,18 @@ from coarsek.corpus import (
     random_multiplicity_cycle,
 )
 from coarsek.graphs import Edge, OrientedGraph
-from coarsek.k0_map import expand_graph
+from coarsek.k0_map import block_diagonal_slot_permutation, expand_graph
 from coarsek.k1_map import (
     NonCycleError,
+    _block_conjugator,
+    _hybrid_intermediate,
     canonical_matching,
     compress_to_uniform,
     constant_cycle_index,
     cycle_unitary,
     line_cycle_unitary,
     line_matching_independence,
+    matching_correction,
     permutation_cycle_type,
     permuted_matching,
     verify_matching_independence,
@@ -28,7 +31,6 @@ from coarsek.k1_map import (
 from coarsek.operators import (
     BlockIndex,
     CopyEdge,
-    OperatorError,
     SparseBlockOperator,
     Window,
     block_ranks,
@@ -162,14 +164,14 @@ def test_correction_ranks_equal_elimination_on_the_scenario_pairs(monkeypatch):
     reports = []
 
     def recording(cu, beta):
-        reports.append(verify_matching_independence(cu, beta))
-        return reports[-1]
+        rep = verify_matching_independence(cu, beta)
+        reports.append((matching_correction(cu.expanded, cu.matching, beta), rep))
+        return rep
 
     monkeypatch.setattr(scenarios, "verify_matching_independence", recording)
     scenarios.check_matching_independence(scenarios.DEFAULT_SEED)
     assert len(reports) == 50
-    for rep in reports:
-        r = rep.correction
+    for r, rep in reports:
         expected = {}
         for x in {c.vertex for c in r.moves}:
             # R fixes every other slot, so R - 1 vanishes outside these
@@ -207,11 +209,15 @@ def test_identical_matchings_make_the_literal_route_trivial():
     g, gamma = figure_eight()
     ex = expand_graph(g, gamma)
     a = canonical_matching(ex)
-    rep = verify_matching_independence(cycle_unitary(gamma, a), a)
+    cu = cycle_unitary(gamma, a)
+    rep = verify_matching_independence(cu, a)
     assert rep.content_ok
     assert rep.literal_route_ok
-    assert rep.correction == SparseBlockOperator.identity(rep.correction.domain)
-    assert rep.literal_v is not None
+    identity = SparseBlockOperator.identity(cu.u.domain)
+    assert matching_correction(ex, a, a) == identity
+    per_vertex, obstruction = _block_conjugator(ex, a, a)
+    assert obstruction is None
+    assert block_diagonal_slot_permutation(cu.u.domain, per_vertex) == identity
     assert rep.literal_v_identity and rep.literal_w_identity
 
 
@@ -228,7 +234,8 @@ def test_figure_eight_crossing_matchings():
     # U_beta is a single 4-cycle, and the hybrid intermediate collides
     assert rep.cycle_types == ((2, 2), (4,))
     assert not rep.literal_intermediate_unitary
-    assert rep.literal_collision is not None
+    assert _hybrid_intermediate(ex, a, b)[1] is not None
+    assert rep.literal_v_obstruction.startswith("hybrid intermediate is not injective: ")
     assert not rep.literal_route_ok
 
 
@@ -260,13 +267,17 @@ def test_double_bigon_with_swaps_at_both_vertices_conjugates():
     ex = expand_graph(g, gamma)
     alpha = canonical_matching(ex)
     beta = permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
-    rep = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
+    cu = cycle_unitary(gamma, alpha)
+    rep = verify_matching_independence(cu, beta)
     assert rep.cycle_types[0] == rep.cycle_types[1] == (2, 2)
     assert rep.literal_intermediate_unitary
-    assert rep.literal_v is not None and rep.literal_v_identity
+    assert rep.literal_v_identity
     assert rep.literal_w_identity
     assert rep.literal_route_ok
-    assert rep.literal_v != SparseBlockOperator.identity(rep.literal_v.domain)
+    per_vertex, _ = _block_conjugator(ex, alpha, beta)
+    v = block_diagonal_slot_permutation(cu.u.domain, per_vertex)
+    assert v != SparseBlockOperator.identity(v.domain)
+    assert v.adjoint().compose(cu.u).compose(v) == cycle_unitary(gamma, beta).u
     assert rep.content_ok
 
 
@@ -279,9 +290,11 @@ def test_random_pairs_satisfy_the_product_identity():
         if gamma is None:
             continue
         cu = cycle_unitary(gamma)
-        rep = verify_matching_independence(cu, random_matching(rng, cu.expanded))
+        beta = random_matching(rng, cu.expanded)
+        rep = verify_matching_independence(cu, beta)
         assert rep.content_ok
-        assert cu.u.compose(rep.correction) == rep.u_beta
+        correction = matching_correction(cu.expanded, cu.matching, beta)
+        assert cu.u.compose(correction) == cycle_unitary(gamma, beta).u
         done += 1
 
 
@@ -297,8 +310,6 @@ def test_line_matching_independence():
 def test_index_invariant_under_matching_correction_conjugation():
     # the correction operators are exactly the block-diagonal conjugators
     # the index pairing must not see
-    from coarsek.k0_map import block_diagonal_slot_permutation
-
     w = Window(radius=8, margin=4)
     cu = line_cycle_unitary(2, w)
     per_vertex = {
@@ -329,7 +340,7 @@ def test_compress_line_unit_cycle():
     w = Window(radius=8, margin=4)
     cu = line_cycle_unitary(1, w)
     res = compress_to_uniform(cu)
-    assert res.max_valence == 2 and res.n == 2
+    assert res.max_valence == 2
     assert res.confinement_ok and res.round_trip_ok
     assert index_pairing(res.u_tilde, w) == index_pairing(cu.u, w) == -1
 
@@ -337,7 +348,8 @@ def test_compress_line_unit_cycle():
 def test_compress_zero_cycle():
     g, _ = triangle_with_chord_orientation()
     cu = cycle_unitary(Chain1(g, {}))
-    res = compress_to_uniform(cu, n=0)
+    res = compress_to_uniform(cu)
+    assert res.max_valence == 0
     assert res.u_tilde.is_zero()  # identity of the empty basis
     assert res.confinement_ok and res.round_trip_ok
 
@@ -346,17 +358,10 @@ def test_compress_triangle_nine_dimensional():
     g, gamma = triangle_with_chord_orientation()
     cu = cycle_unitary(gamma)
     res = compress_to_uniform(cu)
-    assert res.n == 2
+    assert res.max_valence == 2
     assert len(res.u_tilde.domain) == 9
     assert res.confinement_ok and res.round_trip_ok
     assert is_unitary_on(res.u_tilde)
-
-
-def test_compress_rejects_small_corner():
-    g, gamma = triangle_with_chord_orientation()
-    cu = cycle_unitary(gamma)
-    with pytest.raises(OperatorError):
-        compress_to_uniform(cu, n=1)
 
 
 # ---------------------------------------------------------------------------
