@@ -262,26 +262,21 @@ class HomologyResult:
     h1_basis: tuple[Chain1, ...] = field(repr=False, default=())
 
 
-def boundary_matrix(g: OrientedGraph) -> list[list[int]]:
-    """Vertices-by-edges incidence matrix of d(e) = t(e) - s(e)."""
-    vindex = {v: i for i, v in enumerate(g.vertices)}
-    mat = [[0] * len(g.edges) for _ in g.vertices]
-    for j, e in enumerate(g.edges):
-        mat[vindex[e.target]][j] += 1
-        mat[vindex[e.source]][j] -= 1
-    return mat
-
-
 def homology_finite(g: OrientedGraph) -> HomologyResult:
     """H0 as the cokernel of d (Smith normal form) and H1 as its integer
     kernel.  For a finite graph the bounded and unbounded theories agree, so
-    one computation serves both."""
-    mat = boundary_matrix(g)
+    one computation serves both.  d is handed over as one {edge index: +-1}
+    row per vertex, d(e) = t(e) - s(e), built in one pass over the edges
+    (no edge is a loop, so each column holds a +1 and a -1)."""
     nv = len(g.vertices)
     ne = len(g.edges)
     if ne == 0:
         return HomologyResult(AbelianGroup(free_rank=nv), 0, ())
-    _, d, v = smith_normal_form(mat)
+    rows = {v: {} for v in g.vertices}
+    for j, e in enumerate(g.edges):
+        rows[e.target][j] = 1
+        rows[e.source][j] = -1
+    d, v = smith_normal_form(list(rows.values()), ne)
     diag = [x for x in diagonal_of(d) if x != 0]
     h0 = AbelianGroup(
         torsion=tuple(x for x in diag if x > 1),

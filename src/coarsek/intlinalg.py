@@ -2,46 +2,43 @@
 
 Matrices are lists of rows of Python ints, so there is no overflow and no
 floating point anywhere.  Smith normal form pivots naively but works on
-sparse storage: D is one {column: entry} dict per row plus a column-to-rows
-index, U one dict per row and V one dict per column, so a swap, a row
-operation or a column operation costs the nonzeros it touches, not a full
-row or column.  The factors are returned as stored.  The incidence matrix
-of a graph is totally unimodular, so its pivots are units, and the loop
-skips the work a unit makes pointless: the pivot search stops at the first
-unit (the first strict minimum it would keep anyway) and the divisor-chain
-scan is skipped (a unit divides everything).  Only no-op work is skipped,
-so (U, D, V) is exactly what the plain dense loop returns.
+sparse storage: it takes the matrix as one {column: nonzero entry} dict per
+row, and keeps D as such rows plus a column-to-rows index and V as one
+dict per column, so a swap, a row operation or a column operation costs the
+nonzeros it touches, not a full row or column.  The row operations are not
+recorded: no caller reads U, so only D and V are kept, and returned as
+stored.  The incidence matrix of a graph is totally unimodular, so its
+pivots are units, and the loop skips the work a unit makes pointless: the
+pivot search stops at the first unit (the first strict minimum it would
+keep anyway) and the divisor-chain scan is skipped (a unit divides
+everything).  Only no-op work is skipped, so (D, V) is exactly what the
+plain dense loop returns.
 """
 
 from __future__ import annotations
-
-from itertools import compress
-from typing import Optional
 
 Matrix = list[list[int]]
 Sparse = list[dict[int, int]]
 
 
-def smith_normal_form(a: Matrix) -> tuple[Sparse, Sparse, Sparse]:
-    """Return (U, D, V) with U*a*V = D, U and V unimodular, D diagonal
-    with each diagonal entry dividing the next.  U and D are lists of rows
-    and V a list of columns, each a {position: nonzero entry} dict."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    # row i of D as {column: nonzero entry}
-    d = [{j: int(row[j]) for j in compress(range(n), row)} for row in a]
+def smith_normal_form(rows: Sparse, n: int) -> tuple[Sparse, Sparse]:
+    """Return (D, V) with U*a*V = D for some unimodular U, V unimodular and
+    D diagonal with each diagonal entry dividing the next, where a is the
+    m x n matrix whose row i is rows[i] as {column: nonzero entry}.  The
+    rows are copied, not changed.  D is a list of rows and V a list of
+    columns, each a {position: nonzero entry} dict."""
+    m = len(rows)
+    d = [dict(row) for row in rows]  # row i of D as {column: nonzero entry}
     cols = [set() for _ in range(n)]  # column j of D as the rows holding it
     for i, row in enumerate(d):
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(m)]  # row i of U as {column: entry}
     v = [{j: 1} for j in range(n)]  # column j of V as {row: entry}
 
     def swap_rows(i, j):
         for c in d[i].keys() ^ d[j].keys():
             cols[c] ^= {i, j}  # held by one of the two rows: move it over
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in cols[i] | cols[j]:
@@ -55,9 +52,17 @@ def smith_normal_form(a: Matrix) -> tuple[Sparse, Sparse, Sparse]:
         v[i], v[j] = v[j], v[i]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j
-        _sub(d[i], d[j], q, cols, i)
-        _sub(u[i], u[j], q)
+        # row_i -= q * row_j, keeping the column index
+        dst = d[i]
+        for k, y in d[j].items():
+            x = dst.get(k, 0) - q * y
+            if x:
+                if k not in dst:
+                    cols[k].add(i)
+                dst[k] = x
+            elif k in dst:
+                del dst[k]
+                cols[k].remove(i)
 
     def col_sub(i, j, q):
         # col_i -= q * col_j, in place on the rows holding column j
@@ -71,7 +76,13 @@ def smith_normal_form(a: Matrix) -> tuple[Sparse, Sparse, Sparse]:
             elif i in row:
                 del row[i]
                 cols[i].remove(r)
-        _sub(v[i], v[j], q)
+        dst = v[i]
+        for k, y in v[j].items():
+            x = dst.get(k, 0) - q * y
+            if x:
+                dst[k] = x
+            elif k in dst:
+                del dst[k]
 
     t = 0
     while t < min(m, n):
@@ -126,25 +137,9 @@ def smith_normal_form(a: Matrix) -> tuple[Sparse, Sparse, Sparse]:
 
         if d[t][t] < 0:  # row t of D holds only the pivot now
             d[t][t] = -d[t][t]
-            u[t] = {c: -x for c, x in u[t].items()}
         t += 1
 
-    return u, d, v
-
-
-def _sub(dst: dict, src: dict, q: int, index: Optional[list] = None, owner: int = -1) -> None:
-    """dst -= q * src on {position: nonzero} vectors.  With index given,
-    index[k] is kept the set of owners whose vector holds position k."""
-    for k, y in src.items():
-        x = dst.get(k, 0) - q * y
-        if x:
-            if index is not None and k not in dst:
-                index[k].add(owner)
-            dst[k] = x
-        elif k in dst:
-            del dst[k]
-            if index is not None:
-                index[k].remove(owner)
+    return d, v
 
 
 def diagonal_of(d: Sparse) -> list[int]:

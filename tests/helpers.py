@@ -1,13 +1,15 @@
 """Fixtures, references and JSON writers that only the tests use: small
-named graphs, dense integer matrix algebra over the sparse Smith factors,
-per-block ranks, graph and chain files in the format the command line
-reads, and the boundary witness through the checking constructor."""
+named graphs, the dense incidence matrix, dense integer matrix algebra, the
+dense Smith normal form the sparse one must reproduce, per-block ranks,
+graph and chain files in the format the command line reads, and the
+boundary witness through the checking constructor."""
 
+import random
 from collections import Counter
 
 from coarsek.chains import BandedZChain, Chain1, boundary
 from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
-from coarsek.intlinalg import Matrix, smith_normal_form
+from coarsek.intlinalg import Matrix, Sparse, smith_normal_form
 from coarsek.k0_map import expand_graph, order_matched_involution
 from coarsek.operators import (
     BlockIndex,
@@ -29,6 +31,14 @@ def path_graph(n: int) -> OrientedGraph:
 def cycle_graph(n: int) -> OrientedGraph:
     edges = [Edge(f"e{i}", i, (i + 1) % n) for i in range(n)]
     return OrientedGraph(range(n), edges)
+
+
+def connected_graph(n: int, seed: int) -> OrientedGraph:
+    """A random spanning tree plus n + 1 random chords: E = 2V."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(n + 1)]
+    return OrientedGraph(range(n), [Edge(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)])
 
 
 def triangle_with_chord_orientation() -> tuple[OrientedGraph, Chain1]:
@@ -129,17 +139,125 @@ def determinant(a: Matrix) -> int:
     return sign * w[n - 1][n - 1]
 
 
-def dense_factors(factors: tuple) -> tuple[Matrix, Matrix, Matrix]:
-    """The dense (U, D, V) of smith_normal_form's sparse factors: U (m x m)
-    and D (m x n) from their {column: entry} rows, V (n x n) from its
-    {row: entry} columns."""
-    u, d, v = factors
-    m, n = len(u), len(v)
+def boundary_matrix(g: OrientedGraph) -> Matrix:
+    """Vertices-by-edges incidence matrix of d(e) = t(e) - s(e)."""
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    mat = [[0] * len(g.edges) for _ in g.vertices]
+    for j, e in enumerate(g.edges):
+        mat[vindex[e.target]][j] += 1
+        mat[vindex[e.source]][j] -= 1
+    return mat
 
-    def dense_rows(rows, width):
-        return [[row.get(j, 0) for j in range(width)] for row in rows]
 
-    return dense_rows(u, m), dense_rows(d, n), [[col.get(i, 0) for col in v] for i in range(n)]
+def sparse_rows(a: Matrix) -> tuple[Sparse, int]:
+    """The arguments of smith_normal_form for the dense a: one {column:
+    nonzero entry} dict per row, and the column count."""
+    n = len(a[0]) if a else 0
+    return [{j: x for j, x in enumerate(row) if x} for row in a], n
+
+
+def dense_factors(factors: tuple) -> tuple[Matrix, Matrix]:
+    """The dense (D, V) of smith_normal_form's sparse factors: D (m x n)
+    from its {column: entry} rows, V (n x n) from its {row: entry}
+    columns."""
+    d, v = factors
+    n = len(v)
+    return [[row.get(j, 0) for j in range(n)] for row in d], [
+        [col.get(i, 0) for col in v] for i in range(n)
+    ]
+
+
+def reference_smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """The dense Smith normal form that smith_normal_form replaced, kept
+    verbatim: (U, D, V) with U*a*V = D, U and V unimodular, D diagonal with
+    each diagonal entry dividing the next.  Dense rows, a global pivot
+    search over the whole tail block, full-height column operations, and a
+    divisor-chain scan after every pivot."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(map(int, row)) for row in a]
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        # col_i -= q * col_j
+        for row in d:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    t = 0
+    while t < min(m, n):
+        # global pivot search: smallest nonzero magnitude in the tail block
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            swap_rows(piv[0], t)
+        if piv[1] != t:
+            swap_cols(piv[1], t)
+
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    row_sub(i, t, q)
+                    if d[i][t]:
+                        # remainder is strictly smaller: promote it to pivot
+                        swap_rows(i, t)
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_sub(j, t, q)
+                    if d[t][j]:
+                        swap_cols(j, t)
+                        dirty = True
+            if dirty:
+                continue
+            if any(d[i][t] for i in range(t + 1, m)):
+                continue
+            if any(d[t][j] for j in range(t + 1, n)):
+                continue
+            # pivot must divide every remaining entry for the divisor chain
+            culprit = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % d[t][t]:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            row_sub(t, culprit, -1)  # drag the offending row into play
+
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return u, d, v
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:
@@ -151,7 +269,7 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
         return []
     if m == 0:
         return identity_matrix(n)
-    _, d, v = smith_normal_form(a)
+    d, v = smith_normal_form(*sparse_rows(a))
     return [
         [col.get(i, 0) for i in range(n)]
         for j, col in enumerate(v)

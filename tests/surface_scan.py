@@ -43,7 +43,6 @@ READERS = (PACKAGE, TESTS.parent / "perfbench")  # whose `.field` reads count
 # each with the reason it stays
 ALLOWED = {
     "operators.SparseBlockOperator.entries": "perfbench reads it to count entries",
-    "intlinalg": "perfbench requires smith_normal_form and rank; all of it goes with them",
     "k1_map._check_routes": (
         "checks a hand-built matching on the independent U_beta build that "
         "the differential tests compare against"

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from coarsek.chains import (
     ChainError,
     banded_cycle_value,
     boundary,
-    boundary_matrix,
     chain_from_json,
     homology_finite,
     is_cycle,
@@ -26,7 +26,9 @@ from coarsek.chains import (
 from coarsek.corpus import random_chain1, random_graph
 from coarsek.graphs import BandedZGraph, Edge, OrientedGraph
 from helpers import (
+    boundary_matrix,
     chain_to_json,
+    connected_graph,
     cycle_graph,
     kernel_basis,
     path_graph,
@@ -182,9 +184,9 @@ def test_homology_factorises_once_and_keeps_the_kernel_basis(monkeypatch):
     real = intlinalg.smith_normal_form
     calls = []
 
-    def counting(a):
-        calls.append(a)
-        return real(a)
+    def counting(rows, n):
+        calls.append(rows)
+        return real(rows, n)
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
     monkeypatch.setattr(chains, "smith_normal_form", counting)
@@ -199,6 +201,25 @@ def test_homology_factorises_once_and_keeps_the_kernel_basis(monkeypatch):
             for vec in kernel_basis(boundary_matrix(g))
         ]
         assert [b.coeffs for b in res.h1_basis] == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(2000), connected_graph(1000, 1000)],
+    ids=["path-2000", "random-1000-2000"],
+)
+def test_homology_memory_is_bounded_by_the_graph(g):
+    """The incidence rows are built sparse and Smith normal form keeps no U,
+    so the peak stays far below the dense V x E matrix (15 MB at V = 1000,
+    E = 2000) and below U, which on the path is its full lower triangle."""
+    tracemalloc.start()
+    try:
+        res = homology_finite(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.h1_rank == len(g.edges) - len(g.vertices) + 1
+    assert peak < 10 * 2**20, peak
 
 
 def test_solve_boundary_finite():

@@ -63,6 +63,28 @@ def test_homology_edgeless_vertices(tmp_path, capsys):
     assert "Z^3" in capsys.readouterr().out
 
 
+def test_homology_with_an_isolated_first_vertex(tmp_path, capsys):
+    """Vertex 0 lies on no edge, so its incidence row is empty and Smith
+    normal form swaps the first nonempty row up to pivot."""
+    path = write(
+        tmp_path,
+        "isolated.json",
+        {
+            "kind": "finite",
+            "vertices": [0, 1, 2, 3],
+            "edges": [
+                {"id": "a", "source": 1, "target": 2},
+                {"id": "b", "source": 2, "target": 3},
+                {"id": "c", "source": 3, "target": 1},
+            ],
+        },
+    )
+    assert main(["homology", "--graph", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["h0"] == "Z^2"
+    assert data["h1_basis"] == [{"a": 1, "b": 1, "c": 1}]
+
+
 def test_homology_banded_line(line_file, capsys):
     assert main(["homology", "--graph", line_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

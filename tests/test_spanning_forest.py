@@ -16,7 +16,6 @@ from coarsek.chains import (
     Chain0,
     Chain1,
     boundary,
-    boundary_matrix,
     fundamental_cycle,
     homology_finite,
     solve_boundary_finite,
@@ -29,8 +28,7 @@ from coarsek.corpus import (
     random_cycle,
 )
 from coarsek.graphs import Edge, OrientedGraph
-from coarsek.intlinalg import smith_normal_form
-from helpers import dense_factors, determinant
+from helpers import boundary_matrix, determinant, reference_smith_normal_form
 
 
 def snf_solve_boundary(g, c):
@@ -41,7 +39,7 @@ def snf_solve_boundary(g, c):
     cvec = [c.coeff(v) for v in g.vertices]
     if ne == 0:
         return Chain1(g, {}) if c.is_zero() else None
-    u, d, v = dense_factors(smith_normal_form(mat))
+    u, d, v = reference_smith_normal_form(mat)
     y = [sum(u[i][j] * cvec[j] for j in range(nv)) for i in range(nv)]
     z = [0] * ne
     for i in range(nv):
