@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .graphs import Edge, Label, OrientedGraph
-from .intlinalg import diagonal_of, smith_normal_form
+from .intlinalg import smith_normal_form
 
 
 class ChainError(ValueError):
@@ -235,61 +235,44 @@ def uniform_bound(c: Chain) -> int:
 # homology of finite graphs
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group as elementary divisors plus free rank."""
-
-    torsion: tuple[int, ...] = ()
-    free_rank: int = 0
-
-    def is_free_of_rank(self, r: int) -> bool:
-        return not self.torsion and self.free_rank == r
-
-    def __str__(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"C{d}" for d in self.torsion)
-        return " x ".join(parts) if parts else "0"
+def free_abelian(r: int) -> str:
+    """The free abelian group of rank r as text: 0, Z or Z^r."""
+    return "0" if r == 0 else "Z" if r == 1 else f"Z^{r}"
 
 
 @dataclass(frozen=True)
 class HomologyResult:
-    h0: AbelianGroup
+    h0_rank: int
     h1_rank: int
     h1_basis: tuple[Chain1, ...] = field(repr=False, default=())
 
 
 def homology_finite(g: OrientedGraph) -> HomologyResult:
-    """H0 as the cokernel of d (Smith normal form) and H1 as its integer
-    kernel.  For a finite graph the bounded and unbounded theories agree, so
-    one computation serves both.  d is handed over as one {edge index: +-1}
-    row per vertex, d(e) = t(e) - s(e), built in one pass over the edges
-    (no edge is a loop, so each column holds a +1 and a -1)."""
+    """H0 as the cokernel of d and H1 as its integer kernel, both read off
+    the Smith normal form of d.  For a finite graph the bounded and
+    unbounded theories agree, so one computation serves both.  d is handed
+    over as one {edge index: +-1} row per vertex, d(e) = t(e) - s(e), built
+    in one pass over the edges (no edge is a loop, so each column holds a +1
+    and a -1).  An incidence matrix is totally unimodular, so every pivot is
+    a unit and H0 is free: its rank is |V| minus the number of pivots."""
     nv = len(g.vertices)
     ne = len(g.edges)
     if ne == 0:
-        return HomologyResult(AbelianGroup(free_rank=nv), 0, ())
+        return HomologyResult(nv, 0, ())
     rows = {v: {} for v in g.vertices}
     for j, e in enumerate(g.edges):
         rows[e.target][j] = 1
         rows[e.source][j] = -1
     d, v = smith_normal_form(list(rows.values()), ne)
-    diag = [x for x in diagonal_of(d) if x != 0]
-    h0 = AbelianGroup(
-        torsion=tuple(x for x in diag if x > 1),
-        free_rank=nv - len(diag),
-    )
-    # D's nonzero entries come first, so the columns of V past them are an
-    # integer basis of the kernel of d; each is stored as {row: entry}
+    pivots = sum(map(bool, d))
+    # the pivots come first, so the columns of V past them are an integer
+    # basis of the kernel of d; each is stored as {row: entry}
     ids = [e.id for e in g.edges]
     basis = [
         Chain1._trusted(g, ((ids[i], x) for i, x in sorted(col.items())))
-        for col in v[len(diag):]
+        for col in v[pivots:]
     ]
-    return HomologyResult(h0, len(basis), tuple(basis))
+    return HomologyResult(nv - pivots, len(basis), tuple(basis))
 
 
 def spanning_forest(g: OrientedGraph) -> tuple[list[Label], dict]:

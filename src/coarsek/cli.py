@@ -27,6 +27,7 @@ from .chains import (
     banded_cycle_value,
     boundary,
     chain_from_json,
+    free_abelian,
     homology_finite,
     json_int,
     uniform_bound,
@@ -181,10 +182,11 @@ def cmd_homology(args) -> int:
     g = _load_graph(args.graph)
     if isinstance(g, OrientedGraph):
         res = homology_finite(g)
+        h0 = free_abelian(res.h0_rank)
         payload = {
-            "h0": str(res.h0),
-            "h0_torsion": list(res.h0.torsion),
-            "h0_free_rank": res.h0.free_rank,
+            "h0": h0,
+            "h0_torsion": [],  # an incidence matrix is totally unimodular
+            "h0_free_rank": res.h0_rank,
             "h1_rank": res.h1_rank,
             "h1_basis": [
                 {str(k): v for k, v in b.coeffs.items()} for b in res.h1_basis
@@ -193,7 +195,7 @@ def cmd_homology(args) -> int:
         if args.json:
             print(_homology_json(payload))
         else:
-            print(f"H0 = {res.h0}")
+            print(f"H0 = {h0}")
             print(f"H1 rank = {res.h1_rank}")
             for i, b in enumerate(res.h1_basis):
                 print(f"  basis[{i}] = {b.coeffs}")

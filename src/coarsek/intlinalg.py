@@ -1,18 +1,17 @@
 """Exact integer linear algebra on small matrices.
 
 Matrices are lists of rows of Python ints, so there is no overflow and no
-floating point anywhere.  Smith normal form pivots naively but works on
-sparse storage: it takes the matrix as one {column: nonzero entry} dict per
-row, and keeps D as such rows plus a column-to-rows index and V as one
-dict per column, so a swap, a row operation or a column operation costs the
-nonzeros it touches, not a full row or column.  The row operations are not
-recorded: no caller reads U, so only D and V are kept, and returned as
-stored.  The incidence matrix of a graph is totally unimodular, so its
-pivots are units, and the loop skips the work a unit makes pointless: the
-pivot search stops at the first unit (the first strict minimum it would
-keep anyway) and the divisor-chain scan is skipped (a unit divides
-everything).  Only no-op work is skipped, so (D, V) is exactly what the
-plain dense loop returns.
+floating point anywhere.  Smith normal form takes only matrices whose
+elimination meets a unit pivot at every step, which every totally
+unimodular matrix does, the incidence matrix of a graph among them
+(Schrijver, Theory of Linear and Integer Programming, ch. 19): one sweep of
+row and column operations per +-1 pivot diagonalises the matrix, so D holds
+only ones and zeros and the cokernel has no torsion.  A matrix whose
+remaining block is nonzero but holds no +-1 is refused with ValueError.
+The matrix comes as one {column: nonzero entry} dict per row; D is kept as
+such rows plus a column-to-rows index and V as one dict per column, so an
+operation costs the nonzeros it touches.  No caller reads U, so the row
+operations are not recorded.
 """
 
 from __future__ import annotations
@@ -23,10 +22,11 @@ Sparse = list[dict[int, int]]
 
 def smith_normal_form(rows: Sparse, n: int) -> tuple[Sparse, Sparse]:
     """Return (D, V) with U*a*V = D for some unimodular U, V unimodular and
-    D diagonal with each diagonal entry dividing the next, where a is the
-    m x n matrix whose row i is rows[i] as {column: nonzero entry}.  The
-    rows are copied, not changed.  D is a list of rows and V a list of
-    columns, each a {position: nonzero entry} dict."""
+    D diagonal with its ones before its zeros, where a is the m x n matrix
+    whose row i is rows[i] as {column: nonzero entry}.  The rows are
+    copied, not changed.  D is a list of rows and V a list of columns, each
+    a {position: nonzero entry} dict.  Raises ValueError naming the first
+    step whose remaining block is nonzero but holds no +-1."""
     m = len(rows)
     d = [dict(row) for row in rows]  # row i of D as {column: nonzero entry}
     cols = [set() for _ in range(n)]  # column j of D as the rows holding it
@@ -84,68 +84,34 @@ def smith_normal_form(rows: Sparse, n: int) -> tuple[Sparse, Sparse]:
             elif k in dst:
                 del dst[k]
 
-    t = 0
-    while t < min(m, n):
-        # global pivot search: first smallest nonzero magnitude in the tail
-        # block, row-major (rows from t on hold nothing left of column t);
-        # nothing beats a unit, so stop at the first one
-        piv, best = None, 0
+    for t in range(min(m, n)):
+        # the first row from t on that holds a +-1, at its least such column
+        # (rows from t on hold nothing left of column t)
+        piv = None
         for i in range(t, m):
-            if d[i]:
-                size, j = min(zip(map(abs, d[i].values()), d[i]))
-                if piv is None or size < best:
-                    piv, best = (i, j), size
-                    if best == 1:
-                        break
+            units = [j for j, x in d[i].items() if x == 1 or x == -1]
+            if units:
+                piv = i, min(units)
+                break
         if piv is None:
+            if any(d[t:]):
+                raise ValueError(
+                    f"smith_normal_form: no unit pivot at step {t}; "
+                    "the matrix is not totally unimodular"
+                )
             break
         if piv[0] != t:
             swap_rows(piv[0], t)
         if piv[1] != t:
             swap_cols(piv[1], t)
-
-        while True:
-            # rows and columns before t hold only their pivots; an operation
-            # on row (column) i changes only rows (columns) i and t, so the
-            # entries still to clear are known up front
-            dirty = False
-            for i in sorted(cols[t] - {t}):
-                row_sub(i, t, d[i][t] // d[t][t])
-                if t in d[i]:
-                    # remainder is strictly smaller: promote it to pivot
-                    swap_rows(i, t)
-                    dirty = True
-            for j in sorted(d[t].keys() - {t}):
-                col_sub(j, t, d[t][j] // d[t][t])
-                if j in d[t]:
-                    swap_cols(j, t)
-                    dirty = True
-            # a sweep without a swap has cleared column t below the pivot and
-            # row t to its right; a unit pivot divides every remaining entry
-            if dirty:
-                continue
-            p = d[t][t]
-            if abs(p) == 1:
-                break
-            # pivot must divide every remaining entry for the divisor chain
-            culprit = next(
-                (i for i in range(t + 1, m) if any(x % p for x in d[i].values())), None
-            )
-            if culprit is None:
-                break
-            row_sub(t, culprit, -1)  # drag the offending row into play
-
-        if d[t][t] < 0:  # row t of D holds only the pivot now
-            d[t][t] = -d[t][t]
-        t += 1
+        p = d[t][t]  # +-1, its own inverse
+        for i in cols[t] - {t}:
+            row_sub(i, t, d[i][t] * p)
+        for j in d[t].keys() - {t}:
+            col_sub(j, t, d[t][j] * p)
+        d[t][t] = 1  # row t holds only the pivot now: negate it if need be
 
     return d, v
-
-
-def diagonal_of(d: Sparse) -> list[int]:
-    """D[i][i] for every row i of the sparse D, 0 past the last column: the
-    cokernel of the factored matrix is the sum of the Z/D[i][i]."""
-    return [row.get(i, 0) for i, row in enumerate(d)]
 
 
 def rank(a: Matrix) -> int:

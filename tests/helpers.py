@@ -149,6 +149,43 @@ def boundary_matrix(g: OrientedGraph) -> Matrix:
     return mat
 
 
+def random_multigraph(rng) -> OrientedGraph:
+    """Up to 12 vertices and E <= 2V edges; loops excluded, parallel and
+    antiparallel edges allowed.  Edgeless and disconnected graphs occur."""
+    n = rng.randint(1, 12)
+    m = rng.randint(0, 2 * n) if n > 1 else 0
+    edges = []
+    for i in range(m):
+        s, t = rng.sample(range(n), 2)
+        edges.append(Edge(f"e{i}", s, t))
+    if edges and rng.random() < 0.3:
+        e = rng.choice(edges)
+        edges.append(Edge(f"e{len(edges)}", e.source, e.target))
+        edges.append(Edge(f"e{len(edges)}", e.target, e.source))
+    return OrientedGraph(range(n), edges)
+
+
+def _permuted_and_signed(a: Matrix, rng) -> Matrix:
+    n = len(a[0]) if a else 0
+    order = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[signs[j] * row[j] for j in order] for row in a]
+
+
+# ways to turn an incidence matrix into another totally unimodular matrix
+TU_VARIANTS = {
+    "incidence": lambda a, rng: a,
+    "transpose": lambda a, rng: [list(col) for col in zip(*a)],
+    "permuted-signed": _permuted_and_signed,
+}
+
+
+def totally_unimodular_matrix(rng, variant: str) -> Matrix:
+    """The incidence matrix of a random multigraph, turned by the named
+    TU_VARIANTS entry."""
+    return TU_VARIANTS[variant](boundary_matrix(random_multigraph(rng)), rng)
+
+
 def sparse_rows(a: Matrix) -> tuple[Sparse, int]:
     """The arguments of smith_normal_form for the dense a: one {column:
     nonzero entry} dict per row, and the column count."""
@@ -168,11 +205,12 @@ def dense_factors(factors: tuple) -> tuple[Matrix, Matrix]:
 
 
 def reference_smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """The dense Smith normal form that smith_normal_form replaced, kept
-    verbatim: (U, D, V) with U*a*V = D, U and V unimodular, D diagonal with
-    each diagonal entry dividing the next.  Dense rows, a global pivot
-    search over the whole tail block, full-height column operations, and a
-    divisor-chain scan after every pivot."""
+    """The dense, general Smith normal form that smith_normal_form replaced,
+    kept verbatim: (U, D, V) with U*a*V = D, U and V unimodular, D diagonal
+    with each diagonal entry dividing the next, for any integer a.  Dense
+    rows, a global pivot search over the whole tail block, remainders
+    promoted to pivot, full-height column operations, and a divisor-chain
+    scan after every pivot."""
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(map(int, row)) for row in a]
@@ -262,19 +300,16 @@ def reference_smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 def kernel_basis(a: Matrix) -> list[list[int]]:
     """Integer basis of the kernel lattice {x : a*x = 0}: the columns of V
-    past D's nonzero diagonal."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return identity_matrix(n)
-    d, v = smith_normal_form(*sparse_rows(a))
-    return [
-        [col.get(i, 0) for i in range(n)]
-        for j, col in enumerate(v)
-        if j >= m or j not in d[j]
-    ]
+    past D's nonzero diagonal.  The factors are the package's, or, when it
+    refuses a (a non-unit pivot: a is not totally unimodular), the general
+    reference's."""
+    try:
+        d, v = dense_factors(smith_normal_form(*sparse_rows(a)))
+    except ValueError:
+        _, d, v = reference_smith_normal_form(a)
+    n = len(v)
+    pivots = sum(1 for i, row in enumerate(d) if i < n and row[i])
+    return [[row[j] for row in v] for j in range(pivots, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_criterion_05b_matching_independence_content():
 
 
 def test_criterion_06_compression():
-    res = check_compression(SEED, count=40, line_radius=16)
+    res = check_compression(SEED, count=40)
     assert _criterion(
         "6", "corner compression: conjugation, confinement, index equality", res["ok"]
     ), res

@@ -1,10 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsek.intlinalg import diagonal_of, rank, smith_normal_form
+from coarsek.intlinalg import rank, smith_normal_form
 from helpers import (
+    TU_VARIANTS,
     dense_factors,
     determinant,
     identity_matrix,
@@ -12,6 +14,7 @@ from helpers import (
     mat_mul,
     reference_smith_normal_form,
     sparse_rows,
+    totally_unimodular_matrix,
 )
 
 
@@ -54,11 +57,11 @@ def test_rank_against_fraction_elimination():
 
 
 def test_smith_normal_form_properties():
+    # totally unimodular inputs, the only ones smith_normal_form takes
     rng = random.Random(11)
-    for _ in range(60):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        a = random_matrix(rng, m, n)
+    variants = sorted(TU_VARIANTS)
+    for k in range(60):
+        a = totally_unimodular_matrix(rng, variants[k % len(variants)])
         factors = smith_normal_form(*sparse_rows(a))
         u, d, v = reference_smith_normal_form(a)
         # the package keeps no U: its D and V are the reference's, whose U
@@ -67,7 +70,7 @@ def test_smith_normal_form_properties():
         assert mat_mul(mat_mul(u, a), v) == d
         assert determinant(u) in (1, -1)
         assert determinant(v) in (1, -1)
-        diag = diagonal_of(factors[0])
+        diag = [row.get(i, 0) for i, row in enumerate(factors[0])]
         assert diag == [row[i] if i < len(row) else 0 for i, row in enumerate(d)]
         for i, row in enumerate(d):
             for j, x in enumerate(row):
@@ -87,11 +90,14 @@ def test_smith_normal_form_properties():
 
 
 def test_kernel_basis_is_a_kernel_lattice_basis():
+    # general matrices take the reference's factors, totally unimodular
+    # ones the package's
     rng = random.Random(23)
-    for _ in range(40):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 6)
-        a = random_matrix(rng, m, n, bound=4)
+    cases = [random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), bound=4) for _ in range(40)]
+    cases += [totally_unimodular_matrix(rng, v) for v in sorted(TU_VARIANTS) for _ in range(15)]
+    for a in cases:
+        m = len(a)
+        n = len(a[0]) if m else 0
         basis = kernel_basis(a)
         assert len(basis) == n - rank(a)
         for vec in basis:
@@ -103,21 +109,33 @@ def test_kernel_basis_is_a_kernel_lattice_basis():
 
 
 def test_known_smith_forms():
-    # frozen from an independent computer-algebra run
-    d, _ = smith_normal_form(*sparse_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
-    assert diagonal_of(d) == [2, 6, 12]
-    d, _ = smith_normal_form(*sparse_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    assert diagonal_of(d) == [2, 2, 156]
+    # diagonals frozen from an independent computer-algebra run; no entry is
+    # a unit, so the package refuses both at the first step
+    for a, diagonal in [
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+        ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 2, 156]),
+    ]:
+        _, d, _ = reference_smith_normal_form(a)
+        assert [row[i] for i, row in enumerate(d)] == diagonal
+        with pytest.raises(ValueError, match="no unit pivot at step 0"):
+            smith_normal_form(*sparse_rows(a))
+
+
+@st.composite
+def signed_incidence_matrices(draw):
+    """2 to 4 vertices and 3 edges, parallel ones allowed, each column
+    possibly negated: totally unimodular, 2 to 4 rows of 3 entries."""
+    m = draw(st.integers(2, 4))
+    a = [[0] * 3 for _ in range(m)]
+    for j in range(3):
+        s, t = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        sign = draw(st.sampled_from((-1, 1)))
+        a[t][j], a[s][j] = sign, -sign
+    return a
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-        min_size=2,
-        max_size=4,
-    )
-)
+@given(signed_incidence_matrices())
 def test_snf_transform_identity_property(a):
     u, d, v = reference_smith_normal_form(a)
     assert dense_factors(smith_normal_form(*sparse_rows(a))) == (d, v)

@@ -1,19 +1,24 @@
 """Smith normal form against the implementation it replaced.
 
-The oracle is the earlier ``smith_normal_form``, kept verbatim as
+The oracle is the earlier, general ``smith_normal_form``, kept verbatim as
 ``helpers.reference_smith_normal_form``: dense rows, a global pivot search
-over the whole tail block, full-height column operations, and a
-divisor-chain scan after every pivot.  The current function takes sparse
-rows, stores D and V sparsely, records no U, skips the work a unit pivot
-makes pointless and returns the factors as stored; read densely through
-``dense_factors`` they must equal the oracle's D and V for every input, so
-the comparison is exact equality.  Incidence matrices of random multigraphs
-(mostly unit pivots) and small general integer matrices (non-unit pivots,
-torsion, the divisor-chain row drag) are both covered.
+over the whole tail block, remainders promoted to pivot, and a
+divisor-chain scan after every pivot.  The current function takes only
+matrices whose elimination meets a unit pivot at every step, as every
+totally unimodular (TU) matrix does: it takes sparse rows, makes one sweep
+per +-1 pivot, records no U and returns D and V as stored.  On TU input,
+read densely through ``dense_factors``, they must equal the oracle's D and V
+entry for entry.  The inputs are incidence matrices of random multigraphs,
+their transposes, and copies with columns permuted and sign-flipped.  A
+matrix that runs out of unit pivots must be refused with ValueError naming
+the step, and the oracle's diagonal must start with one 1 per step before.
 """
 
 import copy
+import math
 import random
+import re
+import time
 
 import pytest
 
@@ -21,11 +26,14 @@ from coarsek.chains import homology_finite, spanning_forest
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.intlinalg import Matrix, smith_normal_form
 from helpers import (
+    TU_VARIANTS,
     boundary_matrix,
     connected_graph,
     dense_factors,
+    random_multigraph,
     reference_smith_normal_form,
     sparse_rows,
+    totally_unimodular_matrix,
 )
 
 
@@ -37,22 +45,6 @@ def package_factors(a: Matrix) -> tuple[Matrix, Matrix]:
 def reference_factors(a: Matrix) -> tuple[Matrix, Matrix]:
     """The oracle's D and V of a."""
     return reference_smith_normal_form(a)[1:]
-
-
-def random_multigraph(rng):
-    """Up to 12 vertices and E <= 2V edges; loops excluded, parallel and
-    antiparallel edges allowed.  Edgeless and disconnected graphs occur."""
-    n = rng.randint(1, 12)
-    m = rng.randint(0, 2 * n) if n > 1 else 0
-    edges = []
-    for i in range(m):
-        s, t = rng.sample(range(n), 2)
-        edges.append(Edge(f"e{i}", s, t))
-    if edges and rng.random() < 0.3:
-        e = rng.choice(edges)
-        edges.append(Edge(f"e{len(edges)}", e.source, e.target))
-        edges.append(Edge(f"e{len(edges)}", e.target, e.source))
-    return OrientedGraph(range(n), edges)
 
 
 def test_incidence_matrices_of_random_multigraphs():
@@ -69,6 +61,21 @@ def test_incidence_matrices_of_random_multigraphs():
         mat = boundary_matrix(g)
         assert package_factors(mat) == reference_factors(mat)
     assert all(count >= 10 for count in shapes.values()), shapes
+
+
+@pytest.mark.parametrize("variant", sorted(TU_VARIANTS))
+def test_totally_unimodular_matrices(variant):
+    """D and V equal the oracle's entry for entry on 250 TU matrices of each
+    variant, a third or more of them with parallel edges."""
+    rng = random.Random(f"tu-{variant}")
+    parallel = 0
+    for _ in range(250):
+        g = random_multigraph(rng)
+        ends = [(e.source, e.target) for e in g.edges]
+        parallel += len(set(ends)) < len(ends)
+        mat = TU_VARIANTS[variant](boundary_matrix(g), rng)
+        assert package_factors(mat) == reference_factors(mat)
+    assert parallel >= 80, parallel
 
 
 def test_connected_incidence_matrix_with_many_cycles():
@@ -115,48 +122,95 @@ def random_integer_matrix(rng):
     return a
 
 
+def refusal_step(a: Matrix):
+    """The step at which smith_normal_form refuses a, or None if it does
+    not; a refusal must be a ValueError that names its step."""
+    try:
+        smith_normal_form(*sparse_rows(a))
+    except ValueError as err:
+        found = re.search(r"no unit pivot at step (\d+)", str(err))
+        assert found, err
+        return int(found[1])
+    return None
+
+
 def test_small_general_integer_matrices():
+    """On a general integer matrix the function either meets a unit pivot at
+    every step, and then returns the oracle's D and V, or refuses at the
+    first step without one.  The steps before a refusal took unit pivots,
+    so the oracle's diagonal starts with that many ones; a nonzero matrix
+    whose entries share a factor has no unit at all and is refused at once."""
     rng = random.Random(99)
-    non_unit = 0
+    refused = factored = 0
     for _ in range(200):
         a = random_integer_matrix(rng)
-        d, v = package_factors(a)
-        assert (d, v) == reference_factors(a)
-        non_unit += any(abs(row[i]) > 1 for i, row in enumerate(d) if i < len(row))
-    assert non_unit >= 50
+        step = refusal_step(a)
+        d, v = reference_factors(a)
+        if step is None:
+            factored += 1
+            assert package_factors(a) == (d, v)
+            continue
+        refused += 1
+        assert [d[i][i] for i in range(step)] == [1] * step
+        if math.gcd(*(x for row in a for x in row)) > 1:
+            assert step == 0
+    assert refused >= 100 and factored >= 10, (refused, factored)
 
 
-# m = 0 and n = 0 (also [[]]), a zero matrix, 1 x 1 cases; diag(2, 3),
-# whose Smith form diag(1, 6) needs the row drag, and diag(-2, 3), which
-# drags below a negative pivot; a zero quotient in a column operation
-# ([[4, 3], [-2, -2]]) and in a row operation (the 3 x 3 case after it); a
-# negative non-unit pivot that ends up negated; a drag on a 3 x 3 matrix
-# with torsion
+def test_the_matrix_that_blew_up_the_general_form_is_refused_at_once():
+    """The general form took 3-4 s on this matrix and returned U and V with
+    entries of about 209,000 digits, for a diagonal of 1, 1, 1, 5, 30,
+    15279630.  After one unit pivot its remaining block holds no +-1."""
+    a = [
+        [46, 45, 1, -15, -30, 16],
+        [15, -20, -5, 25, 5, -24],
+        [-25, 25, 15, 20, 41, -20],
+        [10, -5, -15, -5, 25, 46],
+        [15, -20, 30, 45, 30, -20],
+        [-35, 40, -10, 25, 35, -44],
+    ]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="no unit pivot at step 1"):
+        smith_normal_form(*sparse_rows(a))
+    assert time.perf_counter() - start < 0.5
+
+
+# m = 0 and n = 0 (also [[]]), a zero matrix and [[-1]] are factored; the
+# rest have a step without a unit pivot and are refused there: 1 x 1 [[5]];
+# diag(2, 3) and diag(-2, 3), whose general Smith form diag(1, 6) needs the
+# divisor-chain row drag; [[4, 3], [-2, -2]], a zero quotient in a column
+# operation; the 3 x 3 case after it, which takes one unit pivot and then
+# has none; a negative non-unit pivot; a 3 x 3 matrix with torsion
+FIXED_SMALL_MATRICES = [
+    ([], None),
+    ([[], []], None),
+    ([[0, 0], [0, 0]], None),
+    ([[5]], 0),
+    ([[-1]], None),
+    ([[2, 0], [0, 3]], 0),
+    ([[]], None),
+    ([[-2, 0], [0, 3]], 0),
+    ([[4, 3], [-2, -2]], 0),
+    ([[5, 6, 3], [1, -4, -1], [-5, -6, -4]], 1),
+    ([[-4, 6], [6, -4]], 0),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], 0),
+]
+
+
 @pytest.mark.parametrize(
-    "a",
-    [
-        [],
-        [[], []],
-        [[0, 0], [0, 0]],
-        [[5]],
-        [[-1]],
-        [[2, 0], [0, 3]],
-        [[]],
-        [[-2, 0], [0, 3]],
-        [[4, 3], [-2, -2]],
-        [[5, 6, 3], [1, -4, -1], [-5, -6, -4]],
-        [[-4, 6], [6, -4]],
-        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
-    ],
+    "a, refused_at",
+    FIXED_SMALL_MATRICES,
+    ids=[f"a{i}" for i in range(len(FIXED_SMALL_MATRICES))],
 )
-def test_fixed_small_matrices(a):
-    assert package_factors(a) == reference_factors(a)
+def test_fixed_small_matrices(a, refused_at):
+    assert refusal_step(a) == refused_at
+    if refused_at is None:
+        assert package_factors(a) == reference_factors(a)
 
 
 def test_the_input_matrix_is_left_unchanged():
     rng = random.Random(5)
-    cases = [random_integer_matrix(rng) for _ in range(50)]
-    cases += [boundary_matrix(random_multigraph(rng)) for _ in range(50)]
+    cases = [totally_unimodular_matrix(rng, v) for v in sorted(TU_VARIANTS) for _ in range(40)]
     for a in cases:
         rows, n = sparse_rows(a)
         before = copy.deepcopy(rows)
