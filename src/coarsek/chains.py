@@ -243,7 +243,6 @@ def free_abelian(r: int) -> str:
 @dataclass(frozen=True)
 class HomologyResult:
     h0_rank: int
-    h1_rank: int
     h1_basis: tuple[Chain1, ...] = field(repr=False, default=())
 
 
@@ -258,7 +257,7 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
     nv = len(g.vertices)
     ne = len(g.edges)
     if ne == 0:
-        return HomologyResult(nv, 0, ())
+        return HomologyResult(nv, ())
     rows = {v: {} for v in g.vertices}
     for j, e in enumerate(g.edges):
         rows[e.target][j] = 1
@@ -272,7 +271,7 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
         Chain1._trusted(g, ((ids[i], x) for i, x in sorted(col.items())))
         for col in v[pivots:]
     ]
-    return HomologyResult(nv - pivots, len(basis), tuple(basis))
+    return HomologyResult(nv - pivots, tuple(basis))
 
 
 def spanning_forest(g: OrientedGraph) -> tuple[list[Label], dict]:

@@ -67,9 +67,18 @@ class InputError(Exception):
 
 
 def _load_json_file(path: str) -> dict:
+    def unique(pairs):
+        # json keeps the last of two equal keys; a file is refused instead
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
@@ -187,7 +196,7 @@ def cmd_homology(args) -> int:
             "h0": h0,
             "h0_torsion": [],  # an incidence matrix is totally unimodular
             "h0_free_rank": res.h0_rank,
-            "h1_rank": res.h1_rank,
+            "h1_rank": len(res.h1_basis),
             "h1_basis": [
                 {str(k): v for k, v in b.coeffs.items()} for b in res.h1_basis
             ],
@@ -196,7 +205,7 @@ def cmd_homology(args) -> int:
             print(_homology_json(payload))
         else:
             print(f"H0 = {h0}")
-            print(f"H1 rank = {res.h1_rank}")
+            print(f"H1 rank = {len(res.h1_basis)}")
             for i, b in enumerate(res.h1_basis):
                 print(f"  basis[{i}] = {b.coeffs}")
         return EXIT_OK

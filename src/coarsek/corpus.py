@@ -11,7 +11,6 @@ from typing import Iterator, Optional
 
 from .chains import Chain0, Chain1, fundamental_cycle, spanning_forest
 from .graphs import Edge, OrientedGraph
-from .k0_map import ExpandedGraph
 from .k1_map import permuted_matching
 
 
@@ -105,28 +104,26 @@ def random_multiplicity_cycle(rng: random.Random, g: OrientedGraph) -> Optional[
     return base.scaled(rng.choice([2, -2, 3, -3]))
 
 
-def random_chain1(rng: random.Random, g: OrientedGraph, bound: int = 3) -> Chain1:
+def random_chain1(rng: random.Random, g: OrientedGraph) -> Chain1:
     if not g.edges:
         return Chain1._trusted(g, ())
     m = rng.randint(1, min(len(g.edges), 8))
     picked = rng.sample(list(g.edges), m)
-    values = [v for v in range(-bound, bound + 1) if v]
-    return Chain1._trusted(g, [(e.id, rng.choice(values)) for e in picked])
+    return Chain1._trusted(g, [(e.id, rng.choice((-3, -2, -1, 1, 2, 3))) for e in picked])
 
 
-def random_chain0(rng: random.Random, g: OrientedGraph, bound: int = 3) -> Chain0:
+def random_chain0(rng: random.Random, g: OrientedGraph) -> Chain0:
     m = rng.randint(1, min(len(g.vertices), 8))
     picked = rng.sample(list(g.vertices), m)
-    values = [x for x in range(-bound, bound + 1) if x]
-    return Chain0._trusted(g, [(v, rng.choice(values)) for v in picked])
+    return Chain0._trusted(g, [(v, rng.choice((-3, -2, -1, 1, 2, 3))) for v in picked])
 
 
-def random_matching(rng: random.Random, g: ExpandedGraph) -> dict:
+def random_matching(rng: random.Random, g: OrientedGraph) -> dict:
     """Routes of a uniformly random matching of g, the expanded graph of a
     cycle."""
     positions = {}
     for x in g.vertices:
-        n_x = g.in_count(x)
+        n_x = len(g.in_edges(x))
         if n_x >= 2:
             perm = list(range(n_x))
             rng.shuffle(perm)

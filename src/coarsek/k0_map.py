@@ -26,9 +26,8 @@ from .chains import (
     ChainError,
     boundary,
     spanning_forest,
-    uniform_bound,
 )
-from .graphs import Edge, Label, OrientedGraph
+from .graphs import Edge, OrientedGraph
 from .operators import (
     BlockIndex,
     CopyEdge,
@@ -39,24 +38,13 @@ from .operators import (
 )
 
 
-class ExpandedGraph(OrientedGraph):
-    """Multigraph with |gamma_e| parallel copies of each edge e; copy c has
-    id CopyEdge(e, c), which is also its basis slot, and copies of edges
-    with negative coefficient run backwards."""
-
-    def in_count(self, x: Label) -> int:
-        return len(self.in_edges(x))
-
-    def out_count(self, x: Label) -> int:
-        return len(self.out_edges(x))
-
-
-def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
-    """Replace each edge by |gamma_e| parallel copies, flipping orientation
-    where the coefficient is negative.  The copies inherit the host's
-    checks and come out in idkey order, so nothing is checked or sorted.
-    Each copy costs two tuples: tuple.__new__ builds the NamedTuples without
-    their Python-level constructors."""
+def expand_graph(g: OrientedGraph, gamma: Chain1) -> OrientedGraph:
+    """Replace each edge e by |gamma_e| parallel copies, flipping orientation
+    where the coefficient is negative; copy c has id CopyEdge(e, c), which
+    is also its basis slot.  The copies inherit the host's checks and come
+    out in idkey order, so nothing is checked or sorted.  Each copy costs
+    two tuples: tuple.__new__ builds the NamedTuples without their
+    Python-level constructors."""
     if gamma.graph is not g and gamma.graph != g:
         raise ChainError("chain does not live over this graph")
     new, coeffs = tuple.__new__, gamma.coeffs
@@ -67,7 +55,7 @@ def expand_graph(g: OrientedGraph, gamma: Chain1) -> ExpandedGraph:
             eid, src, tgt = e if coeff > 0 else (e.id, e.target, e.source)
             for c in range(1, abs(coeff) + 1):
                 edges.append(new(Edge, (new(CopyEdge, (eid, c)), src, tgt)))
-    return ExpandedGraph._trusted(g.vertices, tuple(edges))
+    return OrientedGraph._trusted(g.vertices, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +70,9 @@ class ProjectionPair:
 
     f: SparseBlockOperator
     g: SparseBlockOperator
-    host_kind: str = "finite"
 
 
-def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
+def _pair_from_values(values: dict) -> ProjectionPair:
     ceiling = max((abs(v) for v in values.values()), default=0)
     new = tuple.__new__  # NamedTuples without their Python-level constructors
     ordinals = [new(Ordinal, (i,)) for i in range(1, ceiling + 1)]
@@ -102,7 +89,6 @@ def _pair_from_values(values: dict, host_kind: str) -> ProjectionPair:
     return ProjectionPair(
         f=SparseBlockOperator(dom, f_moves),
         g=SparseBlockOperator(dom, g_moves),
-        host_kind=host_kind,
     )
 
 
@@ -113,13 +99,13 @@ def build_projection_pair(
     the given window."""
     if isinstance(c, Chain0):
         values = {x: c.coeff(x) for x in c.graph.vertices}
-        return _pair_from_values(values, "finite")
+        return _pair_from_values(values)
     if c.degree != 0:
         raise ChainError("a degree-0 chain is required")
     if window is None:
         raise ChainError("a window is required for banded chains")
     values = {x: c.value(x) for x in range(window.lo, window.hi + 1)}
-    return _pair_from_values(values, "banded_z")
+    return _pair_from_values(values)
 
 
 def slot_ceiling(pair: ProjectionPair) -> int:
@@ -128,17 +114,9 @@ def slot_ceiling(pair: ProjectionPair) -> int:
     return max(used, default=0)
 
 
-def uniform_corner_holds(c: Union[Chain0, BandedZChain], pair: ProjectionPair) -> bool:
-    """A chain with strict coefficient bound K keeps the pair inside the
-    (K-1)-sized matrix corner."""
-    return slot_ceiling(pair) <= uniform_bound(c) - 1
-
-
 def k0_signature(pair: ProjectionPair) -> int:
     """Total rank difference of the pair; on a finite host this is the K0
     invariant and equals the sum of the chain coefficients."""
-    if pair.host_kind != "finite":
-        raise ChainError("k0_signature is defined for finite hosts only")
     return len(pair.f.moves) - len(pair.g.moves)
 
 
@@ -213,7 +191,7 @@ class BoundaryWitness:
     the exchange permutations conjugate one onto the other exactly.
     """
 
-    expanded: ExpandedGraph
+    expanded: OrientedGraph
     chain: Chain0
     v: SparseBlockOperator
     source_projection: SparseBlockOperator
@@ -313,8 +291,8 @@ def witness_report_json(w: BoundaryWitness) -> dict:
         "checks": dict(sorted(w.checks.items())),
         "per_vertex": {
             str(x): {
-                "in_count": w.expanded.in_count(x),
-                "out_count": w.expanded.out_count(x),
+                "in_count": len(w.expanded.in_edges(x)),
+                "out_count": len(w.expanded.out_edges(x)),
                 "chain_value": w.chain.coeff(x),
             }
             for x in w.expanded.vertices

@@ -44,9 +44,8 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 from .chains import Chain1, is_cycle, json_int
-from .graphs import BandedZGraph
+from .graphs import BandedZGraph, OrientedGraph
 from .k0_map import (
-    ExpandedGraph,
     block_diagonal_slot_permutation,
     expand_graph,
     order_matched_involution,
@@ -72,23 +71,24 @@ class NonCycleError(ValueError):
         )
 
 
-def canonical_matching(g: ExpandedGraph) -> dict:
+def canonical_matching(g: OrientedGraph) -> dict:
     """Sort ingoing and outgoing edges by (parent id, copy) and match in
     order; fails naming the first vertex where the flows disagree."""
     return permuted_matching(g, {})
 
 
-def permuted_matching(g: ExpandedGraph, positions: dict) -> dict:
+def permuted_matching(g: OrientedGraph, positions: dict) -> dict:
     """Canonical matching with the outgoing side reordered: positions[x][j]
     is the index into the sorted outgoing list that the j-th sorted ingoing
     edge should map to."""
     for x in g.vertices:
-        if g.in_count(x) != g.out_count(x):
-            raise NonCycleError(x, g.in_count(x), g.out_count(x))
+        n_in, n_out = len(g.in_edges(x)), len(g.out_edges(x))
+        if n_in != n_out:
+            raise NonCycleError(x, n_in, n_out)
     return _routes(g, positions)
 
 
-def _routes(g: ExpandedGraph, positions: dict, copies: Optional[int] = None) -> dict:
+def _routes(g: OrientedGraph, positions: dict, copies: Optional[int] = None) -> dict:
     """Per-vertex routes {x: {ingoing edge: outgoing edge or None}}: the j-th
     sorted ingoing edge at x goes to the positions[x][j]-th sorted outgoing
     edge (the j-th when x has no entry), and to None when x has no outgoing
@@ -122,13 +122,13 @@ class CycleUnitary:
     the routes that produced it.  For line windows the operator is the
     restriction of the infinite one, exact on the window interior."""
 
-    expanded: ExpandedGraph
+    expanded: OrientedGraph
     matching: dict
     u: SparseBlockOperator
     window: Optional[Window] = None
 
 
-def _full_domain(g: ExpandedGraph) -> ProductBasis:
+def _full_domain(g: OrientedGraph) -> ProductBasis:
     return ProductBasis(g.vertices, [e.id for e in g.edges])
 
 
@@ -152,12 +152,12 @@ def _track_map(routes: dict) -> dict:
     }
 
 
-def _unitary(g: ExpandedGraph, routes: dict) -> SparseBlockOperator:
+def _unitary(g: OrientedGraph, routes: dict) -> SparseBlockOperator:
     """The unitary of routes on g, through the checking constructor."""
     return SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
 
 
-def _check_routes(g: ExpandedGraph, routes: dict) -> None:
+def _check_routes(g: OrientedGraph, routes: dict) -> None:
     """Refuse, naming the vertex, routes that are no matching of g: they
     must cover exactly the vertices, and at each one map its ingoing edges
     to distinct outgoing edges.  g expands a cycle, so a vertex that no
@@ -226,7 +226,7 @@ def _cycles(mapping: dict) -> Iterator[tuple[object, int]]:
 # matching independence
 
 
-def matching_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBlockOperator:
+def matching_correction(g: OrientedGraph, alpha: dict, beta: dict) -> SparseBlockOperator:
     """Block-diagonal slot permutation R with U_beta = U_alpha * R.
 
     At each vertex R reroutes ingoing slots by alpha_x^{-1} o beta_x, so the
@@ -244,7 +244,7 @@ def matching_correction(g: ExpandedGraph, alpha: dict, beta: dict) -> SparseBloc
 
 
 def _hybrid_intermediate(
-    g: ExpandedGraph, alpha: dict, beta: dict
+    g: OrientedGraph, alpha: dict, beta: dict
 ) -> tuple[Optional[SparseBlockOperator], Optional[tuple]]:
     """The classical intermediate: ingoing vectors go to the alpha target
     vertex but the beta slot.  Returns the matrix when it is a basis
@@ -289,7 +289,7 @@ def _least_rotation(word: list) -> int:
     return k
 
 
-def _block_conjugator(g: ExpandedGraph, alpha: dict, beta: dict):
+def _block_conjugator(g: OrientedGraph, alpha: dict, beta: dict):
     """Decide whether per-vertex permutations pi_x of the ingoing edges with
 
         alpha_x(pi_x(e)) = pi_y(beta_x(e)),   y = target(beta_x(e)),
@@ -522,7 +522,7 @@ def compress_to_uniform(cu: CycleUnitary) -> CompressionResult:
     slots = tuple(e.id for e in g.edges)
     max_valence = max((g.degree(x) for x in g.vertices), default=0)
     involution = {
-        x: order_matched_involution(slots[: g.in_count(x)], [e.id for e in g.in_edges(x)])
+        x: order_matched_involution(slots[: len(g.in_edges(x))], [e.id for e in g.in_edges(x)])
         for x in g.vertices
     }
     new = tuple.__new__  # NamedTuples without their Python-level constructors
@@ -545,7 +545,7 @@ def compress_to_uniform(cu: CycleUnitary) -> CompressionResult:
 # the integer line
 
 
-def line_expansion(k: int, lo: int, hi: int) -> ExpandedGraph:
+def line_expansion(k: int, lo: int, hi: int) -> OrientedGraph:
     """Expanded multigraph of the constant-k cycle on the line window
     [lo, hi]: |k| parallel copies of every cell edge, reversed when k < 0.
     The chain is k on every cell of the window, so once k is checked as the

@@ -7,14 +7,15 @@ coarsek.cli.main runs, then lists each function defined in src/coarsek that
 was never entered and is not on the allowlist below.  The Hypothesis fuzz
 tests are left out, so the result does not depend on random draws.
 
-Two checks read the source instead: coarsek/__init__.py imports nothing
-from the package (each module is its own import path), and every field of
-a package dataclass or NamedTuple is read as `.field` somewhere in
-src/coarsek or perfbench, unless the field allowlist names it.
+Three checks read the source instead: coarsek/__init__.py imports nothing
+from the package (each module is its own import path), every field of a
+package dataclass or NamedTuple is read as `.field` somewhere in
+src/coarsek or perfbench, unless the field allowlist names it, and every
+name a package module imports is used in that module.
 
     PYTHONPATH=src python tests/surface_scan.py
 
-Exits 0 when every function off the allowlist was entered and both source
+Exits 0 when every function off the allowlist was entered and the source
 checks pass, 1 naming what failed, and with pytest's code when the tests
 themselves fail.
 """
@@ -160,6 +161,23 @@ def reexports() -> list:
     return out
 
 
+def unused_imports() -> list:
+    """module.name of every name a package module imports but never uses."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [
+            (a.asname or a.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return out
+
+
 def result_fields() -> list:
     """Dotted name (module.class.field) of every field of a dataclass or
     NamedTuple written in a module of the package."""
@@ -210,7 +228,11 @@ def main() -> int:
     for name in unread:
         state = "allowed, not read" if name in FIELDS_ALLOWED else "never read"
         print(f"  {state}: {name}")
-    static_faults = bool(bound) or any(f not in FIELDS_ALLOWED for f in unread)
+    unused = unused_imports()
+    print(f"surface scan: {len(unused)} imported names unused")
+    for name in unused:
+        print(f"  imported, never used: {name}")
+    static_faults = bool(bound) or bool(unused) or any(f not in FIELDS_ALLOWED for f in unread)
 
     funcs = package_functions()
     code, entered = entered_under_main(

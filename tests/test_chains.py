@@ -162,7 +162,7 @@ def test_homology_connected_five_vertices_seven_edges():
     res = homology_finite(g)
     assert res.h0_rank == 1
     # independent oracle: rank H1 = |E| - |V| + number of components
-    assert res.h1_rank == 7 - 5 + 1 == 3
+    assert len(res.h1_basis) == 7 - 5 + 1 == 3
     for b in res.h1_basis:
         assert is_cycle(b)
 
@@ -170,13 +170,13 @@ def test_homology_connected_five_vertices_seven_edges():
 def test_homology_edgeless():
     res = homology_finite(OrientedGraph(range(4), []))
     assert res.h0_rank == 4
-    assert res.h1_rank == 0
+    assert len(res.h1_basis) == 0
 
 
 def test_homology_cycle_graph():
     res = homology_finite(cycle_graph(3))
     assert res.h0_rank == 1
-    assert res.h1_rank == 1
+    assert len(res.h1_basis) == 1
     assert is_cycle(res.h1_basis[0])
 
 
@@ -218,7 +218,7 @@ def test_homology_memory_is_bounded_by_the_graph(g):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.h1_rank == len(g.edges) - len(g.vertices) + 1
+    assert len(res.h1_basis) == len(g.edges) - len(g.vertices) + 1
     assert peak < 10 * 2**20, peak
 
 

@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 
 from coarsek import cli, scenarios
 from coarsek.cli import MAX_WORK, main
-from coarsek.operators import Window
+from coarsek.operators import MarginError, OperatorError, Window
 
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
 
 
 def write(tmp_path, name, payload):
+    """payload as JSON, or a str verbatim: JSON that json.dumps cannot
+    write, such as an object with a repeated key"""
     p = tmp_path / name
-    p.write_text(json.dumps(payload))
+    p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(p)
 
 
@@ -502,6 +504,10 @@ MISSING = object()  # a --matching path with no file
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, None, "--window: a finite graph takes no window, got 4", ("--window", "4")),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, None, "--margin: a finite graph takes no window, got 0", ("--margin", "0")),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [1, 0]}}, "--window: a finite graph takes no window, got 16", ("--window", "16")),
+        ('{"kind": "banded_z", "kind": "finite", "vertices": [], "edges": []}', LINE_CYCLE, None, "g.json: duplicate key 'kind'", ()),
+        (FIGURE_EIGHT_GRAPH, '{"degree": 1, "degree": 0, "coeffs": {}}', None, "c.json: duplicate key 'degree'", ()),
+        (FIGURE_EIGHT_GRAPH, '{"degree": 1, "coeffs": {"f1": 1, "f1": 5}}', None, "c.json: duplicate key 'f1'", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, '{"positions": {"z": [1, 0], "z": [0, 1]}}', "m.json: duplicate key 'z'", ()),
     ],
     ids=[
         "graph-list", "chain-list", "matching-list", "positions-missing", "positions-list",
@@ -510,6 +516,8 @@ MISSING = object()  # a --matching path with no file
         "degree-bool-banded", "degree-bool-coeffs", "matching-on-the-line",
         "strict-without-matching-finite", "strict-without-matching-line",
         "window-on-finite", "margin-on-finite", "window-on-finite-with-matching",
+        "graph-duplicate-key", "chain-duplicate-key", "coeffs-duplicate-key",
+        "positions-duplicate-key",
     ],
 )
 def test_malformed_input_files_are_input_errors(
@@ -529,6 +537,24 @@ def test_malformed_input_files_are_input_errors(
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "error, code", [(OperatorError("boom"), 1), (MarginError("boom"), 2)], ids=["operator", "margin"]
+)
+def test_an_operator_error_in_a_build_exits_1_and_a_margin_error_2(
+    tmp_path, capsys, monkeypatch, error, code
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "certify_k1", fail)
+    argv = ["k1-map", "--graph", write(tmp_path, "g.json", FIGURE_EIGHT_GRAPH),
+            "--chain", write(tmp_path, "c.json", FIGURE_EIGHT_CHAIN)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: boom\n"
     assert captured.out == ""
 
 

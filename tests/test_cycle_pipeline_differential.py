@@ -47,7 +47,7 @@ def reference_routes(g, positions: dict) -> dict:
     routes = {}
     for x in g.vertices:
         outs = g.out_edges(x)
-        perm = positions.get(x, range(g.in_count(x)))
+        perm = positions.get(x, range(len(g.in_edges(x))))
         routes[x] = {
             e: outs[perm[j]] if outs else None for j, e in enumerate(g.in_edges(x))
         }
@@ -130,8 +130,8 @@ def finite_cycles(draw):
     ex = expand_graph(g, gamma)
     positions = {}
     for x in ex.vertices:
-        if ex.out_count(x) and draw(st.booleans()):
-            positions[x] = tuple(draw(st.permutations(range(ex.out_count(x)))))
+        if len(ex.out_edges(x)) and draw(st.booleans()):
+            positions[x] = tuple(draw(st.permutations(range(len(ex.out_edges(x))))))
     return gamma, ex, positions, None
 
 

@@ -12,7 +12,6 @@ from coarsek.k0_map import (
     k0_signature,
     order_matched_involution,
     slot_ceiling,
-    uniform_corner_holds,
 )
 from coarsek.operators import BlockIndex, CopyEdge, Ordinal, Window
 from helpers import triangle_with_chord_orientation
@@ -59,15 +58,14 @@ def test_uniformly_finite_chain_lives_in_small_corner():
     pair = build_projection_pair(c, Window(radius=6, margin=0))
     bound = uniform_bound(c)
     assert slot_ceiling(pair) <= bound - 1
-    assert uniform_corner_holds(c, pair)
 
 
 def test_expand_graph_multiplicity():
     g = single_edge()
     ex = expand_graph(g, Chain1(g, {"e": 3}))
     assert len(ex.edges) == 3
-    assert ex.in_count(1) == 3 and ex.out_count(0) == 3
-    assert ex.in_count(0) == 0
+    assert len(ex.in_edges(1)) == 3 and len(ex.out_edges(0)) == 3
+    assert len(ex.in_edges(0)) == 0
 
 
 def test_expand_graph_orientation_flip():
@@ -110,8 +108,8 @@ def test_witness_on_triangle_cycle():
     assert w.ok
     assert w.chain.is_zero()
     for x in range(3):
-        assert w.expanded.in_count(x) == 1
-        assert w.expanded.out_count(x) == 1
+        assert len(w.expanded.in_edges(x)) == 1
+        assert len(w.expanded.out_edges(x)) == 1
     # three tracks, one per vertex pair along the cycle
     assert len(w.v.entries) == 3
 

@@ -63,7 +63,7 @@ def test_canonical_matching_reports_noncycle_vertex():
 def test_figure_eight_has_two_matchings_at_center():
     g, gamma = figure_eight()
     ex = expand_graph(g, gamma)
-    assert ex.in_count("z") == 2
+    assert len(ex.in_edges("z")) == 2
     a = canonical_matching(ex)
     b = permuted_matching(ex, {"z": (1, 0)})
     assert a["z"] != b["z"]
