@@ -268,7 +268,7 @@ def homology_finite(g: OrientedGraph) -> HomologyResult:
     # basis of the kernel of d; each is stored as {row: entry}
     ids = [e.id for e in g.edges]
     basis = [
-        Chain1._trusted(g, ((ids[i], x) for i, x in sorted(col.items())))
+        Chain1._trusted(g, ((ids[i], col[i]) for i in sorted(col)))
         for col in v[pivots:]
     ]
     return HomologyResult(nv - pivots, tuple(basis))

@@ -81,8 +81,12 @@ def _load_json_file(path: str) -> dict:
             data = json.load(fh, object_pairs_hook=unique)
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror}")
+    except json.JSONDecodeError as exc:  # a ValueError: caught before the others
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too long an int, too deep
+        raise InputError(f"{path}: not readable as JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError(f"{path}: the top level must be a JSON object")
     return data
@@ -174,15 +178,18 @@ def _emit(args, report: Report, dumps: dict) -> int:
 # homology
 
 
+#: Writes each H1 basis chain as ",\n   "-joined items (see _homology_json)
+_BASIS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
+
+
 def _homology_json(payload: dict) -> str:
-    """json.dumps(payload, indent=1, sort_keys=True), with each H1 basis
-    chain written by the C encoder: indent=1 runs the pure-Python encoder
-    over every coefficient.  A basis chain is never empty."""
-    chains = [
-        "{\n   " + json.dumps(b, sort_keys=True, separators=(",\n   ", ": "))[1:-1] + "\n  }"
-        for b in payload["h1_basis"]
-    ]
-    basis = "[\n  " + ",\n  ".join(chains) + "\n ]" if chains else "[]"
+    r"""json.dumps(payload, indent=1, sort_keys=True), with the H1 basis
+    written by one C-encoder call, not the pure-Python indent=1 encoder.
+    An encoded key holds no raw newline, so "},\n   {" only ever joins two
+    chains.  A basis chain is never empty."""
+    basis = _BASIS_ENCODER.encode(payload["h1_basis"])
+    if basis != "[]":
+        basis = "[\n  {\n   " + basis[2:-2].replace("},\n   {", "\n  },\n  {\n   ") + "\n  }\n ]"
     text = json.dumps({**payload, "h1_basis": []}, indent=1, sort_keys=True)
     return text.replace('"h1_basis": []', '"h1_basis": ' + basis, 1)
 
@@ -197,9 +204,7 @@ def cmd_homology(args) -> int:
             "h0_torsion": [],  # an incidence matrix is totally unimodular
             "h0_free_rank": res.h0_rank,
             "h1_rank": len(res.h1_basis),
-            "h1_basis": [
-                {str(k): v for k, v in b.coeffs.items()} for b in res.h1_basis
-            ],
+            "h1_basis": [{str(k): v for k, v in b.coeffs.items()} for b in res.h1_basis],
         }
         if args.json:
             print(_homology_json(payload))

@@ -11,7 +11,9 @@ remaining block is nonzero but holds no +-1 is refused with ValueError.
 The matrix comes as one {column: nonzero entry} dict per row; D is kept as
 such rows plus a column-to-rows index and V as one dict per column, so an
 operation costs the nonzeros it touches.  No caller reads U, so the row
-operations are not recorded.
+operations are not recorded; after the row sweep the pivot is alone in its
+column, so the column sweep only clears the pivot's row of D and does its
+arithmetic on V alone.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ def smith_normal_form(rows: Sparse, n: int) -> tuple[Sparse, Sparse]:
     D diagonal with its ones before its zeros, where a is the m x n matrix
     whose row i is rows[i] as {column: nonzero entry}.  The rows are
     copied, not changed.  D is a list of rows and V a list of columns, each
-    a {position: nonzero entry} dict.  Raises ValueError naming the first
-    step whose remaining block is nonzero but holds no +-1."""
+    a {position: nonzero entry} dict.  Each step swaps a +-1 pivot into
+    place, clears its column by row operations and then its row by column
+    operations, whose sums touch only V.  Raises ValueError naming the
+    first step whose remaining block is nonzero but holds no +-1."""
     m = len(rows)
     d = [dict(row) for row in rows]  # row i of D as {column: nonzero entry}
     cols = [set() for _ in range(n)]  # column j of D as the rows holding it
@@ -35,81 +39,71 @@ def smith_normal_form(rows: Sparse, n: int) -> tuple[Sparse, Sparse]:
             cols[j].add(i)
     v = [{j: 1} for j in range(n)]  # column j of V as {row: entry}
 
-    def swap_rows(i, j):
-        for c in d[i].keys() ^ d[j].keys():
-            cols[c] ^= {i, j}  # held by one of the two rows: move it over
-        d[i], d[j] = d[j], d[i]
-
-    def swap_cols(i, j):
-        for r in cols[i] | cols[j]:
-            row = d[r]
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if x:
-                row[j] = x
-            if y:
-                row[i] = y
-        cols[i], cols[j] = cols[j], cols[i]
-        v[i], v[j] = v[j], v[i]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j, keeping the column index
-        dst = d[i]
-        for k, y in d[j].items():
-            x = dst.get(k, 0) - q * y
-            if x:
-                if k not in dst:
-                    cols[k].add(i)
-                dst[k] = x
-            elif k in dst:
-                del dst[k]
-                cols[k].remove(i)
-
-    def col_sub(i, j, q):
-        # col_i -= q * col_j, in place on the rows holding column j
-        for r in cols[j]:
-            row = d[r]
-            x = row.get(i, 0) - q * row[j]
-            if x:
-                if i not in row:
-                    cols[i].add(r)
-                row[i] = x
-            elif i in row:
-                del row[i]
-                cols[i].remove(r)
-        dst = v[i]
-        for k, y in v[j].items():
-            x = dst.get(k, 0) - q * y
-            if x:
-                dst[k] = x
-            elif k in dst:
-                del dst[k]
-
     for t in range(min(m, n)):
         # the first row from t on that holds a +-1, at its least such column
         # (rows from t on hold nothing left of column t)
-        piv = None
         for i in range(t, m):
             units = [j for j, x in d[i].items() if x == 1 or x == -1]
             if units:
-                piv = i, min(units)
+                j = min(units)
                 break
-        if piv is None:
+        else:  # no row holds a +-1: done if the rest is zero, else refused
             if any(d[t:]):
                 raise ValueError(
                     f"smith_normal_form: no unit pivot at step {t}; "
                     "the matrix is not totally unimodular"
                 )
             break
-        if piv[0] != t:
-            swap_rows(piv[0], t)
-        if piv[1] != t:
-            swap_cols(piv[1], t)
-        p = d[t][t]  # +-1, its own inverse
-        for i in cols[t] - {t}:
-            row_sub(i, t, d[i][t] * p)
-        for j in d[t].keys() - {t}:
-            col_sub(j, t, d[t][j] * p)
-        d[t][t] = 1  # row t holds only the pivot now: negate it if need be
+        if i != t:  # swap rows i and t
+            for c in d[i].keys() ^ d[t].keys():
+                cols[c] ^= {i, t}  # held by one of the two rows: move it over
+            d[i], d[t] = d[t], d[i]
+        if j != t:  # swap columns j and t
+            for r in cols[j] | cols[t]:
+                row = d[r]
+                x, y = row.pop(j, 0), row.pop(t, 0)
+                if x:
+                    row[t] = x
+                if y:
+                    row[j] = y
+            cols[j], cols[t] = cols[t], cols[j]
+            v[j], v[t] = v[t], v[j]
+        top = d[t]
+        p = top.pop(t)  # +-1, its own inverse
+        # row sweep: row_i -= q * row_t clears column t off the pivot (the
+        # pivot is out of row t, so each row drops its entry there itself)
+        cols[t], below = {t}, cols[t] - {t}
+        for i in below:
+            dst = d[i]
+            q = dst.pop(t) * p
+            for k, y in top.items():
+                if k in dst:
+                    x = dst[k] - q * y
+                    if x:
+                        dst[k] = x
+                    else:
+                        del dst[k]
+                        cols[k].remove(i)
+                else:
+                    dst[k] = -q * y
+                    cols[k].add(i)
+        # column sweep: col_j -= q * col_t.  Column t of D holds only the
+        # pivot now, so in D it just clears row t; only V needs the sums.
+        vt = v[t]
+        for j, y in top.items():
+            cols[j].remove(t)
+            q = y * p
+            dst = v[j]
+            for k, z in vt.items():
+                if k in dst:
+                    x = dst[k] - q * z
+                    if x:
+                        dst[k] = x
+                    else:
+                        del dst[k]
+                else:
+                    dst[k] = -q * z
+        d[t] = {t: 1}  # the pivot, negated if need be
 
     return d, v
 

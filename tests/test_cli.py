@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsek import cli, scenarios
@@ -541,6 +541,29 @@ def test_malformed_input_files_are_input_errors(
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"kind": "finite", "vertices": [' + b"7" * 5000 + b'], "edges": []}', "g.json: not readable as JSON: Exceeds the limit"),
+        (b'{"kind": "finite", "vertices": ["\xe9"], "edges": []}', "g.json: not readable as JSON: 'utf-8' codec can't decode"),
+        (b'{"kind": "finite", "vertices": ' + b"[" * 100_000 + b"]" * 100_000 + b', "edges": []}', "g.json: not readable as JSON: maximum recursion depth"),
+        (None, "g.json: cannot read: Is a directory"),
+    ],
+    ids=["int-over-4300-digits", "not-utf-8", "nested-too-deep", "directory"],
+)
+def test_unreadable_graph_files_are_input_errors(tmp_path, capsys, raw, message):
+    """Bytes that json cannot decode, and a path that is no file."""
+    path = tmp_path / "g.json"
+    if raw is None:
+        path.mkdir()
+    else:
+        path.write_bytes(raw)
+    assert main(["homology", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "error, code", [(OperatorError("boom"), 1), (MarginError("boom"), 2)], ids=["operator", "margin"]
 )
 def test_an_operator_error_in_a_build_exits_1_and_a_margin_error_2(
@@ -848,7 +871,16 @@ def test_work_limit_admits_an_estimate_equal_to_it(monkeypatch, tmp_path, capsys
     assert "estimated work 577 exceeds the limit 576" in capsys.readouterr().err
 
 
+def _homology_payload(basis):
+    return {"h0": "Z", "h0_torsion": [], "h0_free_rank": 1, "h1_rank": len(basis), "h1_basis": basis}
+
+
 @settings(max_examples=200, deadline=None)
+@example(_homology_payload([]))
+@example(_homology_payload([{"e1": 1}]))
+@example(_homology_payload([{"}": 1, "{": -1, ",": 2}, {'"': 1, "\\": -1, "\n": 1}, {"é": 3, "边": -1}]))
+@example(_homology_payload([{"},\n   {": 1}, {"a": -1, "},\n   {\n": 1}]))
+@example(_homology_payload([{0: 1, 2: -1, 10: 1}, {1: -2}]))
 @given(
     st.fixed_dictionaries(
         {
@@ -869,6 +901,7 @@ def test_work_limit_admits_an_estimate_equal_to_it(monkeypatch, tmp_path, capsys
     )
 )
 def test_homology_json_is_the_indent_1_encoding(payload):
-    """Keys with quotes, backslashes, newlines, separators and non-ASCII
-    characters, and an empty basis."""
+    """Keys with quotes, backslashes, newlines, separators, the sequence
+    that joins two encoded chains and non-ASCII characters, int ids, one
+    chain and an empty basis."""
     assert cli._homology_json(payload) == json.dumps(payload, indent=1, sort_keys=True)
