@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from coarsek import cli, scenarios
 from coarsek.cli import MAX_WORK, main
 from coarsek.operators import MarginError, OperatorError, Window
+from helpers import cycle_graph, graph_to_json
 
 LINE = {"kind": "banded_z", "edges_per_cell": 1}
 
@@ -395,6 +396,45 @@ def test_dump_file_blocked_by_a_directory_exits_2(triangle_file, tmp_path, capsy
     argv = [command, "--graph", triangle_file, "--chain", chain, "--dump", str(tmp_path / "dump")]
     assert main(argv) == 2
     assert f"error: cannot write dumps to {tmp_path / 'dump'}: " in capsys.readouterr().err
+
+
+def cycle_k1_request(tmp_path, n: int, coefficient: int) -> list:
+    """k1-map --json on cycle_graph(n) with every coefficient equal"""
+    graph = write(tmp_path, "g.json", graph_to_json(cycle_graph(n)))
+    chain = write(tmp_path, "c.json", {"degree": 1, "coeffs": {f"e{i}": coefficient for i in range(n)}})
+    return ["k1-map", "--json", "--graph", graph, "--chain", chain]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_dump_to_a_full_device_exits_2(tmp_path, capsys):
+    # u.json of the 20-cycle with coefficient 2 is about 140 KB: more than
+    # the default 8 KiB buffer but less than the dump buffer, so the error
+    # surfaces when the file closes, not at a write
+    (tmp_path / "dump").mkdir()
+    (tmp_path / "dump" / "u.json").symlink_to("/dev/full")
+    argv = cycle_k1_request(tmp_path, 20, 2) + ["--dump", str(tmp_path / "dump")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot write dumps to {tmp_path / 'dump'}: [Errno 28] No space left on device\n"
+    )
+    assert captured.out == ""
+
+
+def _write_calls() -> int:
+    with open("/proc/self/io") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("syscw:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_dumps_reach_disk_in_few_writes(tmp_path, capsys):
+    # 4.5 MB in four files, handed over one chunk per vertex: 443 write
+    # calls through the default 8 KiB buffer, 19 through the dump buffer
+    argv = cycle_k1_request(tmp_path, 80, 2) + ["--dump", str(tmp_path / "dump")]
+    before = _write_calls()
+    assert main(argv) == 0
+    assert _write_calls() - before <= 40
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 @pytest.mark.parametrize("command", sorted(DUMP_REQUESTS))
@@ -838,9 +878,13 @@ HUGE = 10**12
         ("k1-map", TWO_CYCLE, {"degree": 1, "coeffs": {"a": 30000, "b": 30000}},
          ["--dump", "DUMP"], 2 * 60001),
         ("k0-map", TWO_CYCLE, {"degree": 0, "coeffs": {"0": 50000, "1": -50000}}, [], 2 * 100001),
+        # 2 (256 + 8) + 1 = 529 window vertices times one plus 2 copies of
+        # each of the 528 cells; without --dump the request is 1,585 units
+        ("k1-map", LINE, {"degree": 1, "tail_left": 2, "tail_right": 2},
+         ["--window", "256", "--margin", "8", "--dump", "DUMP"], 529 * 1057),
     ],
     ids=["k0-line-coefficient", "k1-line-class", "k1-line-window", "k0-line-window",
-         "k1-finite-coefficients", "k1-finite-dump", "k0-finite-witness"],
+         "k1-finite-coefficients", "k1-finite-dump", "k0-finite-witness", "k1-line-dump"],
 )
 def test_oversized_requests_exit_2_before_building(
     tmp_path, capsys, command, graph, chain, extra, estimate
@@ -855,6 +899,14 @@ def test_oversized_requests_exit_2_before_building(
     assert f"estimated work {estimate} exceeds the limit {MAX_WORK}" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "dump").exists()
+
+
+def test_line_k1_request_too_large_to_dump_is_admitted_without_dump(tmp_path, capsys):
+    graph = write(tmp_path, "g.json", LINE)
+    chain = write(tmp_path, "c.json", {"degree": 1, "tail_left": 2, "tail_right": 2})
+    argv = ["k1-map", "--json", "--graph", graph, "--chain", chain, "--window", "256", "--margin", "8"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def test_work_limit_admits_an_estimate_equal_to_it(monkeypatch, tmp_path, capsys):
