@@ -123,15 +123,16 @@ class BandedZChain:
         vals = [json_int(v, f"window_values[{i}]") for i, v in enumerate(self.window_values)]
         if self.degree not in (0, 1):
             raise ChainError("degree must be 0 or 1")
-        # normalize: shrink the window so representation is canonical
-        while vals and vals[0] == self.tail_left:
-            vals.pop(0)
-            start += 1
-        while vals and vals[-1] == self.tail_right:
-            vals.pop()
-        if not vals and self.tail_left == self.tail_right:
+        # normalize: trim both tails by index, so the window is canonical
+        lo, hi = 0, len(vals)
+        while lo < hi and vals[lo] == self.tail_left:
+            lo += 1
+        while hi > lo and vals[hi - 1] == self.tail_right:
+            hi -= 1
+        start += lo
+        if lo == hi and self.tail_left == self.tail_right:
             start = 0  # a constant chain has no position of its own
-        object.__setattr__(self, "window_values", tuple(vals))
+        object.__setattr__(self, "window_values", tuple(vals[lo:hi]))
         object.__setattr__(self, "window_start", start)
 
     def value(self, i: int) -> int:

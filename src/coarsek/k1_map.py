@@ -71,34 +71,21 @@ class NonCycleError(ValueError):
         )
 
 
-def canonical_matching(g: OrientedGraph) -> dict:
-    """Sort ingoing and outgoing edges by (parent id, copy) and match in
-    order; fails naming the first vertex where the flows disagree."""
-    return permuted_matching(g, {})
-
-
-def permuted_matching(g: OrientedGraph, positions: dict) -> dict:
-    """Canonical matching with the outgoing side reordered: positions[x][j]
-    is the index into the sorted outgoing list that the j-th sorted ingoing
-    edge should map to."""
-    for x in g.vertices:
-        n_in, n_out = len(g.in_edges(x)), len(g.out_edges(x))
-        if n_in != n_out:
-            raise NonCycleError(x, n_in, n_out)
-    return _routes(g, positions)
-
-
-def _routes(g: OrientedGraph, positions: dict, copies: Optional[int] = None) -> dict:
-    """Per-vertex routes {x: {ingoing edge: outgoing edge or None}}: the j-th
-    sorted ingoing edge at x goes to the positions[x][j]-th sorted outgoing
-    edge (the j-th when x has no entry), and to None when x has no outgoing
-    edge, as at the far end of a line window.
+def permuted_matching(
+    g: OrientedGraph, positions: Optional[dict] = None, copies: Optional[int] = None
+) -> dict:
+    """Per-vertex routes {x: {ingoing edge: outgoing edge or None}} of g,
+    which expands a cycle or a line window: the j-th sorted ingoing edge at
+    x goes to the positions[x][j]-th sorted outgoing edge (the j-th when x
+    has no entry, which is the canonical matching), and to None when x has
+    no outgoing edge, as at the far end of a line window.
 
     positions[x] must permute range(n), n the out-count at x, or copies when
     given: the copies per cell of a line window, whose end vertices have
     edges on one side only.  Each vertex's routes are one C-level dict
     build; the check comes first, as zip would cut a short permutation.
     A key of positions that is no vertex of g is refused by name."""
+    positions = positions or {}
     vertices = set(g.vertices) if positions else ()
     for x in positions:
         if x not in vertices:
@@ -157,39 +144,17 @@ def _unitary(g: OrientedGraph, routes: dict) -> SparseBlockOperator:
     return SparseBlockOperator(_full_domain(g), _track_map(routes), 1)
 
 
-def _check_routes(g: OrientedGraph, routes: dict) -> None:
-    """Refuse, naming the vertex, routes that are no matching of g: they
-    must cover exactly the vertices, and at each one map its ingoing edges
-    to distinct outgoing edges.  g expands a cycle, so a vertex that no
-    edge leaves has no ingoing edge either and no route."""
-    for x in routes:
-        if not g.has_vertex(x):
-            raise ValueError(f"routes at {x!r}, which is not a vertex")
-    for x in g.vertices:
-        route = routes.get(x)
-        if route is None:
-            raise ValueError(f"no routes at vertex {x!r}")
-        if route.keys() != set(g.in_edges(x)):
-            raise ValueError(f"the routes at vertex {x!r} are not keyed by its ingoing edges")
-        targets = set(route.values())
-        if len(targets) != len(route) or not targets <= set(g.out_edges(x)):
-            raise ValueError(f"the routes at vertex {x!r} are not distinct outgoing edges")
-
-
-def cycle_unitary(gamma: Chain1, matching: Optional[dict] = None) -> CycleUnitary:
-    """Build the permutation unitary of a finite-support cycle, by the
-    canonical matching or by the given routes of its expanded graph, which
-    are checked first."""
+def cycle_unitary(gamma: Chain1) -> CycleUnitary:
+    """Build the permutation unitary of a finite-support cycle by the
+    canonical matching of its expanded graph; a chain that is no cycle is
+    refused, naming the first vertex where the flows disagree."""
     g = expand_graph(gamma.graph, gamma)
     if not is_cycle(gamma):
-        # this raises, naming the first unbalanced vertex
-        canonical_matching(g)
-    if matching is None:
-        # a cycle balances the flows at every vertex, so the canonical
-        # routes are a matching without the checks of permuted_matching
-        matching = _routes(g, {})
-    else:
-        _check_routes(g, matching)
+        for x in g.vertices:
+            n_in, n_out = len(g.in_edges(x)), len(g.out_edges(x))
+            if n_in != n_out:
+                raise NonCycleError(x, n_in, n_out)
+    matching = permuted_matching(g)
     return CycleUnitary(expanded=g, matching=matching, u=_unitary(g, matching))
 
 
@@ -566,8 +531,8 @@ def line_cycle_unitary(
     banded cycle.
 
     This is the construction of cycle_unitary on the window's expanded
-    graph, with the window cuts as the only difference.  The routes follow
-    the rule of permuted_matching: copy c of the cell arriving at x goes to
+    graph, with the window cuts as the only difference.  permuted_matching
+    builds the routes: copy c of the cell arriving at x goes to
     copy c of the cell leaving x, and copy_permutations[x] (a tuple
     permuting 0..|k|-1) reroutes the copies at selected vertices.  At the
     window's far end no cell leaves, so those columns are zero; the operator
@@ -575,7 +540,7 @@ def line_cycle_unitary(
     there.
     """
     g = line_expansion(k, window.lo, window.hi)
-    routes = _routes(g, copy_permutations or {}, abs(k))
+    routes = permuted_matching(g, copy_permutations, abs(k))
     return CycleUnitary(expanded=g, matching=routes, u=_unitary(g, routes), window=window)
 
 

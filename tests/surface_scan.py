@@ -7,11 +7,12 @@ coarsek.cli.main runs, then lists each function defined in src/coarsek that
 was never entered and is not on the allowlist below.  The Hypothesis fuzz
 tests are left out, so the result does not depend on random draws.
 
-Three checks read the source instead: coarsek/__init__.py imports nothing
+Four checks read the source instead: coarsek/__init__.py imports nothing
 from the package (each module is its own import path), every field of a
 package dataclass or NamedTuple is read as `.field` somewhere in
-src/coarsek or perfbench, unless the field allowlist names it, and every
-name a package module imports is used in that module.
+src/coarsek or perfbench, unless the field allowlist names it, every
+name a package module imports is used in that module, and every entry of
+either allowlist names a function or field the package still has.
 
     PYTHONPATH=src python tests/surface_scan.py
 
@@ -44,10 +45,6 @@ READERS = (PACKAGE, TESTS.parent / "perfbench")  # whose `.field` reads count
 # each with the reason it stays
 ALLOWED = {
     "operators.SparseBlockOperator.entries": "perfbench reads it to count entries",
-    "k1_map._check_routes": (
-        "checks a hand-built matching on the independent U_beta build that "
-        "the differential tests compare against"
-    ),
     "operators._check_each": "the constructor's refusal path",
     "scenarios._timed": "it decorates the checks at import",
 }
@@ -210,6 +207,12 @@ def attributes_read() -> set:
     }
 
 
+def stale_entries(funcs: dict, fields: list) -> list:
+    """The allowlist entries that name no package function or field."""
+    names = set(funcs.values())
+    return [a for a in ALLOWED if a not in names] + [f for f in FIELDS_ALLOWED if f not in fields]
+
+
 def allowed(name: str) -> bool:
     return name.rpartition(".")[2] in ALLOWED_NAMES or any(
         name == a or name.startswith(a + ".") for a in ALLOWED
@@ -232,9 +235,15 @@ def main() -> int:
     print(f"surface scan: {len(unused)} imported names unused")
     for name in unused:
         print(f"  imported, never used: {name}")
-    static_faults = bool(bound) or bool(unused) or any(f not in FIELDS_ALLOWED for f in unread)
-
     funcs = package_functions()
+    stale = stale_entries(funcs, fields)
+    print(f"surface scan: {len(stale)} allowlist entries name nothing")
+    for name in stale:
+        print(f"  stale allowlist entry: {name}")
+    static_faults = (
+        bool(bound) or bool(unused) or bool(stale) or any(f not in FIELDS_ALLOWED for f in unread)
+    )
+
     code, entered = entered_under_main(
         [str(TESTS / s) for s in SUITES] + ["-q", "-p", "no:cacheprovider"]
     )

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -308,6 +309,14 @@ def test_banded_normalization():
     assert c.window_start == 2
     assert c.window_values == (5,)
     assert c.value(1) == 1 and c.value(2) == 5 and c.value(3) == 2
+
+
+def test_banded_normalization_trims_a_long_left_tail_in_linear_time():
+    began = time.perf_counter()
+    c = BandedZChain(0, 1, 0, 0, (1,) * 400_000)
+    assert time.perf_counter() - began < 2.0
+    assert c.window_start == 400_000
+    assert c.window_values == ()
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from coarsek.operators import (
 )
 from coarsek.k1_map import (
     CycleUnitary,
-    canonical_matching,
     cycle_unitary,
     line_cycle_unitary,
     permuted_matching,
@@ -852,7 +851,7 @@ def _bigon_report():
     gamma = Chain1(g, TWICE_AROUND["coeffs"])
     ex = expand_graph(g, gamma)
     beta = permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
-    return verify_matching_independence(cycle_unitary(gamma, canonical_matching(ex)), beta)
+    return verify_matching_independence(cycle_unitary(gamma), beta)
 
 
 def _verdicts(rep) -> dict:

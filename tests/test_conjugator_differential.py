@@ -23,7 +23,6 @@ from coarsek.k1_map import (
     _block_conjugator,
     _hybrid_intermediate,
     _least_rotation,
-    canonical_matching,
     cycle_unitary,
     matching_correction,
     permutation_cycle_type,
@@ -190,10 +189,10 @@ def test_decision_agrees_with_the_search_on_random_pairs():
             assert obstruction.startswith("closed walk ")
             continue
         found += 1
-        u_a = cycle_unitary(gamma, alpha).u
+        u_a = k1_map._unitary(ex, alpha)
         v = block_diagonal_slot_permutation(u_a.domain, got)
         conjugated = v.adjoint().compose(u_a).compose(v)
-        assert conjugated == cycle_unitary(gamma, beta).u
+        assert conjugated == k1_map._unitary(ex, beta)
         hybrid, collision = _hybrid_intermediate(ex, alpha, beta)
         if collision is None:
             unitary += 1
@@ -227,10 +226,10 @@ def test_equal_cycle_types_without_a_conjugator_carry_the_walk_certificate():
     )
     gamma = Chain1(g, {"e01": 2, "e12": 1, "e20": 2, "e02": 1, "e10": 1})
     ex = expand_graph(g, gamma)
-    alpha = canonical_matching(ex)
-    beta = permuted_matching(ex, POSITIONS)
+    cu = cycle_unitary(gamma)
+    alpha, beta = cu.matching, permuted_matching(ex, POSITIONS)
     assert search_block_conjugator(ex, alpha, beta) == (None, "exhausted")
-    rep = verify_matching_independence(cycle_unitary(gamma, alpha), beta)
+    rep = verify_matching_independence(cu, beta)
     assert rep.content_ok
     assert rep.literal_intermediate_unitary
     assert rep.cycle_types[0] == rep.cycle_types[1]
@@ -246,13 +245,14 @@ def test_equal_cycle_types_without_a_conjugator_carry_the_walk_certificate():
 
 def comparison_of_two_builds(gamma, alpha, beta) -> tuple:
     """The comparison as it was made from gamma and two matchings: the
-    unitaries of alpha and beta each built by cycle_unitary from its own
-    expansion of gamma, and the correction, hybrid and conjugator on a
+    unitaries of alpha and beta each built by the checking constructor on
+    its own expansion of gamma, and the correction, hybrid and conjugator on a
     third expansion.  Returns the report with the operators it is decided
     by: U_beta, the correction and the conjugator V (None when none is
     built)."""
     g = expand_graph(gamma.graph, gamma)
-    u_a, u_b = cycle_unitary(gamma, alpha).u, cycle_unitary(gamma, beta).u
+    u_a = k1_map._unitary(expand_graph(gamma.graph, gamma), alpha)
+    u_b = k1_map._unitary(expand_graph(gamma.graph, gamma), beta)
     correction = matching_correction(g, alpha, beta)
     hybrid, collision = _hybrid_intermediate(g, alpha, beta)
     types = (permutation_cycle_type(u_a), permutation_cycle_type(u_b))
@@ -319,7 +319,7 @@ def test_the_hybrid_is_u_beta_or_routes_an_edge_to_two_targets():
         gamma, ex, alpha, beta = random_pair(rng)
         if not ex.edges:
             continue
-        if w_step_is_the_identity(ex, alpha, beta, cycle_unitary(gamma, beta).u):
+        if w_step_is_the_identity(ex, alpha, beta, k1_map._unitary(ex, beta)):
             injective += 1
         else:
             colliding += 1
@@ -327,19 +327,19 @@ def test_the_hybrid_is_u_beta_or_routes_an_edge_to_two_targets():
 
 
 def scenario_pairs(monkeypatch) -> list:
-    """(gamma, alpha, beta) of every pair that check_matching_independence
-    compares at the default seed; alpha is None for the canonical matching."""
+    """(gamma, beta) of every pair that check_matching_independence compares
+    at the default seed; the other matching is the canonical one."""
     sources, pairs = {}, []
     real_build, real_verify = scenarios.cycle_unitary, scenarios.verify_matching_independence
 
-    def building(gamma, alpha=None):
-        cu = real_build(gamma, alpha)
+    def building(gamma):
+        cu = real_build(gamma)
         # cu is kept so that its id names no later unitary
-        sources[id(cu)] = (cu, gamma, alpha)
+        sources[id(cu)] = (cu, gamma)
         return cu
 
     def verifying(cu, beta):
-        pairs.append((*sources[id(cu)][1:], beta))
+        pairs.append((sources[id(cu)][1], beta))
         return real_verify(cu, beta)
 
     monkeypatch.setattr(scenarios, "cycle_unitary", building)
@@ -354,10 +354,9 @@ def test_a_built_unitary_compares_as_two_independent_builds(monkeypatch):
     assert len(pairs) == 50
     assert pairs[0][0].coeffs == corpus.figure_eight()[1].coeffs
     hybrids = set()
-    for gamma, alpha, beta in pairs:
-        if alpha is None:
-            alpha = canonical_matching(expand_graph(gamma.graph, gamma))
-        cu = cycle_unitary(gamma, alpha)
+    for gamma, beta in pairs:
+        cu = cycle_unitary(gamma)
+        alpha = cu.matching
         got = verify_matching_independence(cu, beta)
         want, u_b, correction, v = comparison_of_two_builds(gamma, alpha, beta)
         assert got.to_json() == want.to_json()

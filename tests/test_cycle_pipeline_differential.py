@@ -14,18 +14,18 @@ adjacency, the same swaps."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsek.corpus import random_cycle, random_graph
 from coarsek.graphs import Edge, OrientedGraph
 from coarsek.k0_map import expand_graph, order_matched_involution
 from coarsek.k1_map import (
-    _routes,
     _track_map,
     cycle_unitary,
     line_cycle_unitary,
     line_expansion,
+    permuted_matching,
 )
 from coarsek.operators import (
     BlockIndex,
@@ -152,17 +152,21 @@ def line_windows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(finite_cycles() | line_windows())
+# a window without a cell: its one vertex has no edge to count copies from
+@example(((2, Window(0, 0)), line_expansion(2, 0, 0), {0: (1, 0)}, 2))
 def test_routes_and_track_map_match_the_edge_by_edge_construction(case):
     source, ex, positions, copies = case
     for chosen in ({}, positions):
-        routes = _routes(ex, chosen, copies)
+        routes = permuted_matching(ex, chosen, copies)
         want = reference_routes(ex, chosen)
         assert routes == want
         assert all(list(routes[x]) == list(want[x]) for x in ex.vertices)
         assert _track_map(routes) == reference_track_map(want)
     moves = reference_track_map(reference_routes(ex, positions))
     if copies is None:
-        assert cycle_unitary(source).u.moves == reference_track_map(reference_routes(ex, {}))
+        cu = cycle_unitary(source)
+        assert cu.matching == permuted_matching(cu.expanded)
+        assert cu.u.moves == reference_track_map(reference_routes(ex, {}))
     else:
         k, window = source
         assert line_cycle_unitary(k, window, positions).u.moves == moves

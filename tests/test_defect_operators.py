@@ -17,6 +17,7 @@ from coarsek import corpus
 from coarsek.intlinalg import rank as matrix_rank
 from coarsek.k1_map import (
     _hybrid_intermediate,
+    _unitary,
     compress_to_uniform,
     cycle_unitary,
     line_cycle_unitary,
@@ -263,7 +264,7 @@ def test_rerouted_matchings_and_corrections_match_full_construction(seed):
     cu = cycle_unitary(gamma)
     ex, alpha = cu.expanded, cu.matching
     beta = corpus.random_matching(rng, ex)
-    u_beta = cycle_unitary(gamma, beta).u
+    u_beta = _unitary(ex, beta)
     assert_same_operator(u_beta, reference_cycle_unitary(ex, beta))
     correction = matching_correction(ex, alpha, beta)
     per_vertex = {}

@@ -17,7 +17,6 @@ from coarsek.k1_map import (
     NonCycleError,
     _block_conjugator,
     _hybrid_intermediate,
-    canonical_matching,
     compress_to_uniform,
     constant_cycle_index,
     cycle_unitary,
@@ -47,24 +46,25 @@ from helpers import block_rank, cycle_graph, triangle_with_chord_orientation
 def test_canonical_matching_on_triangle_is_forced():
     g, gamma = triangle_with_chord_orientation()
     ex = expand_graph(g, gamma)
-    m = canonical_matching(ex)
+    m = permuted_matching(ex)
     for x in ex.vertices:
         assert len(m[x]) == 1
 
 
 def test_canonical_matching_reports_noncycle_vertex():
-    g = OrientedGraph([0, 1], [Edge("e", 0, 1)])
-    ex = expand_graph(g, Chain1(g, {"e": 1}))
+    # the flows agree at vertex 0 and first disagree at vertex 1
+    g = OrientedGraph([0, 1, 2], [Edge("a", 0, 1), Edge("b", 1, 2), Edge("c", 2, 0)])
     with pytest.raises(NonCycleError) as err:
-        canonical_matching(ex)
-    assert err.value.vertex in (0, 1)
+        cycle_unitary(Chain1(g, {"a": 1, "b": 2, "c": 1}))
+    assert err.value.vertex == 1
+    assert str(err.value) == "not a cycle: vertex 1 has in-flow 1 but out-flow 2"
 
 
 def test_figure_eight_has_two_matchings_at_center():
     g, gamma = figure_eight()
     ex = expand_graph(g, gamma)
     assert len(ex.in_edges("z")) == 2
-    a = canonical_matching(ex)
+    a = permuted_matching(ex)
     b = permuted_matching(ex, {"z": (1, 0)})
     assert a["z"] != b["z"]
 
@@ -98,9 +98,12 @@ def test_triangle_unitary_is_a_three_cycle_track():
 
 
 def test_noncycle_input_is_rejected_with_vertex():
+    # the first vertex of the expansion whose in- and out-count differ
     g = OrientedGraph([0, 1], [Edge("e", 0, 1)])
-    with pytest.raises(NonCycleError):
+    with pytest.raises(NonCycleError) as err:
         cycle_unitary(Chain1(g, {"e": 1}))
+    assert str(err.value) == "not a cycle: vertex 0 has in-flow 0 but out-flow 1"
+    assert err.value.vertex == 0
 
 
 def test_line_unitary_is_a_single_shift_track():
@@ -145,8 +148,9 @@ def test_block_ranks_equal_block_rank_on_every_block():
     ops = [cycle_unitary(random_cycle(rng, random_graph(rng))).u for _ in range(200)]
     g = cycle_graph(9)
     doubled = Chain1(g, {e.id: 2 for e in g.edges})
-    swapped = permuted_matching(expand_graph(g, doubled), {0: (1, 0), 3: (1, 0), 4: (1, 0)})
-    ua, ub = cycle_unitary(doubled).u, cycle_unitary(doubled, swapped).u
+    ex = expand_graph(g, doubled)
+    swapped = permuted_matching(ex, {0: (1, 0), 3: (1, 0), 4: (1, 0)})
+    ua, ub = cycle_unitary(doubled).u, k1_map._unitary(ex, swapped)
     ops += [ua, ub, ua.adjoint().compose(ub)]
     for u in ops:
         blocks = {(c.vertex, c.vertex) for c in u.moves}
@@ -197,9 +201,7 @@ def test_correction_ranks_of_a_large_rerouting_need_no_elimination(monkeypatch):
     gamma = Chain1(g, {"a": 300, "b": 300})
     ex = expand_graph(g, gamma)
     reversal = tuple(reversed(range(300)))
-    rep = verify_matching_independence(
-        cycle_unitary(gamma, canonical_matching(ex)), permuted_matching(ex, {0: reversal})
-    )
+    rep = verify_matching_independence(cycle_unitary(gamma), permuted_matching(ex, {0: reversal}))
     assert rep.content_ok
     # reversing 300 slots makes 150 transpositions, each of rank 1
     assert rep.correction_block_ranks == {0: 150}
@@ -208,8 +210,8 @@ def test_correction_ranks_of_a_large_rerouting_need_no_elimination(monkeypatch):
 def test_identical_matchings_make_the_literal_route_trivial():
     g, gamma = figure_eight()
     ex = expand_graph(g, gamma)
-    a = canonical_matching(ex)
-    cu = cycle_unitary(gamma, a)
+    cu = cycle_unitary(gamma)
+    a = cu.matching
     rep = verify_matching_independence(cu, a)
     assert rep.content_ok
     assert rep.literal_route_ok
@@ -224,9 +226,9 @@ def test_identical_matchings_make_the_literal_route_trivial():
 def test_figure_eight_crossing_matchings():
     g, gamma = figure_eight()
     ex = expand_graph(g, gamma)
-    a = canonical_matching(ex)
-    b = permuted_matching(ex, {"z": (1, 0)})
-    rep = verify_matching_independence(cycle_unitary(gamma, a), b)
+    cu = cycle_unitary(gamma)
+    a, b = cu.matching, permuted_matching(ex, {"z": (1, 0)})
+    rep = verify_matching_independence(cu, b)
     # the product identity holds exactly, with a propagation-zero unitary
     assert rep.content_ok
     assert rep.correction_block_ranks["z"] >= 1
@@ -248,9 +250,8 @@ def test_parallel_copies_make_the_hybrid_unitary_but_not_conjugate():
     )
     gamma = Chain1(g, {"a": 2, "b": 2})
     ex = expand_graph(g, gamma)
-    a = canonical_matching(ex)
     b = permuted_matching(ex, {0: (1, 0)})
-    rep = verify_matching_independence(cycle_unitary(gamma, a), b)
+    rep = verify_matching_independence(cycle_unitary(gamma), b)
     assert rep.literal_intermediate_unitary
     assert rep.literal_w_identity  # W = 1 conjugates the hybrid to U_beta
     assert rep.content_ok
@@ -265,9 +266,8 @@ def test_double_bigon_with_swaps_at_both_vertices_conjugates():
     g = OrientedGraph([0, 1], [Edge("a", 0, 1), Edge("b", 1, 0)])
     gamma = Chain1(g, {"a": 2, "b": 2})
     ex = expand_graph(g, gamma)
-    alpha = canonical_matching(ex)
-    beta = permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
-    cu = cycle_unitary(gamma, alpha)
+    cu = cycle_unitary(gamma)
+    alpha, beta = cu.matching, permuted_matching(ex, {0: (1, 0), 1: (1, 0)})
     rep = verify_matching_independence(cu, beta)
     assert rep.cycle_types[0] == rep.cycle_types[1] == (2, 2)
     assert rep.literal_intermediate_unitary
@@ -277,7 +277,7 @@ def test_double_bigon_with_swaps_at_both_vertices_conjugates():
     per_vertex, _ = _block_conjugator(ex, alpha, beta)
     v = block_diagonal_slot_permutation(cu.u.domain, per_vertex)
     assert v != SparseBlockOperator.identity(v.domain)
-    assert v.adjoint().compose(cu.u).compose(v) == cycle_unitary(gamma, beta).u
+    assert v.adjoint().compose(cu.u).compose(v) == k1_map._unitary(ex, beta)
     assert rep.content_ok
 
 
@@ -294,7 +294,7 @@ def test_random_pairs_satisfy_the_product_identity():
         rep = verify_matching_independence(cu, beta)
         assert rep.content_ok
         correction = matching_correction(cu.expanded, cu.matching, beta)
-        assert cu.u.compose(correction) == cycle_unitary(gamma, beta).u
+        assert cu.u.compose(correction) == k1_map._unitary(cu.expanded, beta)
         done += 1
 
 
@@ -417,51 +417,6 @@ def test_line_copy_permutations_of_every_copy_are_accepted_at_both_window_ends()
     for x in (window.lo, window.hi, 0):
         cu = line_cycle_unitary(2, window, {x: (1, 0)})
         assert index_pairing(cu.u, window) == -2
-
-
-def _figure_eight_routes():
-    g, gamma = figure_eight()
-    return gamma, canonical_matching(expand_graph(g, gamma))
-
-
-def test_routes_missing_an_ingoing_edge_are_refused_by_vertex():
-    gamma, routes = _figure_eight_routes()
-    first = next(iter(routes["z"]))
-    del routes["z"][first]
-    with pytest.raises(ValueError, match=r"^the routes at vertex 'z' are not keyed by its ingoing edges$"):
-        cycle_unitary(gamma, routes)
-
-
-def test_routes_joining_two_ingoing_edges_are_refused_by_vertex():
-    gamma, routes = _figure_eight_routes()
-    (e1, out), (e2, _) = routes["z"].items()
-    routes["z"] = {e1: out, e2: out}
-    with pytest.raises(ValueError, match=r"^the routes at vertex 'z' are not distinct outgoing edges$"):
-        cycle_unitary(gamma, routes)
-
-
-def test_routes_must_cover_exactly_the_vertices():
-    gamma, routes = _figure_eight_routes()
-    with pytest.raises(ValueError, match=r"^routes at 'q', which is not a vertex$"):
-        cycle_unitary(gamma, {**routes, "q": {}})
-    del routes["a"]
-    with pytest.raises(ValueError, match=r"^no routes at vertex 'a'$"):
-        cycle_unitary(gamma, routes)
-
-
-def test_routes_to_an_edge_that_does_not_leave_the_vertex_are_refused():
-    gamma, routes = _figure_eight_routes()
-    (e_a,) = routes["a"]
-    routes["a"] = {e_a: next(iter(routes["z"].values()))}
-    with pytest.raises(ValueError, match=r"^the routes at vertex 'a' are not distinct outgoing edges$"):
-        cycle_unitary(gamma, routes)
-
-
-def test_every_matching_the_package_builds_passes_the_routes_check():
-    gamma, routes = _figure_eight_routes()
-    ex = expand_graph(gamma.graph, gamma)
-    for m in (routes, permuted_matching(ex, {"z": (1, 0)})):
-        assert cycle_unitary(gamma, m).matching is m
 
 
 def test_matching_independence_expands_each_case_once(monkeypatch):

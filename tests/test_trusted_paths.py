@@ -5,8 +5,8 @@ compose and adjoint build operators, chain +, -, scaled and boundary build
 chains, expand_graph builds its multigraph, a line window its graph and
 line_expansion its chain, and boundary_witness its seven operators without
 checking their input again.  The operator constructor
-checks each moved vector once and cycle_unitary builds the canonical
-matching of a cycle unchecked.  Each result must equal, field by field,
+checks each moved vector once and cycle_unitary counts flows only when
+the chain is no cycle.  Each result must equal, field by field,
 what the checking constructor makes of a reference computation."""
 
 import random
@@ -19,12 +19,7 @@ from coarsek.chains import Chain0, Chain1, ChainError, boundary, is_cycle
 from coarsek.corpus import random_cycle
 from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
 from coarsek.k0_map import boundary_witness, expand_graph
-from coarsek.k1_map import (
-    NonCycleError,
-    canonical_matching,
-    cycle_unitary,
-    line_expansion,
-)
+from coarsek.k1_map import NonCycleError, _unitary, cycle_unitary, line_expansion
 from coarsek.operators import (
     BlockIndex,
     CopyEdge,
@@ -333,20 +328,21 @@ def test_cycle_unitary_matching_equals_the_checked_construction(case, seed):
     g, chain = case
     gamma = chain if seed % 4 == 0 else random_cycle(random.Random(seed), g)
     ex = expand_graph(g, gamma)
-    if not is_cycle(gamma):
-        with pytest.raises(NonCycleError) as want:
-            canonical_matching(ex)
+    flows = [(x, len(ex.in_edges(x)), len(ex.out_edges(x))) for x in ex.vertices]
+    unbalanced = [f for f in flows if f[1] != f[2]]
+    assert is_cycle(gamma) == (not unbalanced)
+    if unbalanced:
         with pytest.raises(NonCycleError) as got:
             cycle_unitary(gamma)
-        assert got.value.vertex == want.value.vertex
-        assert str(got.value) == str(want.value)
+        assert got.value.vertex == unbalanced[0][0]
+        assert str(got.value) == str(NonCycleError(*unbalanced[0]))
         return
-    want = canonical_matching(ex)
+    want = {x: dict(zip(ex.in_edges(x), ex.out_edges(x))) for x in ex.vertices}
     cu = cycle_unitary(gamma)
     assert [(x, list(m.items())) for x, m in cu.matching.items()] == [
         (x, list(m.items())) for x, m in want.items()
     ]
-    assert cu.u == cycle_unitary(gamma, want).u
+    assert cu.u == _unitary(ex, want)
 
 
 # ---------------------------------------------------------------------------
