@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .graphs import Edge, Label, OrientedGraph
+from .graphs import Edge, Label, OrientedGraph, refuse_unknown_keys
 from .intlinalg import smith_normal_form
 
 
@@ -370,47 +370,6 @@ def solve_boundary_finite(g: OrientedGraph, c: Chain0) -> Optional[Chain1]:
 # the line: solving d(gamma) = c and the bounded-class invariant
 
 
-@dataclass(frozen=True)
-class LineBoundarySolution:
-    """Outcome of solving d(gamma) = c on the line.
-
-    The solution is unique up to an additive constant.  When no uniformly
-    finite solution exists, gamma is None and the nonzero slopes are the
-    certificate: far to the left the solution must climb by slope_left per
-    step, far to the right by slope_right.
-    """
-
-    gamma: Optional[BandedZChain]
-    bounded: bool
-    slope_left: int
-    slope_right: int
-
-
-def solve_boundary_on_z(c: BandedZChain) -> LineBoundarySolution:
-    """Solve d(gamma) = c over the line graph with edges [n, n+1].
-
-    Any solution satisfies gamma(i) = gamma(i-1) - c(i), so it is bounded iff
-    both tails of c vanish.  The returned representative is normalized by
-    gamma(i) = -(c-partial sum up to i), which is zero far to the left.
-    """
-    if c.degree != 0:
-        raise ChainError("solve_boundary_on_z needs a degree-0 chain")
-    slope_left = -c.tail_left
-    slope_right = -c.tail_right
-    if slope_left != 0 or slope_right != 0:
-        return LineBoundarySolution(None, False, slope_left, slope_right)
-    lo = c.window_start
-    vals = []
-    acc = 0
-    for i in range(lo, c.window_end):
-        acc -= c.value(i)
-        vals.append(acc)
-    gamma = BandedZChain(1, 0, acc, lo, tuple(vals))
-    if boundary(gamma) != c:
-        raise AssertionError("boundary of the constructed solution is wrong")
-    return LineBoundarySolution(gamma, True, 0, 0)
-
-
 def uf_class_on_z(c: BandedZChain) -> tuple[int, int]:
     """Tail-pair invariant of the bounded homology class of c on the line.
 
@@ -421,6 +380,31 @@ def uf_class_on_z(c: BandedZChain) -> tuple[int, int]:
     if c.degree != 0:
         raise ChainError("uf_class_on_z needs a degree-0 chain")
     return (c.tail_left, c.tail_right)
+
+
+def solve_boundary_on_z(c: BandedZChain) -> Optional[BandedZChain]:
+    """The uniformly finite gamma with d(gamma) = c over the line graph with
+    edges [n, n+1], or None when there is none: exactly when the tail pair
+    uf_class_on_z(c) is not (0, 0).
+
+    Any solution satisfies gamma(i) = gamma(i-1) - c(i), so far out it climbs
+    by minus a tail per step.  The returned one is normalized by
+    gamma(i) = -(c-partial sum up to i), which is zero far to the left.
+    """
+    if c.degree != 0:
+        raise ChainError("solve_boundary_on_z needs a degree-0 chain")
+    if uf_class_on_z(c) != (0, 0):
+        return None
+    lo = c.window_start
+    vals = []
+    acc = 0
+    for i in range(lo, c.window_end):
+        acc -= c.value(i)
+        vals.append(acc)
+    gamma = BandedZChain(1, 0, acc, lo, tuple(vals))
+    if boundary(gamma) != c:
+        raise AssertionError("boundary of the constructed solution is wrong")
+    return gamma
 
 
 def banded_cycle_value(gamma: BandedZChain) -> Optional[int]:
@@ -442,9 +426,15 @@ def json_int(value, field: str) -> int:
     return value
 
 
+_FINITE_CHAIN_KEYS = frozenset({"degree", "coeffs"})
+_BANDED_CHAIN_KEYS = frozenset({"degree", "tail_left", "tail_right", "window_start", "window_values"})
+
+
 def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
+    finite = "coeffs" in data
+    refuse_unknown_keys(data, _FINITE_CHAIN_KEYS if finite else _BANDED_CHAIN_KEYS, ChainError)
     degree = json_int(data.get("degree"), "degree")
-    if "coeffs" in data:
+    if finite:
         if graph is None:
             raise ChainError("a host graph is required for finite-support chains")
         if degree == 0:

@@ -32,7 +32,7 @@ from .chains import (
     json_int,
     uniform_bound,
 )
-from .graphs import GraphError, OrientedGraph, graph_from_json
+from .graphs import GraphError, OrientedGraph, graph_from_json, refuse_unknown_keys
 from .k1_map import NonCycleError, cycle_unitary, line_cycle_unitary, permuted_matching
 from .operators import MarginError, OperatorError, Window, dump_lines, operator_to_json
 from .scenarios import (
@@ -284,6 +284,9 @@ def _bad_matching(path: str, exc: Exception) -> InputError:
     return InputError(f"{path}: bad matching override: {exc}")
 
 
+_MATCHING_KEYS = frozenset({"positions"})
+
+
 def _load_positions(path: str, g: OrientedGraph) -> dict:
     """The per-vertex permutations of a matching file, read before anything
     is built; permuted_matching checks them against the expanded graph."""
@@ -292,6 +295,7 @@ def _load_positions(path: str, g: OrientedGraph) -> dict:
     try:
         if "positions" not in data:
             raise ValueError("the top-level object has no key 'positions'")
+        refuse_unknown_keys(data, _MATCHING_KEYS, ValueError)
         data = data["positions"]
         if not isinstance(data, dict):
             raise ValueError(f"positions must be an object, got {data!r}")

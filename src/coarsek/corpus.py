@@ -69,12 +69,7 @@ def _non_tree_edges(g: OrientedGraph) -> tuple[dict, list[Edge]]:
     return up, [e for e in g.edges if e.id not in tree]
 
 
-def random_cycle(
-    rng: random.Random,
-    g: OrientedGraph,
-    bound: int = 3,
-    nonzero: bool = False,
-) -> Chain1:
+def random_cycle(rng: random.Random, g: OrientedGraph, bound: int = 3) -> Chain1:
     """Random integer combination of fundamental cycles with all
     coefficients bounded by the given strict bound in magnitude."""
     up, extras = _non_tree_edges(g)
@@ -87,9 +82,7 @@ def random_cycle(
         acc = zero
         for e in chosen:
             acc = acc + fundamental_cycle(g, up, e).scaled(rng.choice([-2, -1, 1, 1, 2]))
-        if acc.coeffs and max(abs(v) for v in acc.coeffs.values()) <= bound:
-            return acc
-        if not acc.coeffs and not nonzero:
+        if not acc.coeffs or max(abs(v) for v in acc.coeffs.values()) <= bound:
             return acc
     return fundamental_cycle(g, up, rng.choice(extras))  # coefficients +-1
 

@@ -205,6 +205,19 @@ def _require_distinct_keys(field: str, labels) -> None:
         seen[key] = x
 
 
+def refuse_unknown_keys(data: dict, known: frozenset, error=GraphError, where: str = "") -> None:
+    """A misspelt or extra key is refused, not read as absent; the message
+    names the first unknown key in file order."""
+    if not data.keys() <= known:
+        key = next(k for k in data if k not in known)
+        raise error(f"{where}unknown key {key!r}")
+
+
+_FINITE_KEYS = frozenset({"kind", "vertices", "edges"})
+_BANDED_KEYS = frozenset({"kind", "edges_per_cell", "perturbation"})
+_EDGE_KEYS = frozenset({"id", "source", "target"})
+
+
 def _list_field(data: dict, field: str) -> list:
     value = data.get(field, [])
     if not isinstance(value, list):
@@ -215,9 +228,12 @@ def _list_field(data: dict, field: str) -> list:
 def graph_from_json(data: dict) -> Graph:
     kind = data.get("kind")
     if kind == "finite":
+        refuse_unknown_keys(data, _FINITE_KEYS)
         edges = []
         for i, e in enumerate(_list_field(data, "edges")):
-            if not isinstance(e, dict) or not {"id", "source", "target"} <= e.keys():
+            if not isinstance(e, dict) or e.keys() != _EDGE_KEYS:
+                if isinstance(e, dict) and _EDGE_KEYS <= e.keys():
+                    refuse_unknown_keys(e, _EDGE_KEYS, where=f"edges[{i}]: ")
                 raise GraphError(
                     f"edges[{i}] must be an object with id, source and target, "
                     f"got {e!r}"
@@ -228,6 +244,7 @@ def graph_from_json(data: dict) -> Graph:
         _require_distinct_keys("edges", [e.id for e in g.edges])
         return g
     if kind == "banded_z":
+        refuse_unknown_keys(data, _BANDED_KEYS)
         if data.get("perturbation") is not None:
             raise GraphError(
                 f"perturbation must be null or absent, got {data['perturbation']!r}"

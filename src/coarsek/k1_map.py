@@ -170,21 +170,21 @@ def permutation_cycle_type(op: SparseBlockOperator) -> Optional[tuple[int, ...]]
             return None
     elif len(moves) != len(op.domain):
         return None
-    return tuple(sorted(n for _, n in _cycles(moves) if n > 1))
+    return tuple(sorted(n for n in map(len, _cycles(moves)) if n > 1))
 
 
-def _cycles(mapping: dict) -> Iterator[tuple[object, int]]:
-    """(first point, length) of every cycle of a permutation of the keys of
-    mapping, in the order the keys come."""
+def _cycles(mapping: dict) -> Iterator[list]:
+    """The points of every cycle of a permutation of the keys of mapping,
+    each cycle from its first point in the order the keys come."""
     seen = set()
     for start in mapping:
-        n, cur = 0, start
+        cycle, cur = [], start
         while cur not in seen:
             seen.add(cur)
+            cycle.append(cur)
             cur = mapping[cur]
-            n += 1
-        if n:
-            yield start, n
+        if cycle:
+            yield cycle
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +277,7 @@ def _block_conjugator(g: OrientedGraph, alpha: dict, beta: dict):
     for m in (alpha, beta):
         sigma = {e: m[e.target][e] for e in g.edges}
         by_word: dict = {}
-        for start, n in _cycles(sigma):
-            walk = [start]
-            for _ in range(n - 1):
-                walk.append(sigma[walk[-1]])
+        for walk in _cycles(sigma):
             word = [colour[e.source, e.target] for e in walk]
             k = _least_rotation(word)
             by_word.setdefault(tuple(word[k:] + word[:k]), []).append(walk[k:] + walk[:k])

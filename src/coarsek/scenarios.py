@@ -214,13 +214,12 @@ def certify_k0(g, chain, window: Window | None = None) -> tuple[Report, dict]:
     else:
         pair = build_projection_pair(chain, window)
         add("pair confined to the corner below the uniform bound", *_uniform_corner(chain, pair))
-        add("bounded-class invariant", True, {"tail_pair": uf_class_on_z(chain)}, verbose=True)
+        left, right = uf_class_on_z(chain)
+        add("bounded-class invariant", True, {"tail_pair": (left, right)}, verbose=True)
         if not g.is_edgeless:
-            sol = solve_boundary_on_z(chain)
-            ok = not sol.bounded or (sol.gamma is not None and boundary(sol.gamma) == chain)
-            details = {
-                "bounded": sol.bounded, "slope_left": sol.slope_left, "slope_right": sol.slope_right
-            }
+            gamma = solve_boundary_on_z(chain)
+            ok = gamma is None or boundary(gamma) == chain
+            details = {"bounded": gamma is not None, "slope_left": -left, "slope_right": -right}
             add("boundary solution on the line", ok, details, verbose=True)
     dumps.update(f=pair.f, g=pair.g)
     return report, dumps
@@ -484,32 +483,24 @@ def check_line_h0_quotient(seed: int = DEFAULT_SEED, count: int = 50) -> dict:
             for _ in range(rng.randint(1, 6))
         }
         c = BandedZChain.from_finite_values(0, support)
-        sol = solve_boundary_on_z(c)
-        if not (sol.bounded and sol.gamma is not None and boundary(sol.gamma) == c):
+        gamma = solve_boundary_on_z(c)
+        if gamma is None or boundary(gamma) != c:
             failures.append({"case": i, "kind": "no bounded witness"})
         if uf_class_on_z(c) != (0, 0):
             failures.append({"case": i, "kind": "finite support class nonzero"})
-    constant_one = BandedZChain(0, 1, 1)
-    sol_one = solve_boundary_on_z(constant_one)
-    step = BandedZChain(0, 0, 1)
-    sol_step = solve_boundary_on_z(step)
-    classes = {
-        uf_class_on_z(BandedZChain(0, 0, 0)),
-        uf_class_on_z(constant_one),
-        uf_class_on_z(step),
-    }
+    constant_one, step = BandedZChain(0, 1, 1), BandedZChain(0, 0, 1)
+    one_unbounded = solve_boundary_on_z(constant_one) is None
+    step_unbounded = solve_boundary_on_z(step) is None
+    classes = {uf_class_on_z(c) for c in (BandedZChain(0, 0, 0), constant_one, step)}
     return {
         "count": count,
         "failures": failures,
-        "constant_one_unbounded": not sol_one.bounded,
-        "constant_one_slopes": (sol_one.slope_left, sol_one.slope_right),
-        "step_unbounded": not sol_step.bounded,
-        "step_slopes": (sol_step.slope_left, sol_step.slope_right),
+        "constant_one_unbounded": one_unbounded,
+        "constant_one_slopes": tuple(-t for t in uf_class_on_z(constant_one)),
+        "step_unbounded": step_unbounded,
+        "step_slopes": tuple(-t for t in uf_class_on_z(step)),
         "classes_separated": len(classes) == 3,
-        "ok": not failures
-        and not sol_one.bounded
-        and not sol_step.bounded
-        and len(classes) == 3,
+        "ok": not failures and one_unbounded and step_unbounded and len(classes) == 3,
     }
 
 

@@ -237,21 +237,19 @@ def test_solve_boundary_finite():
 
 def test_solve_boundary_inverse_of_unit_cell():
     c = BandedZChain(0, 0, 0, 0, (-1, 1))  # -1 at 0, +1 at 1
-    sol = solve_boundary_on_z(c)
-    assert sol.bounded
-    assert sol.gamma == BandedZChain(1, 0, 0, 0, (1,))
+    assert solve_boundary_on_z(c) == BandedZChain(1, 0, 0, 0, (1,))
 
 
 def test_constant_chain_does_not_bound_boundedly():
-    sol = solve_boundary_on_z(BandedZChain(0, 1, 1))
-    assert not sol.bounded and sol.gamma is None
-    assert (sol.slope_left, sol.slope_right) == (-1, -1)
+    c = BandedZChain(0, 1, 1)
+    assert uf_class_on_z(c) == (1, 1)
+    assert solve_boundary_on_z(c) is None
 
 
 def test_step_chain_grows_on_the_right():
-    sol = solve_boundary_on_z(BandedZChain(0, 0, 1))
-    assert not sol.bounded
-    assert sol.slope_left == 0 and sol.slope_right == -1
+    c = BandedZChain(0, 0, 1)
+    assert uf_class_on_z(c) == (0, 1)
+    assert solve_boundary_on_z(c) is None
 
 
 def test_solve_boundary_rejects_degree_one():
@@ -260,17 +258,25 @@ def test_solve_boundary_rejects_degree_one():
 
 
 def test_finite_support_chains_bound_exactly():
+    # finite supports, then supports over random tails: a bounded solution
+    # exists exactly when the tail pair is (0, 0)
     rng = random.Random(4)
-    for _ in range(40):
+    unbounded = 0
+    for tails in [False] * 40 + [True] * 40:
         vals = {
             rng.randint(-8, 8): rng.choice([-3, -2, -1, 1, 2, 3])
             for _ in range(rng.randint(1, 6))
         }
-        c = BandedZChain.from_finite_values(0, vals)
-        sol = solve_boundary_on_z(c)
-        assert sol.bounded
-        assert boundary(sol.gamma) == c
-        assert uf_class_on_z(c) == (0, 0)
+        lo, hi = min(vals), max(vals)
+        left, right = (rng.randint(-2, 2), rng.randint(-2, 2)) if tails else (0, 0)
+        c = BandedZChain(0, left, right, lo, tuple(vals.get(i, 0) for i in range(lo, hi + 1)))
+        gamma = solve_boundary_on_z(c)
+        if uf_class_on_z(c) != (0, 0):
+            assert gamma is None
+            unbounded += 1
+        else:
+            assert gamma is not None and boundary(gamma) == c
+    assert 0 < unbounded < 40
 
 
 def test_uf_classes():

@@ -967,14 +967,11 @@ def test_a_line_witness_off_at_one_cell_fails_only_the_h0_quotient(monkeypatch):
     real = scenarios.solve_boundary_on_z
 
     def one_cell_off(c):
-        sol = real(c)
-        if sol.gamma is None:
-            return sol
-        g = sol.gamma
+        g = real(c)
+        if g is None:
+            return None
         values = (*g.window_values, g.tail_right + 1)
-        return dataclasses.replace(
-            sol, gamma=BandedZChain(1, g.tail_left, g.tail_right, g.window_start, values)
-        )
+        return BandedZChain(1, g.tail_left, g.tail_right, g.window_start, values)
 
     monkeypatch.setattr(scenarios, "solve_boundary_on_z", one_cell_off)
     assert _failed_verify_checks() == ["degree-0 quotient certificates"]

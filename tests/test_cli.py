@@ -548,6 +548,12 @@ MISSING = object()  # a --matching path with no file
         (FIGURE_EIGHT_GRAPH, '{"degree": 1, "degree": 0, "coeffs": {}}', None, "c.json: duplicate key 'degree'", ()),
         (FIGURE_EIGHT_GRAPH, '{"degree": 1, "coeffs": {"f1": 1, "f1": 5}}', None, "c.json: duplicate key 'f1'", ()),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, '{"positions": {"z": [1, 0], "z": [0, 1]}}', "m.json: duplicate key 'z'", ()),
+        ({"kind": "finite", "vertex": [0, 1, 2], "edges": [], "colour": 1}, FIGURE_EIGHT_CHAIN, None, "g.json: bad graph file: unknown key 'vertex'", ()),
+        ({"kind": "banded_z", "edges_per_cell": 1, "perturbations": None}, LINE_CYCLE, None, "g.json: bad graph file: unknown key 'perturbations'", ()),
+        (dict(FIGURE_EIGHT_GRAPH, edges=[{"id": "f1", "source": "z", "target": "a", "weight": 5}]), FIGURE_EIGHT_CHAIN, None, "g.json: bad graph file: edges[0]: unknown key 'weight'", ()),
+        (FIGURE_EIGHT_GRAPH, dict(FIGURE_EIGHT_CHAIN, note="x"), None, "c.json: bad chain file: unknown key 'note'", ()),
+        (LINE_GRAPH, {"degree": 1, "tail_lft": 3, "tail_right": 3, "window": []}, None, "c.json: bad chain file: unknown key 'tail_lft'", ()),
+        (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [1, 0]}, "vertex": "z", "note": 1}, "m.json: bad matching override: unknown key 'vertex'", ()),
     ],
     ids=[
         "graph-list", "chain-list", "matching-list", "positions-missing", "positions-list",
@@ -557,7 +563,9 @@ MISSING = object()  # a --matching path with no file
         "strict-without-matching-finite", "strict-without-matching-line",
         "window-on-finite", "margin-on-finite", "window-on-finite-with-matching",
         "graph-duplicate-key", "chain-duplicate-key", "coeffs-duplicate-key",
-        "positions-duplicate-key",
+        "positions-duplicate-key", "finite-graph-unknown-key", "banded-graph-unknown-key",
+        "edge-unknown-key", "finite-chain-unknown-key", "banded-chain-unknown-key",
+        "matching-unknown-key",
     ],
 )
 def test_malformed_input_files_are_input_errors(
