@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .graphs import Edge, Label, OrientedGraph, refuse_unknown_keys
+from .graphs import Edge, Graph, Label, OrientedGraph, json_keys, refuse_unknown_keys
 from .intlinalg import smith_normal_form
 
 
@@ -430,23 +430,20 @@ _FINITE_CHAIN_KEYS = frozenset({"degree", "coeffs"})
 _BANDED_CHAIN_KEYS = frozenset({"degree", "tail_left", "tail_right", "window_start", "window_values"})
 
 
-def chain_from_json(data: dict, graph: Optional[OrientedGraph] = None) -> Chain:
+def chain_from_json(data: dict, graph: Optional[Graph] = None) -> Chain:
+    """The chain in data: over graph when data has coeffs, else on the line."""
     finite = "coeffs" in data
     refuse_unknown_keys(data, _FINITE_CHAIN_KEYS if finite else _BANDED_CHAIN_KEYS, ChainError)
     degree = json_int(data.get("degree"), "degree")
     if finite:
-        if graph is None:
+        if not isinstance(graph, OrientedGraph):
             raise ChainError("a host graph is required for finite-support chains")
         if degree == 0:
-            lookup = {str(v): v for v in graph.vertices}
-            what = "vertex"
+            what, lookup = "vertex", json_keys("vertices", graph.vertices)
         elif degree == 1:
-            lookup = {str(e.id): e.id for e in graph.edges}
-            what = "edge"
+            what, lookup = "edge", json_keys("edges", [e.id for e in graph.edges])
         else:
             raise ChainError(f"bad degree: {degree!r}")
-        if len(lookup) != len(graph.vertices if degree == 0 else graph.edges):
-            raise ChainError("graph labels are ambiguous under string keys")
         if not isinstance(data["coeffs"], dict):
             raise ChainError("coeffs must be an object")
         coeffs = {}

@@ -32,7 +32,7 @@ from .chains import (
     json_int,
     uniform_bound,
 )
-from .graphs import GraphError, OrientedGraph, graph_from_json, refuse_unknown_keys
+from .graphs import GraphError, OrientedGraph, graph_from_json, json_keys, refuse_unknown_keys
 from .k1_map import NonCycleError, cycle_unitary, line_cycle_unitary, permuted_matching
 from .operators import MarginError, OperatorError, Window, dump_lines, operator_to_json
 from .scenarios import (
@@ -98,18 +98,13 @@ def _load_json_file(path: str) -> dict:
     return data
 
 
-def _load_graph(path: str):
+def _read(path: str, kind: str, reader, *args):
+    """reader(the JSON object in path, *args); a refusal by the reader is
+    the input error "PATH: KIND: message"."""
     try:
-        return graph_from_json(_load_json_file(path))
-    except (GraphError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: bad graph file: {exc}")
-
-
-def _load_chain(path: str, graph=None):
-    try:
-        return chain_from_json(_load_json_file(path), graph)
-    except (ChainError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: bad chain file: {exc}")
+        return reader(_load_json_file(path), *args)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: {kind}: {exc}")
 
 
 def _admit(estimate: int, dump) -> None:
@@ -205,7 +200,7 @@ def _homology_json(payload: dict) -> str:
 
 
 def cmd_homology(args) -> int:
-    g = _load_graph(args.graph)
+    g = _read(args.graph, "bad graph file", graph_from_json)
     if isinstance(g, OrientedGraph):
         res = homology_finite(g)
         h0 = free_abelian(res.h0_rank)
@@ -251,8 +246,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_k0(args) -> int:
-    g = _load_graph(args.graph)
-    chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
+    g = _read(args.graph, "bad graph file", graph_from_json)
+    chain = _read(args.chain, "bad chain file", chain_from_json, g)
     window = None
     if isinstance(g, OrientedGraph):
         _refuse_window_options(args)
@@ -280,50 +275,44 @@ def _named_noncycle_vertex(chain: BandedZChain) -> int:
     return d.window_start
 
 
-def _bad_matching(path: str, exc: Exception) -> InputError:
-    return InputError(f"{path}: bad matching override: {exc}")
-
-
 _MATCHING_KEYS = frozenset({"positions"})
 
 
-def _load_positions(path: str, g: OrientedGraph) -> dict:
+def _positions_from_json(data: dict, g: OrientedGraph) -> dict:
     """The per-vertex permutations of a matching file, read before anything
     is built; permuted_matching checks them against the expanded graph."""
-    data = _load_json_file(path)
-    lookup = {str(v): v for v in g.vertices}
-    try:
-        if "positions" not in data:
-            raise ValueError("the top-level object has no key 'positions'")
-        refuse_unknown_keys(data, _MATCHING_KEYS, ValueError)
-        data = data["positions"]
-        if not isinstance(data, dict):
-            raise ValueError(f"positions must be an object, got {data!r}")
-        positions = {}
-        for key, val in data.items():
-            if not isinstance(val, list):
-                raise ValueError(f"positions[{key!r}] must be a list, got {val!r}")
-            if key not in lookup:
-                raise ValueError(f"not a vertex: {key!r}")
-            positions[lookup[key]] = tuple(
-                json_int(p, f"positions[{key!r}][{j}]") for j, p in enumerate(val)
-            )
-    except ValueError as exc:
-        raise _bad_matching(path, exc)
+    lookup = json_keys("vertices", g.vertices)
+    if "positions" not in data:
+        raise ValueError("the top-level object has no key 'positions'")
+    refuse_unknown_keys(data, _MATCHING_KEYS)
+    data = data["positions"]
+    if not isinstance(data, dict):
+        raise ValueError(f"positions must be an object, got {data!r}")
+    positions = {}
+    for key, val in data.items():
+        if not isinstance(val, list):
+            raise ValueError(f"positions[{key!r}] must be a list, got {val!r}")
+        if key not in lookup:
+            raise ValueError(f"not a vertex: {key!r}")
+        positions[lookup[key]] = tuple(
+            json_int(p, f"positions[{key!r}][{j}]") for j, p in enumerate(val)
+        )
     return positions
 
 
 def cmd_k1(args) -> int:
     if args.strict_matching and not args.matching:
         raise InputError("--strict-matching needs a --matching file")
-    g = _load_graph(args.graph)
-    chain = _load_chain(args.chain, g if isinstance(g, OrientedGraph) else None)
+    g = _read(args.graph, "bad graph file", graph_from_json)
+    chain = _read(args.chain, "bad chain file", chain_from_json, g)
     beta = None
     if isinstance(g, OrientedGraph):
         _refuse_window_options(args)
         if not isinstance(chain, Chain1):
             raise InputError("the degree-1 map needs a degree-1 chain")
-        positions = _load_positions(args.matching, g) if args.matching else None
+        positions = None
+        if args.matching:
+            positions = _read(args.matching, "bad matching override", _positions_from_json, g)
         copies = sum(map(abs, chain.coeffs.values()))
         _admit(_work(len(g.vertices), copies, bool(args.dump)), args.dump)
         try:
@@ -334,7 +323,7 @@ def cmd_k1(args) -> int:
             try:
                 beta = permuted_matching(cu.expanded, positions)
             except ValueError as exc:
-                raise _bad_matching(args.matching, exc)
+                raise InputError(f"{args.matching}: bad matching override: {exc}")
     else:
         if args.matching:
             raise InputError(f"--matching: the line takes no matching file, got {args.matching}")

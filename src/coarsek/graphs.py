@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
 Label = Union[int, str, tuple]
+_LABEL_TYPES = (int, str, tuple)
 
 
 class GraphError(ValueError):
@@ -51,27 +52,29 @@ class OrientedGraph:
     constructions would need an arbitrary tie-break for it, so nothing in
     this library produces or consumes one.
 
-    The constructor checks its input (distinct ids, endpoints in the graph,
-    no loop) and sorts it; _trusted does neither, for derived graphs.  The
-    edge and adjacency indexes are built on first use, so a graph that is
-    only iterated, as a line window handed to expand_graph, never pays for
-    them.
+    The constructor checks its input (distinct ids, endpoints that are
+    vertices and labels, not True or 1.0 for the vertex 1, no loop) and
+    sorts it; _trusted does neither, for derived graphs.  The edge and
+    adjacency indexes are built on first use, so a graph that is only
+    iterated, as a line window handed to expand_graph, never pays for them.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
         vs = list(vertices)
-        if len(set(vs)) != len(vs):
+        vset = set(vs)
+        if len(vset) != len(vs):
             raise GraphError("duplicate vertex ids")
         es = list(edges)
         ids = [e.id for e in es]
         if len(set(ids)) != len(ids):
             raise GraphError("duplicate edge ids")
-        vset = set(vs)
-        for e in es:
-            if e.source not in vset or e.target not in vset:
-                raise GraphError(f"edge {e.id!r} has endpoint outside the graph")
-            if e.source == e.target:
-                raise GraphError(f"edge {e.id!r} is a loop")
+        for eid, s, t in es:
+            if s not in vset or t not in vset:
+                raise GraphError(f"edge {eid!r} has endpoint outside the graph")
+            if type(s) not in _LABEL_TYPES or type(t) not in _LABEL_TYPES:
+                idkey(s), idkey(t)  # refuses True, 1.0 and the like
+            if s == t:
+                raise GraphError(f"edge {eid!r} is a loop")
         self.vertices = tuple(sorted(vs, key=idkey))
         self.edges = tuple(sorted(es, key=lambda e: idkey(e.id)))
 
@@ -192,9 +195,9 @@ Graph = Union[OrientedGraph, BandedZGraph]
 # JSON input
 
 
-def _require_distinct_keys(field: str, labels) -> None:
-    """JSON reports key vertices and edges by str(label); two labels with
-    the same string, such as 1 and "1", would share a key."""
+def json_keys(field: str, labels) -> dict[str, Label]:
+    """{str(label): label}: files and reports key labels by their string,
+    so two labels with one string, such as 1 and "1", are refused."""
     seen: dict[str, Label] = {}
     for x in labels:
         key = str(x)
@@ -203,6 +206,7 @@ def _require_distinct_keys(field: str, labels) -> None:
                 f"{field}: ids {seen[key]!r} and {x!r} collide as JSON keys"
             )
         seen[key] = x
+    return seen
 
 
 def refuse_unknown_keys(data: dict, known: frozenset, error=GraphError, where: str = "") -> None:
@@ -240,8 +244,8 @@ def graph_from_json(data: dict) -> Graph:
                 )
             edges.append(Edge(id=e["id"], source=e["source"], target=e["target"]))
         g = OrientedGraph(_list_field(data, "vertices"), edges)
-        _require_distinct_keys("vertices", g.vertices)
-        _require_distinct_keys("edges", [e.id for e in g.edges])
+        json_keys("vertices", g.vertices)
+        json_keys("edges", [e.id for e in g.edges])
         return g
     if kind == "banded_z":
         refuse_unknown_keys(data, _BANDED_KEYS)

@@ -25,7 +25,7 @@ from coarsek.chains import (
     uniform_bound,
 )
 from coarsek.corpus import random_chain1, random_graph
-from coarsek.graphs import BandedZGraph, Edge, OrientedGraph
+from coarsek.graphs import BandedZGraph, Edge, GraphError, OrientedGraph
 from helpers import (
     boundary_matrix,
     chain_to_json,
@@ -296,6 +296,25 @@ def test_chain_json_round_trip():
     assert chain_from_json(chain_to_json(c), g) == c
     gamma = Chain1(g, {"e1": -4})
     assert chain_from_json(chain_to_json(gamma), g) == gamma
+
+
+def test_chain_files_refuse_labels_that_collide_as_json_keys():
+    # a graph built in code skips the checks of the graph reader
+    for degree, g, field in [
+        (0, OrientedGraph([1, "1"], []), "vertices"),
+        (1, OrientedGraph([0, 1], [Edge(1, 0, 1), Edge("1", 1, 0)]), "edges"),
+    ]:
+        with pytest.raises(GraphError, match=f"{field}: ids 1 and '1' collide as JSON keys"):
+            chain_from_json({"degree": degree, "coeffs": {}}, g)
+
+
+def test_finite_support_chain_files_need_a_finite_graph():
+    for graph in (None, BandedZGraph()):
+        with pytest.raises(ChainError, match="a host graph is required"):
+            chain_from_json({"degree": 1, "coeffs": {}}, graph)
+    assert chain_from_json({"degree": 1, "tail_left": 2, "tail_right": 2}, BandedZGraph()) == (
+        BandedZChain(1, 2, 2)
+    )
 
 
 def test_banded_json_round_trip():

@@ -521,6 +521,8 @@ FIGURE_EIGHT_CHAIN = {"degree": 1, "coeffs": {"f1": 1, "g1": 1, "f2": 1, "g2": 1
 LINE_GRAPH = {"kind": "banded_z", "edges_per_cell": 1}
 LINE_CYCLE = {"degree": 1, "tail_left": 1, "tail_right": 1}
 MISSING = object()  # a --matching path with no file
+INT_GRAPH = {"kind": "finite", "vertices": [0, 1, 2], "edges": []}
+EMPTY_CYCLE = {"degree": 1, "coeffs": {}}
 
 
 @pytest.mark.parametrize(
@@ -554,6 +556,9 @@ MISSING = object()  # a --matching path with no file
         (FIGURE_EIGHT_GRAPH, dict(FIGURE_EIGHT_CHAIN, note="x"), None, "c.json: bad chain file: unknown key 'note'", ()),
         (LINE_GRAPH, {"degree": 1, "tail_lft": 3, "tail_right": 3, "window": []}, None, "c.json: bad chain file: unknown key 'tail_lft'", ()),
         (FIGURE_EIGHT_GRAPH, FIGURE_EIGHT_CHAIN, {"positions": {"z": [1, 0]}, "vertex": "z", "note": 1}, "m.json: bad matching override: unknown key 'vertex'", ()),
+        (dict(INT_GRAPH, edges=[{"id": "a", "source": True, "target": 2}]), EMPTY_CYCLE, None, "g.json: bad graph file: boolean labels are not allowed", ()),
+        (dict(INT_GRAPH, edges=[{"id": "a", "source": 0, "target": 1.0}]), EMPTY_CYCLE, None, "g.json: bad graph file: unsupported label type: float", ()),
+        (LINE_GRAPH, FIGURE_EIGHT_CHAIN, None, "c.json: bad chain file: a host graph is required for finite-support chains", ()),
     ],
     ids=[
         "graph-list", "chain-list", "matching-list", "positions-missing", "positions-list",
@@ -565,7 +570,7 @@ MISSING = object()  # a --matching path with no file
         "graph-duplicate-key", "chain-duplicate-key", "coeffs-duplicate-key",
         "positions-duplicate-key", "finite-graph-unknown-key", "banded-graph-unknown-key",
         "edge-unknown-key", "finite-chain-unknown-key", "banded-chain-unknown-key",
-        "matching-unknown-key",
+        "matching-unknown-key", "endpoint-bool", "endpoint-float", "coeffs-on-the-line",
     ],
 )
 def test_malformed_input_files_are_input_errors(

@@ -5,6 +5,9 @@ failure.  Each example starts from a well-formed request (a finite graph
 whose degree-1 chain is a sum of closed walks, or the line) and then may
 have one field replaced: by a JSON value of the wrong type, by a label of
 the wrong kind, or by a coefficient or window far beyond the work limit.
+A value that is neither an integer nor a string where a label goes (a
+vertex, an edge id or an endpoint) must exit 2 before a dump directory is
+made: true and 1.0 equal the vertex 1 but are no labels.
 """
 
 import contextlib
@@ -33,7 +36,13 @@ junk = st.recursive(
     ),
     max_leaves=4,
 )
+# junk for an edge's id or endpoint: often a value equal to the vertex 0 or 1
+label_junk = st.one_of(junk, st.sampled_from([False, True, 0.0, 1.0]))
 small = st.integers(-3, 3)
+
+
+def is_label(value) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 @st.composite
@@ -85,17 +94,24 @@ def line_request(draw, degree):
     return graph, chain, None
 
 
-def mutate(draw, graph, chain, matching, options):
-    """Replace one field of the request, or leave it whole."""
-    target = draw(st.sampled_from(["none", "none", "graph", "edge", "chain", "coeff", "option"]))
+def mutate(draw, graph, chain, matching, options) -> bool:
+    """Replace one field of the request, or leave it whole.  True when the
+    new value puts something other than an int or a str where a label goes."""
+    target = draw(
+        st.sampled_from(["none", "none", "graph", "edge", "edge", "chain", "coeff", "option"])
+    )
+    bad_label = False
     if target == "graph":
-        graph[draw(st.sampled_from(["vertices", "edges", "kind", "edges_per_cell"]))] = draw(junk)
+        key = draw(st.sampled_from(["vertices", "edges", "kind", "edges_per_cell"]))
+        graph[key] = value = draw(junk)
+        bad_label = key == "vertices" and isinstance(value, list) and not all(map(is_label, value))
     elif target == "edge" and graph.get("edges"):
         edge = draw(st.sampled_from(graph["edges"]))
         if draw(st.booleans()):
             graph["edges"][graph["edges"].index(edge)] = draw(junk)
         else:
-            edge[draw(st.sampled_from(["id", "source", "target"]))] = draw(junk)
+            edge[draw(st.sampled_from(["id", "source", "target"]))] = value = draw(label_junk)
+            bad_label = not is_label(value)
     elif target == "chain":
         key = draw(st.sampled_from(["degree", "coeffs", "tail_left", "window_values"]))
         chain[key] = draw(st.one_of(junk, st.sampled_from([HUGE, -HUGE])))
@@ -110,6 +126,7 @@ def mutate(draw, graph, chain, matching, options):
         options[draw(st.sampled_from(["--window", "--margin"]))] = str(HUGE)
     if matching is not None and draw(st.integers(0, 4)) == 0:
         matching["positions"] = draw(junk)
+    return bad_label
 
 
 @st.composite
@@ -122,14 +139,14 @@ def requests(draw):
     # a finite graph refuses --window and --margin, so they go to it rarely
     if make is line_request or draw(st.integers(0, 4)) == 0:
         options = {"--window": str(draw(st.integers(0, 4))), "--margin": str(draw(st.integers(0, 4)))}
-    mutate(draw, graph, chain, matching, options)
-    return command, graph, chain, matching, options, draw(st.booleans())
+    bad_label = mutate(draw, graph, chain, matching, options)
+    return command, graph, chain, matching, options, draw(st.booleans()), bad_label
 
 
 @settings(max_examples=200, deadline=None)
 @given(requests())
 def test_fuzzed_files_never_escape_main(request):
-    command, graph, chain, matching, options, dump = request
+    command, graph, chain, matching, options, dump, bad_label = request
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
@@ -151,4 +168,7 @@ def test_fuzzed_files_never_escape_main(request):
             io.StringIO()
         ):
             code = main(argv)
+        made_dump = (root / "dump").exists()
     assert code in (0, 1, 2)
+    if bad_label:
+        assert code == 2 and not made_dump

@@ -15,6 +15,19 @@ def test_loops_are_rejected():
         OrientedGraph([0], [Edge("l", 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "end, message",
+    [(True, "boolean labels are not allowed"), (1.0, "unsupported label type: float")],
+    ids=["bool", "float"],
+)
+def test_endpoints_equal_to_a_vertex_but_not_labels_are_rejected(end, message):
+    # True == 1.0 == 1, so the endpoint is in the vertex set
+    with pytest.raises(GraphError, match=message):
+        OrientedGraph([0, 1, 2], [Edge("a", end, 2)])
+    with pytest.raises(GraphError, match=message):
+        OrientedGraph([0, 1, 2], [Edge("a", 2, end)])
+
+
 def test_graph_json_round_trip():
     g = OrientedGraph(
         ["a", "b", 3],
